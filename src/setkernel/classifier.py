@@ -11,7 +11,7 @@ every update, and convergence is declared on the exact duality gap.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -22,7 +22,7 @@ from .config import PipelineConfig, derive_seed
 from .data import FLOAT_FMT, LabeledDataset, SampleSet, Standardizer
 from .embedding import MeanEmbedding, embed_matrix, naive_mean
 from .errors import ConfigError, ModelFormatError
-from .herding import herd, subset, uniform_subsample
+from .herding import herd, uniform_subsample
 from .rff import GENERATOR_NAME, RffMap, philox_rng, sample_frequencies
 
 MODEL_MAGIC = "setkernel-model"
@@ -239,57 +239,79 @@ def stratified_folds(labels: Sequence[int], folds: int, seed: int) -> list[np.nd
     return out
 
 
-def _preprocess(samples: Sequence[SampleSet], cfg: PipelineConfig,
-                train_idx: np.ndarray | None = None):
-    """Apply configured preprocessing; returns (samples, fitted Standardizer|None).
+@dataclass(frozen=True)
+class Pipeline:
+    """The fitted preprocess -> select -> embed chain every command runs.
 
-    A standardizer is fitted on the pooled cells of train_idx (all samples
-    when None) and applied everywhere; arcsinh is stateless.
+    prepare applies the preprocessing (arcsinh with a cofactor, or a fitted
+    Standardizer); select keeps m cells per sample by herding or seeded
+    uniform draws; embed turns raw samples into feature rows: the mean
+    random-feature vector (rff) or the per-marker mean (naive) of the
+    selected cells. A sample with no more than m cells, or any sample when
+    m is None, keeps all its cells in storage order.
     """
-    cofactor = cfg.arcsinh_cofactor()
-    if cofactor is not None:
-        return [dat.arcsinh_transform(s, cofactor) for s in samples], None
-    if cfg.preprocessing == "standardize":
-        fit_on = samples if train_idx is None else [samples[i] for i in train_idx]
-        std = dat.fit_standardizer(fit_on)
-        return [dat.apply_standardizer(std, s) for s in samples], std
-    return list(samples), None
 
+    rff: RffMap
+    m: int | None
+    subsample_method: str
+    seed: int  # uniform draws for sample s use derive_seed(seed, "uniform:s")
+    features: str = "rff"
+    cofactor: float | None = None
+    standardizer: Standardizer | None = None
 
-def _subselect(rmap: RffMap, sample: SampleSet, cfg: PipelineConfig,
-               run_seed: int) -> SampleSet:
-    """Reduce one sample to m cells per the configured method.
+    @classmethod
+    def fit(cls, cfg: PipelineConfig, samples: Sequence[SampleSet], seed: int) -> "Pipeline":
+        """Frequencies drawn from seed; a standardizer fits on samples' pooled cells."""
+        std = dat.fit_standardizer(samples) if cfg.preprocessing == "standardize" else None
+        rmap = sample_frequencies(samples[0].d, cfg.D, cfg.gamma, derive_seed(seed, "rff"))
+        return cls(rff=rmap, m=cfg.m, subsample_method=cfg.subsample_method, seed=seed,
+                   features=cfg.features, cofactor=cfg.arcsinh_cofactor(), standardizer=std)
 
-    m=None keeps every cell; samples smaller than m pass through unchanged.
-    """
-    if cfg.m is None or cfg.m >= sample.n:
+    @classmethod
+    def from_model(cls, model: LinearModel) -> "Pipeline":
+        """The pipeline a trained model was fitted with."""
+        cfg = model_config(model)
+        return cls(rff=model.rff, m=cfg.m, subsample_method=cfg.subsample_method,
+                   seed=cfg.seed, cofactor=cfg.arcsinh_cofactor(),
+                   standardizer=model.train_meta.get("standardizer"))
+
+    def prepare(self, sample: SampleSet) -> SampleSet:
+        """The sample after the fitted preprocessing."""
+        if sample.d != self.rff.d:
+            raise ValueError(f"sample has d={sample.d}, model expects d={self.rff.d}")
+        if self.cofactor is not None:
+            sample = dat.arcsinh_transform(sample, self.cofactor)
+        if self.standardizer is not None:
+            sample = dat.apply_standardizer(self.standardizer, sample)
         return sample
-    if cfg.subsample_method == "uniform":
-        res = uniform_subsample(sample, cfg.m,
-                                derive_seed(run_seed, f"uniform:{sample.sample_id}"))
-    else:
-        res = herd(rmap, sample, cfg.m)
-    return subset(sample, res)
 
+    def select(self, sample: SampleSet) -> np.ndarray:
+        """Row indices of the kept cells of a prepared sample, in selection order."""
+        if self.m is None or self.m >= sample.n:
+            return np.arange(sample.n)
+        if self.subsample_method == "uniform":
+            res = uniform_subsample(sample, self.m,
+                                    derive_seed(self.seed, f"uniform:{sample.sample_id}"))
+        else:
+            res = herd(self.rff, sample, self.m)
+        return np.asarray(res.selected_indices)
 
-def _features_for(rmap: RffMap, samples: Sequence[SampleSet], cfg: PipelineConfig,
-                  run_seed: int, threads: int = 1) -> np.ndarray:
-    """Per-sample feature rows: mean embedding (rff) or per-feature mean (naive)."""
+    def embed(self, samples: Sequence[SampleSet], threads: int = 1) -> np.ndarray:
+        """One feature row per raw sample, computed on `threads` worker threads."""
 
-    def one(sample: SampleSet) -> np.ndarray:
-        sub = _subselect(rmap, sample, cfg, run_seed)
-        if cfg.features == "naive":
-            return naive_mean(sub)
-        return embed_matrix(rmap, sub.cells)
+        def one(sample: SampleSet) -> np.ndarray:
+            prepared = self.prepare(sample)
+            kept = replace(prepared, cells=prepared.cells[self.select(prepared)])
+            if self.features == "naive":
+                return naive_mean(kept)
+            return embed_matrix(self.rff, kept.cells)
 
-    if threads > 1 and len(samples) > 1:
-        from concurrent.futures import ThreadPoolExecutor
+        if threads > 1 and len(samples) > 1:
+            from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, samples))
-    else:
-        rows = [one(s) for s in samples]
-    return np.stack(rows)
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                return np.stack(list(pool.map(one, samples)))
+        return np.stack([one(s) for s in samples])
 
 
 def cross_validate(dataset: LabeledDataset, cfg: PipelineConfig) -> CvReport:
@@ -307,19 +329,16 @@ def cross_validate(dataset: LabeledDataset, cfg: PipelineConfig) -> CvReport:
     all_acc: list[tuple[float, ...]] = []
     for r in range(cfg.runs):
         run_seed = derive_seed(cfg.seed, f"run:{r}")
-        rmap = sample_frequencies(dataset.d, cfg.D, cfg.gamma,
-                                  derive_seed(run_seed, "rff"))
         folds = stratified_folds(dataset.labels, cfg.folds,
                                  derive_seed(run_seed, "folds"))
-        if not per_fold_fit:
-            samples, _ = _preprocess(dataset.samples, cfg)
-            feats = _features_for(rmap, samples, cfg, run_seed, cfg.threads)
+        feats = None
         fold_acc = []
         for test_idx in folds:
             train_idx = np.setdiff1d(np.arange(dataset.N), test_idx)
-            if per_fold_fit:
-                samples, _ = _preprocess(dataset.samples, cfg, train_idx)
-                feats = _features_for(rmap, samples, cfg, run_seed, cfg.threads)
+            if feats is None or per_fold_fit:
+                fit_on = ([dataset.samples[i] for i in train_idx] if per_fold_fit
+                          else dataset.samples)
+                feats = Pipeline.fit(cfg, fit_on, run_seed).embed(dataset.samples, cfg.threads)
             res = solve_hinge(feats[train_idx], y[train_idx], reg_c=cfg.reg_c)
             scores = feats[test_idx] @ res.w + res.bias
             pred = np.where(scores < 0, -1, +1)
@@ -335,11 +354,10 @@ def cross_validate(dataset: LabeledDataset, cfg: PipelineConfig) -> CvReport:
 def fit_pipeline(dataset: LabeledDataset, cfg: PipelineConfig) -> LinearModel:
     """Train one model on every sample of the dataset (no held-out split)."""
     cfg.validate()
-    rmap = sample_frequencies(dataset.d, cfg.D, cfg.gamma, derive_seed(cfg.seed, "rff"))
-    samples, std = _preprocess(dataset.samples, cfg)
-    feats = _features_for(rmap, samples, cfg, cfg.seed, cfg.threads)
     if cfg.features != "rff":
         raise ConfigError("only features=rff models can be trained and saved")
+    pipe = Pipeline.fit(cfg, dataset.samples, cfg.seed)
+    feats = pipe.embed(dataset.samples, cfg.threads)
     res = solve_hinge(feats, np.asarray(dataset.labels, dtype=float), reg_c=cfg.reg_c)
     meta = {
         "label_neg": dataset.label_names[-1],
@@ -352,9 +370,9 @@ def fit_pipeline(dataset: LabeledDataset, cfg: PipelineConfig) -> LinearModel:
         "solver_gap": res.gap,
         "solver_converged": res.converged,
     }
-    if std is not None:
-        meta["standardizer"] = std
-    return LinearModel(beta=res.w, bias=res.bias, rff=rmap, reg_c=cfg.reg_c,
+    if pipe.standardizer is not None:
+        meta["standardizer"] = pipe.standardizer
+    return LinearModel(beta=res.w, bias=res.bias, rff=pipe.rff, reg_c=cfg.reg_c,
                        train_meta=meta)
 
 
@@ -375,17 +393,7 @@ def model_config(model: LinearModel) -> PipelineConfig:
 
 def apply_model(model: LinearModel, sample: SampleSet) -> float:
     """Decision value for one raw sample via the model's stored pipeline."""
-    if sample.d != model.rff.d:
-        raise ValueError(f"sample has d={sample.d}, model expects d={model.rff.d}")
-    cfg = model_config(model)
-    cofactor = cfg.arcsinh_cofactor()
-    if cofactor is not None:
-        sample = dat.arcsinh_transform(sample, cofactor)
-    std = model.train_meta.get("standardizer")
-    if std is not None:
-        sample = dat.apply_standardizer(std, sample)
-    sub = _subselect(model.rff, sample, cfg, cfg.seed)
-    return decision(model, embed_matrix(model.rff, sub.cells))
+    return decision(model, Pipeline.from_model(model).embed([sample])[0])
 
 
 def _fmt(v: float) -> str:
@@ -505,12 +513,12 @@ def load_model(path) -> LinearModel:
             nxt = cur.next("END")
         if nxt.strip() != "END":
             raise ModelFormatError(f"{path}: expected END, got {nxt!r}")
+        if generator != GENERATOR_NAME:
+            raise ModelFormatError(
+                f"{path}: unknown frequency generator {generator!r} "
+                f"(this build supports {GENERATOR_NAME!r})"
+            )
+        rmap = RffMap(W=W, gamma=gamma, D=D, seed=seed, scale=float(np.sqrt(2.0 / D)))
+        return LinearModel(beta=beta, bias=bias, rff=rmap, reg_c=reg_c, train_meta=meta)
     except (ValueError, IndexError) as e:
         raise ModelFormatError(f"{path}: corrupted model file: {e}") from e
-    if generator != GENERATOR_NAME:
-        raise ModelFormatError(
-            f"{path}: unknown frequency generator {generator!r} "
-            f"(this build supports {GENERATOR_NAME!r})"
-        )
-    rmap = RffMap(W=W, gamma=gamma, D=D, seed=seed, scale=float(np.sqrt(2.0 / D)))
-    return LinearModel(beta=beta, bias=bias, rff=rmap, reg_c=reg_c, train_meta=meta)

@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from . import interpret as itp
 from .classifier import (
+    Pipeline,
     apply_model,
     cross_validate,
     fit_pipeline,
@@ -36,7 +37,7 @@ from .config import (
 from .data import FLOAT_FMT, LabeledDataset, load_manifest, load_sample_set, save_sample_set
 from .embedding import embed_matrix
 from .errors import ConfigError, DataError, NumericalError
-from .herding import herd, subset, uniform_subsample
+from .herding import herd, uniform_subsample
 from .rff import philox_rng, sample_frequencies
 from .synth import generate_files, load_spec
 
@@ -90,32 +91,18 @@ def _write_csv(path: Path, header: list[str], rows, comment: str | None = None) 
     path.write_text("\n".join(out) + "\n", encoding="utf-8")
 
 
-def _prepared_samples(dataset: LabeledDataset, cfg: PipelineConfig):
-    """Preprocessed samples per config (standardizer fit on the whole manifest)."""
-    from .classifier import _preprocess
-
-    samples, std = _preprocess(dataset.samples, cfg)
-    return samples, std
+def _model_markers(model) -> list[str] | None:
+    """The model's training marker order, which sample columns are aligned to."""
+    names = model.train_meta.get("marker_names", "")
+    return names.split(",") if names else None
 
 
-def _align_to_model(sample, model):
-    """Permute sample columns into the model's training marker order."""
-    expected = model.train_meta.get("marker_names", "")
-    if not expected:
-        return sample
-    expected = tuple(expected.split(","))
-    if sample.marker_names == expected:
-        return sample
-    if sorted(sample.marker_names) != sorted(expected):
-        raise DataError(
-            f"sample {sample.sample_id!r} markers {sample.marker_names} do not "
-            f"match the model's markers {expected}"
-        )
-    perm = [sample.marker_names.index(m) for m in expected]
-    from .data import SampleSet
-
-    return SampleSet(cells=sample.cells[:, perm], sample_id=sample.sample_id,
-                     marker_names=expected)
+def _check_dims(samples, model) -> None:
+    for s in samples:
+        if s.d != model.rff.d:
+            raise DataError(
+                f"sample {s.sample_id!r} has d={s.d}, model expects d={model.rff.d}"
+            )
 
 
 def cmd_synth(args) -> int:
@@ -133,14 +120,10 @@ def cmd_synth(args) -> int:
 def cmd_featurize(args) -> int:
     cfg = _effective_config(args)
     dataset = load_manifest(args.manifest)
-    samples, _ = _prepared_samples(dataset, cfg)
-    rmap = sample_frequencies(dataset.d, cfg.D, cfg.gamma, derive_seed(cfg.seed, "rff"))
+    feats = Pipeline.fit(cfg, dataset.samples, cfg.seed).embed(dataset.samples, cfg.threads)
     out_dir = Path(args.out)
-    rows = []
-    for s in samples:
-        mu = embed_matrix(rmap, s.cells)
-        rows.append([s.sample_id] + [_fmt(v) for v in mu])
-    header = ["sample_id"] + [f"mu_{j}" for j in range(cfg.D)]
+    rows = [[s.sample_id] + [_fmt(v) for v in row] for s, row in zip(dataset.samples, feats)]
+    header = ["sample_id"] + [f"mu_{j}" for j in range(feats.shape[1])]
     _write_csv(out_dir / "embeddings.csv", header, rows, _config_comment(cfg))
     _write_meta(out_dir, cfg, "featurize")
     print(f"wrote {out_dir / 'embeddings.csv'}")
@@ -150,19 +133,13 @@ def cmd_featurize(args) -> int:
 def cmd_herd(args) -> int:
     cfg = _effective_config(args)
     dataset = load_manifest(args.manifest)
-    prepared, _ = _prepared_samples(dataset, cfg)
-    rmap = sample_frequencies(dataset.d, cfg.D, cfg.gamma, derive_seed(cfg.seed, "rff"))
+    pipe = Pipeline.fit(cfg, dataset.samples, cfg.seed)
     out_dir = Path(args.out)
     index_rows = []
-    for raw, prep in zip(dataset.samples, prepared):
-        m = prep.n if cfg.m is None else min(cfg.m, prep.n)
-        if cfg.subsample_method == "uniform":
-            res = uniform_subsample(prep, m, derive_seed(cfg.seed, f"uniform:{prep.sample_id}"))
-        else:
-            res = herd(rmap, prep, m)
-        save_sample_set(subset(raw, res), out_dir / "cells" / f"{raw.sample_id}.csv")
-        for rank, idx in enumerate(res.selected_indices):
-            index_rows.append([raw.sample_id, str(rank), str(idx)])
+    for s in dataset.samples:
+        idx = pipe.select(pipe.prepare(s))
+        save_sample_set(replace(s, cells=s.cells[idx]), out_dir / "cells" / f"{s.sample_id}.csv")
+        index_rows += [[s.sample_id, str(rank), str(i)] for rank, i in enumerate(idx)]
     _write_csv(out_dir / "indices.csv", ["sample_id", "selection_order", "row_index"],
                index_rows, _config_comment(cfg))
     _write_meta(out_dir, cfg, "herd")
@@ -227,22 +204,14 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     cfg = _effective_config(args)
     model = load_model(args.model)
-    expected = model.train_meta.get("marker_names", "")
-    expected_markers = expected.split(",") if expected else None
+    markers = _model_markers(model)
     samples = []
     if args.manifest:
-        dataset = load_manifest(args.manifest)
-        samples = list(dataset.samples)
-    for path in args.samples:
-        samples.append(load_sample_set(path, expected_markers=expected_markers))
+        samples = list(load_manifest(args.manifest, expected_markers=markers).samples)
+    samples += [load_sample_set(path, expected_markers=markers) for path in args.samples]
     if not samples:
         raise ConfigError("predict needs --manifest or at least one sample CSV")
-    for s in samples:
-        if s.d != model.rff.d:
-            raise DataError(
-                f"sample {s.sample_id!r} has d={s.d}, model expects d={model.rff.d}"
-            )
-    samples = [_align_to_model(s, model) for s in samples]
+    _check_dims(samples, model)
     label_names = {-1: model.train_meta.get("label_neg", "-1"),
                    +1: model.train_meta.get("label_pos", "+1")}
     rows = []
@@ -301,47 +270,21 @@ def cmd_crossval(args) -> int:
     return EXIT_OK
 
 
-def _interpret_pipeline(dataset: LabeledDataset, model, cfg: PipelineConfig):
-    """Sub-select every sample through the model's pipeline and pool the cells.
-
-    Clustering runs in the same feature space the model consumes (after the
-    model's stored preprocessing), which is recorded in the outputs.
-    """
-    mcfg = model_config(model)
-    cofactor = mcfg.arcsinh_cofactor()
-    prepared = []
-    for s in dataset.samples:
-        if s.d != model.rff.d:
-            raise DataError(f"sample {s.sample_id!r} has d={s.d}, model expects d={model.rff.d}")
-        s = _align_to_model(s, model)
-        if cofactor is not None:
-            from .data import arcsinh_transform
-
-            s = arcsinh_transform(s, cofactor)
-        std = model.train_meta.get("standardizer")
-        if std is not None:
-            from .data import apply_standardizer
-
-            s = apply_standardizer(std, s)
-        prepared.append(s)
-    subs, index_map = [], []
-    for s in prepared:
-        m = s.n if mcfg.m is None else min(mcfg.m, s.n)
-        if mcfg.subsample_method == "uniform":
-            res = uniform_subsample(s, m, derive_seed(mcfg.seed, f"uniform:{s.sample_id}"))
-        else:
-            res = herd(model.rff, s, m)
-        subs.append(subset(s, res))
-        index_map.append(res.selected_indices)
-    pooled = np.concatenate([s.cells for s in subs], axis=0)
-    return subs, index_map, pooled
-
-
 def cmd_interpret(args) -> int:
     cfg = _effective_config(args)
-    dataset = load_manifest(args.manifest)
     model = load_model(args.model)
-    subs, index_map, pooled = _interpret_pipeline(dataset, model, cfg)
+    dataset = load_manifest(args.manifest, expected_markers=_model_markers(model))
+    _check_dims(dataset.samples, model)
+    # Clustering runs in the feature space the model consumes (after its
+    # stored preprocessing), which summary.txt records.
+    pipe = Pipeline.from_model(model)
+    subs, index_map = [], []
+    for s in dataset.samples:
+        prepared = pipe.prepare(s)
+        idx = pipe.select(prepared)
+        subs.append(replace(prepared, cells=prepared.cells[idx]))
+        index_map.append(idx)
+    pooled = np.concatenate([s.cells for s in subs], axis=0)
     clusters = itp.kmeans(pooled, cfg.clusters_C, derive_seed(cfg.seed, "kmeans"))
     region = itp.region_scores(model, clusters, pooled, subs)
     out_dir = Path(args.out)
@@ -414,14 +357,19 @@ def cmd_stats(args) -> int:
                  if ln and not ln.startswith("#")]
     except OSError as e:
         raise DataError(f"cannot read frequencies file {freq_path}: {e}") from e
+    if not lines:
+        raise DataError(f"{freq_path}: empty frequencies file")
     header = lines[0].split(",")
     col = f"freq_{args.cluster}"
     if col not in header:
         raise ConfigError(f"cluster {args.cluster} not present in {freq_path}")
     ci = header.index(col)
     neg, pos = [], []
-    for ln in lines[1:]:
+    for r, ln in enumerate(lines[1:], start=1):
         fields = ln.split(",")
+        if len(fields) != len(header):
+            raise DataError(f"{freq_path}: row {r} has {len(fields)} fields, "
+                            f"expected {len(header)}")
         sid = fields[0]
         if sid not in labels_by_id:
             raise DataError(f"sample {sid!r} in frequencies file missing from manifest")

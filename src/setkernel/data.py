@@ -191,12 +191,13 @@ def save_sample_set(sample: SampleSet, path) -> None:
             writer.writerow([format(v, FLOAT_FMT) for v in row])
 
 
-def load_manifest(path) -> LabeledDataset:
+def load_manifest(path, expected_markers: Sequence[str] | None = None) -> LabeledDataset:
     """Load a manifest CSV and all sample files it references.
 
     The two distinct label strings map to -1/+1 by lexicographic order
     (smaller string -> -1). Sample paths are resolved relative to the
-    manifest's directory.
+    manifest's directory. Every sample's columns are permuted to
+    expected_markers, or to the first sample's marker order when None.
     """
     path = Path(path)
     try:
@@ -211,13 +212,17 @@ def load_manifest(path) -> LabeledDataset:
                 f"{path}: manifest header must be exactly "
                 f"{','.join(MANIFEST_HEADER)!r}, got {header}"
             )
-        entries = []
+        entries, seen_ids = [], set()
         for r, row in enumerate(reader, start=1):
             if not row:
                 continue
             if len(row) != 3:
                 raise DataError(f"{path}: manifest row {r} has {len(row)} fields, expected 3")
-            entries.append((row[0].strip(), row[1].strip(), row[2].strip()))
+            entry = (row[0].strip(), row[1].strip(), row[2].strip())
+            if entry[0] in seen_ids:
+                raise DataError(f"{path}: manifest row {r} repeats sample_id {entry[0]!r}")
+            seen_ids.add(entry[0])
+            entries.append(entry)
     if len(entries) < 2:
         raise DataError(f"{path}: N >= 2 required, manifest lists {len(entries)} sample(s)")
     label_values = sorted(set(e[2] for e in entries))
@@ -228,7 +233,7 @@ def load_manifest(path) -> LabeledDataset:
     label_map = {label_values[0]: -1, label_values[1]: +1}
     base = path.parent
     samples, labels = [], []
-    expected = None
+    expected = expected_markers
     for sample_id, rel, label_str in entries:
         sample_path = Path(rel)
         if not sample_path.is_absolute():

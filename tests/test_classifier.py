@@ -299,6 +299,20 @@ class TestModelIO:
         with pytest.raises(ModelFormatError, match="LINEAR"):
             load_model(tmp_path / "cut.txt")
 
+    def test_d_line_disagreeing_with_w_is_format_error(self, tmp_path, rng):
+        from setkernel.cli import EXIT_DATA, main
+
+        model = self._trained_model(rng)
+        save_model(model, tmp_path / "m.txt")
+        text = (tmp_path / "m.txt").read_text()
+        (tmp_path / "bad.txt").write_text(text.replace("\nD 96\n", "\nD 98\n", 1))
+        with pytest.raises(ModelFormatError, match="W must be d x D/2"):
+            load_model(tmp_path / "bad.txt")
+        probe = tmp_path / "probe.csv"
+        probe.write_text("f0,f1\n0.5,1.5\n")
+        assert main(["predict", str(probe), "--model", str(tmp_path / "bad.txt"),
+                     "--out", str(tmp_path / "p")]) == EXIT_DATA
+
     def test_unknown_version_rejected(self, tmp_path, rng):
         model = self._trained_model(rng)
         save_model(model, tmp_path / "m.txt")

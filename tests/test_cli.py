@@ -225,6 +225,76 @@ class TestFeaturizeHerd:
         assert tuple(got) == herd_op(rmap, sample, 20).selected_indices
 
 
+def data_rows(path):
+    return [ln.split(",") for ln in path.read_text().splitlines()
+            if ln and not ln.startswith("#")][1:]
+
+
+class TestSelectionRule:
+    """One rule for every command: m >= n (or m=all) keeps the cells in storage order."""
+
+    @pytest.mark.parametrize("method", ["herding", "uniform"])
+    @pytest.mark.parametrize("m", ["200", "all"])
+    def test_small_samples_pass_through(self, separable_dir, tmp_path, m, method):
+        from setkernel.config import derive_seed
+        from setkernel.embedding import embed_matrix
+
+        manifest = manifest_of(separable_dir)
+        flags = ["--D", "64", "--seed", "1", "--m", m, "--subsample-method", method]
+        model_path = tmp_path / "model.txt"
+        assert main(["train", "--manifest", manifest, "--model", str(model_path),
+                     "--out", str(tmp_path / "t")] + flags) == EXIT_OK
+        for cmd, extra in (("herd", flags), ("featurize", flags),
+                           ("predict", ["--model", str(model_path)]),
+                           ("interpret", ["--model", str(model_path), "--clusters-C", "3"])):
+            assert main([cmd, "--manifest", manifest, "--out", str(tmp_path / cmd)]
+                        + extra) == EXIT_OK
+        n = 50
+        indices = data_rows(tmp_path / "herd" / "indices.csv")
+        scores = data_rows(tmp_path / "interpret" / "scores.csv")
+        decisions = {r[0]: float(r[1])
+                     for r in data_rows(tmp_path / "predict" / "predictions.csv")}
+        features = {r[0]: np.array([float(v) for v in r[1:]])
+                    for r in data_rows(tmp_path / "featurize" / "embeddings.csv")}
+        rmap = sample_frequencies(2, 64, 1.0, derive_seed(1, "rff"))
+        assert len(decisions) == 8
+        for sid, decision in decisions.items():
+            assert [int(r[2]) for r in indices if r[0] == sid] == list(range(n))
+            assert [int(r[1]) for r in scores if r[0] == sid] == list(range(n))
+            cell_scores = [float(r[2]) for r in scores if r[0] == sid]
+            assert abs(np.mean(cell_scores) - decision) <= 1e-12
+            sample = load_sample_set(separable_dir / "data" / "cells" / f"{sid}.csv")
+            np.testing.assert_array_equal(features[sid], embed_matrix(rmap, sample.cells))
+            kept = load_sample_set(tmp_path / "herd" / "cells" / f"{sid}.csv")
+            np.testing.assert_array_equal(kept.cells, sample.cells)
+
+    def test_featurize_writes_the_rows_train_fits_on(self, separable_dir, tmp_path):
+        from setkernel import herd as herd_op
+        from setkernel.classifier import load_model
+        from setkernel.config import derive_seed
+        from setkernel.embedding import embed_matrix
+
+        manifest = manifest_of(separable_dir)
+        assert main(["featurize", "--manifest", manifest, "--out", str(tmp_path / "f")]
+                    + FAST) == EXIT_OK
+        assert main(["train", "--manifest", manifest, "--model", str(tmp_path / "m.txt"),
+                     "--out", str(tmp_path / "t")] + FAST) == EXIT_OK
+        assert main(["predict", "--manifest", manifest, "--model", str(tmp_path / "m.txt"),
+                     "--out", str(tmp_path / "p")]) == EXIT_OK
+        model = load_model(tmp_path / "m.txt")
+        decisions = {r[0]: float(r[1]) for r in data_rows(tmp_path / "p" / "predictions.csv")}
+        rmap = sample_frequencies(2, 128, 1.0, derive_seed(1, "rff"))
+        rows = data_rows(tmp_path / "f" / "embeddings.csv")
+        assert len(rows) == 8
+        for sid, *vals in rows:
+            row = np.array([float(v) for v in vals])
+            sample = load_sample_set(separable_dir / "data" / "cells" / f"{sid}.csv",
+                                     sample_id=sid)
+            kept = list(herd_op(rmap, sample, 20).selected_indices)
+            np.testing.assert_array_equal(row, embed_matrix(rmap, sample.cells[kept]))
+            assert abs(row @ model.beta + model.bias - decisions[sid]) <= 1e-12
+
+
 class TestHerdBench:
     def test_m_equals_n_gives_zero_error(self, tmp_path):
         spec = {"sets_per_class": 1, "cells_per_set": 50, "seed": 1,
@@ -294,13 +364,14 @@ class TestInterpretCommand:
         text = (interpreted / "summary.txt").read_text()
         assert "pearson_centroid_vs_average=" in text
 
-    def test_stats_command_matches_module(self, separable_dir, interpreted, capsys):
+    def test_stats_command_matches_module(self, separable_dir, interpreted, tmp_path,
+                                          capsys):
         from setkernel import rank_sum_test
         from setkernel.data import load_manifest
 
         assert main(["stats", "--manifest", manifest_of(separable_dir),
                      "--frequencies", str(interpreted / "frequencies.csv"),
-                     "--cluster", "0"]) == 0
+                     "--cluster", "0", "--out", str(tmp_path / "s")]) == 0
         printed = float(capsys.readouterr().out.split()[-1])
         ds = load_manifest(manifest_of(separable_dir))
         rows = [ln.split(",") for ln in
@@ -310,6 +381,19 @@ class TestInterpretCommand:
         neg = [by_id[s.sample_id] for s, y in zip(ds.samples, ds.labels) if y == -1]
         pos = [by_id[s.sample_id] for s, y in zip(ds.samples, ds.labels) if y == +1]
         assert printed == rank_sum_test(neg, pos)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty frequencies file"),
+        ("sample_id,label,freq_0,freq_1\nneg_000,neg,0.5\n", "row 1 has 3 fields, expected 4"),
+    ])
+    def test_stats_malformed_frequencies_exit_3(self, separable_dir, tmp_path, capsys,
+                                                text, message):
+        freqs = tmp_path / "freqs.csv"
+        freqs.write_text(text)
+        assert main(["stats", "--manifest", manifest_of(separable_dir), "--frequencies",
+                     str(freqs), "--cluster", "0", "--out", str(tmp_path / "s")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert message in err and len(err.strip().splitlines()) == 1
 
     def test_zero_beta_model_reports_na(self, separable_dir, tmp_path, capsys):
         rmap = sample_frequencies(2, 64, 1.0, 5)

@@ -139,6 +139,25 @@ class TestManifest:
         with pytest.raises(DataError, match="manifest header"):
             load_manifest(tmp_path / "m.csv")
 
+    def test_duplicate_sample_id_rejected(self, tmp_path):
+        from setkernel.cli import EXIT_DATA, main
+
+        manifest = self._write_dataset(tmp_path)
+        with open(manifest, "a", encoding="utf-8") as fh:
+            fh.write("s0,s2.csv,case\n")
+        with pytest.raises(DataError, match="repeats sample_id 's0'"):
+            load_manifest(manifest)
+        assert main(["train", "--manifest", str(manifest), "--model", str(tmp_path / "m.txt"),
+                     "--D", "16", "--out", str(tmp_path / "t")]) == EXIT_DATA
+
+    def test_expected_markers_align_every_sample(self, tmp_path):
+        manifest = self._write_dataset(tmp_path)
+        ds = load_manifest(manifest, expected_markers=("CD4", "CD3"))
+        assert ds.marker_names == ("CD4", "CD3")
+        np.testing.assert_array_equal(ds.samples[1].cells, [[1.0, 1.0], [1.5, 2.0]])
+        with pytest.raises(DataError, match="marker mismatch"):
+            load_manifest(manifest, expected_markers=("CD4", "CD8"))
+
 
 class TestStandardizer:
     def test_hand_computed(self):

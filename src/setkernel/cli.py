@@ -97,6 +97,13 @@ def _model_markers(model) -> list[str] | None:
     return names.split(",") if names else None
 
 
+def _cell_file_name(sample_id: str) -> str:
+    """`<sample_id>.csv`, refusing an id that would name a path outside `cells/`."""
+    if sample_id in ("", ".", "..") or "/" in sample_id or "\\" in sample_id:
+        raise DataError(f"sample_id {sample_id!r} cannot name a file in cells/")
+    return f"{sample_id}.csv"
+
+
 def _check_dims(samples, model) -> None:
     for s in samples:
         if s.d != model.rff.d:
@@ -133,12 +140,13 @@ def cmd_featurize(args) -> int:
 def cmd_herd(args) -> int:
     cfg = _effective_config(args)
     dataset = load_manifest(args.manifest)
+    names = [_cell_file_name(s.sample_id) for s in dataset.samples]
     pipe = Pipeline.fit(cfg, dataset.samples, cfg.seed)
     out_dir = Path(args.out)
     index_rows = []
-    for s in dataset.samples:
+    for s, name in zip(dataset.samples, names):
         idx = pipe.select(pipe.prepare(s))
-        save_sample_set(replace(s, cells=s.cells[idx]), out_dir / "cells" / f"{s.sample_id}.csv")
+        save_sample_set(replace(s, cells=s.cells[idx]), out_dir / "cells" / name)
         index_rows += [[s.sample_id, str(rank), str(i)] for rank, i in enumerate(idx)]
     _write_csv(out_dir / "indices.csv", ["sample_id", "selection_order", "row_index"],
                index_rows, _config_comment(cfg))
@@ -373,7 +381,12 @@ def cmd_stats(args) -> int:
         sid = fields[0]
         if sid not in labels_by_id:
             raise DataError(f"sample {sid!r} in frequencies file missing from manifest")
-        (neg if labels_by_id[sid] == -1 else pos).append(float(fields[ci]))
+        try:
+            value = float(fields[ci])
+        except ValueError:
+            raise DataError(f"{freq_path}: row {r} column {col}: {fields[ci]!r} "
+                            "is not a number") from None
+        (neg if labels_by_id[sid] == -1 else pos).append(value)
     if not neg or not pos:
         raise DataError("both labels required to run the rank-sum test")
     p = itp.rank_sum_test(neg, pos)
@@ -470,6 +483,10 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    # LinAlgError subclasses ValueError, so it must be caught before it.
+    except (NumericalError, FloatingPointError, np.linalg.LinAlgError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
@@ -479,9 +496,6 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except (NumericalError, FloatingPointError, np.linalg.LinAlgError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -15,7 +15,16 @@ import numpy as np
 from .data import SampleSet
 from .rff import RffMap, featurize_batch, philox_rng
 
-DEFAULT_CACHE_BYTES = 2 << 30  # cache phi(X) up to 2 GiB, else recompute per pass
+DEFAULT_CACHE_BYTES = 2 << 30  # cache phi(X) or K up to 2 GiB, else recompute per pick
+# K comes from the Gram matrix only for n <= GRAM_MAX_N_PER_M * m, where one
+# n x n x D product costs less than m scans of phi, and for n <= D, where K
+# (n^2 doubles) is no larger than phi.
+GRAM_MAX_N_PER_M = 8
+# K is summed over blocks of GRAM_BLOCK frequencies, GRAM_ROWS rows of its upper
+# triangle at a time, so no n x D phi or second n x n array is ever held.
+GRAM_BLOCK = 125
+GRAM_ROWS = 256
+CHUNK_ROWS = 8192  # rows re-featurized at a time when phi is not cached
 
 
 @dataclass(frozen=True)
@@ -49,59 +58,63 @@ def herd(rmap: RffMap, sample: SampleSet, m: int,
     """Greedily select m cells whose mean feature vector tracks the full set.
 
     Deterministic: no randomness in the loop, argmax ties break to the
-    smallest index. Feature vectors are cached (n x D memory) when they fit
-    in max_cache_bytes, otherwise recomputed chunk-wise each iteration.
+    smallest index. The scores s = phi @ theta are updated in place: the
+    step theta += theta0 - phi_i gives s += s0 - K[:, i], with K = phi phi^T.
+    The column K[:, i] comes from the Gram matrix when n <= GRAM_MAX_N_PER_M * m,
+    n <= D and K fits in max_cache_bytes, else from cached phi (n x D) when
+    that fits, else from phi recomputed chunk-wise on every pick.
     """
     X = sample.cells
     n = X.shape[0]
     _check_m(m, n)
-    if n * rmap.D * 8 <= max_cache_bytes:
-        selected = _herd_cached(rmap, X, m)
+    if n <= GRAM_MAX_N_PER_M * m and n <= rmap.D and n * n * 8 <= max_cache_bytes:
+        s0, column = _gram_source(rmap, X)
+    elif n * rmap.D * 8 <= max_cache_bytes:
+        s0, column = _scan_source(rmap, X)
     else:
-        selected = _herd_chunked(rmap, X, m)
+        s0, column = _chunked_source(rmap, X)
+    scores = s0.copy()
+    selected = np.empty(m, dtype=int)
+    for t in range(m):
+        i = int(np.argmax(scores))  # first occurrence = smallest index on ties
+        selected[t] = i
+        scores += s0 - column(i)
+        scores[i] = -np.inf  # stays -inf: taken cells are never picked again
     return HerdingResult(selected_indices=tuple(selected), method="herding", m=m)
 
 
-def _herd_cached(rmap, X, m):
+def _gram_source(rmap, X):
+    """K = phi phi^T, its upper triangle summed block by block, then mirrored."""
+    n = X.shape[0]
+    K = np.zeros((n, n))
+    for start in range(0, rmap.W.shape[1], GRAM_BLOCK):
+        W = rmap.W[:, start:start + GRAM_BLOCK]
+        block = RffMap(W=W, gamma=rmap.gamma, D=2 * W.shape[1], seed=rmap.seed,
+                       scale=rmap.scale)
+        phi = featurize_batch(block, X)
+        for r in range(0, n, GRAM_ROWS):
+            K[r:r + GRAM_ROWS, r:] += phi[r:r + GRAM_ROWS] @ phi[r:].T
+    for r in range(0, n, GRAM_ROWS):
+        K[r + GRAM_ROWS:, r:r + GRAM_ROWS] = K[r:r + GRAM_ROWS, r + GRAM_ROWS:].T
+    return K.mean(axis=1), lambda i: K[i]
+
+
+def _scan_source(rmap, X):
     phi = featurize_batch(rmap, X)
-    theta0 = phi.mean(axis=0)
-    theta = theta0.copy()
-    n = X.shape[0]
-    taken = np.zeros(n, dtype=bool)
-    selected = np.empty(m, dtype=int)
-    for t in range(m):
-        scores = phi @ theta
-        scores[taken] = -np.inf
-        i = int(np.argmax(scores))  # first occurrence = smallest index on ties
-        selected[t] = i
-        taken[i] = True
-        theta += theta0 - phi[i]
-    return selected
+    return phi @ phi.mean(axis=0), lambda i: phi @ phi[i]
 
 
-def _herd_chunked(rmap, X, m, chunk: int = 8192):
+def _chunked_source(rmap, X):
     n = X.shape[0]
-    total = np.zeros(rmap.D)
-    for start in range(0, n, chunk):
-        total += featurize_batch(rmap, X[start:start + chunk]).sum(axis=0)
-    theta0 = total / n
-    theta = theta0.copy()
-    taken = np.zeros(n, dtype=bool)
-    selected = np.empty(m, dtype=int)
-    for t in range(m):
-        best_score = -np.inf
-        best_idx = -1
-        for start in range(0, n, chunk):
-            scores = featurize_batch(rmap, X[start:start + chunk]) @ theta
-            scores[taken[start:start + chunk]] = -np.inf
-            j = int(np.argmax(scores))
-            if scores[j] > best_score:  # strict: earlier chunks win ties
-                best_score = float(scores[j])
-                best_idx = start + j
-        selected[t] = best_idx
-        taken[best_idx] = True
-        theta += theta0 - featurize_batch(rmap, X[best_idx:best_idx + 1])[0]
-    return selected
+
+    def chunks():
+        return (featurize_batch(rmap, X[s:s + CHUNK_ROWS]) for s in range(0, n, CHUNK_ROWS))
+
+    def phi_times(v):
+        return np.concatenate([c @ v for c in chunks()])
+
+    theta0 = sum(c.sum(axis=0) for c in chunks()) / n
+    return phi_times(theta0), lambda i: phi_times(featurize_batch(rmap, X[i:i + 1])[0])
 
 
 def uniform_subsample(sample: SampleSet, m: int, seed: int) -> HerdingResult:

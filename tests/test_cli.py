@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from setkernel import LinearModel, save_model, sample_frequencies
-from setkernel.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from setkernel.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, main
 from setkernel.data import load_sample_set
 
 
@@ -224,6 +224,20 @@ class TestFeaturizeHerd:
         rmap = sample_frequencies(2, 128, 1.0, derive_seed(1, "rff"))
         assert tuple(got) == herd_op(rmap, sample, 20).selected_indices
 
+    @pytest.mark.parametrize("sample_id", ["../escaped", "a/b", "a\\b", "..", "."])
+    def test_herd_rejects_sample_id_outside_cells(self, separable_dir, tmp_path, capsys,
+                                                  sample_id):
+        cells = separable_dir / "data" / "cells"
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("sample_id,path,label\n"
+                            f"{sample_id},{cells / 'neg_000.csv'},neg\n"
+                            f"pos_000,{cells / 'pos_000.csv'},pos\n")
+        out = tmp_path / "run" / "h"
+        assert main(["herd", "--manifest", str(manifest), "--out", str(out)] + FAST) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert repr(sample_id) in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "run").exists()  # no cell file, not even inside --out
+
 
 def data_rows(path):
     return [ln.split(",") for ln in path.read_text().splitlines()
@@ -385,6 +399,8 @@ class TestInterpretCommand:
     @pytest.mark.parametrize("text, message", [
         ("", "empty frequencies file"),
         ("sample_id,label,freq_0,freq_1\nneg_000,neg,0.5\n", "row 1 has 3 fields, expected 4"),
+        ("sample_id,label,freq_0,freq_1\nneg_000,neg,abc,0.5\n",
+         "row 1 column freq_0: 'abc' is not a number"),
     ])
     def test_stats_malformed_frequencies_exit_3(self, separable_dir, tmp_path, capsys,
                                                 text, message):
@@ -440,3 +456,17 @@ class TestConfigPrecedence:
                      "--folds", "4", "--runs", "1", "--seed", "1"])
         assert code == EXIT_OK
         assert "m=all" in (tmp_path / "cv" / "meta.txt").read_text()
+
+
+class TestExitCodes:
+    def test_linalg_error_exits_4(self, separable_dir, tmp_path, capsys, monkeypatch):
+        # LinAlgError subclasses ValueError, which alone would map to exit 2
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr("setkernel.cli.cross_validate", singular)
+        code = main(["crossval", "--manifest", manifest_of(separable_dir),
+                     "--out", str(tmp_path / "cv")] + FAST)
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err == "error: Singular matrix\n"

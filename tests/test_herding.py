@@ -8,6 +8,7 @@ from setkernel import (
     subset,
     uniform_subsample,
 )
+from setkernel import herding
 from setkernel.embedding import embed_matrix
 from setkernel.herding import HerdingResult
 from setkernel.rff import featurize_batch
@@ -73,6 +74,82 @@ class TestHerd:
                 errs_h.append(np.linalg.norm(embed_matrix(rmap, hsub.cells) - mu))
                 errs_u.append(np.linalg.norm(embed_matrix(rmap, usub.cells) - mu))
         assert np.mean(errs_h) < np.mean(errs_u)
+
+
+def oracle_herd(rmap, cells, m):
+    """Reference loop: rescan phi @ theta over every cell on each pick."""
+    phi = featurize_batch(rmap, cells)
+    theta0 = phi.mean(axis=0)
+    theta = theta0.copy()
+    taken = np.zeros(len(cells), dtype=bool)
+    picks = []
+    for _ in range(m):
+        scores = phi @ theta
+        scores[taken] = -np.inf
+        i = int(np.argmax(scores))
+        picks.append(i)
+        taken[i] = True
+        theta += theta0 - phi[i]
+    return tuple(picks)
+
+
+@pytest.fixture
+def used_sources(monkeypatch):
+    """Names of the herding column sources called, in call order."""
+    used = []
+    for name in ("_gram_source", "_scan_source", "_chunked_source"):
+        source = getattr(herding, name)
+        monkeypatch.setattr(herding, name,
+                            lambda *a, f=source, tag=name: used.append(tag) or f(*a))
+    return used
+
+
+class TestColumnSources:
+    """Every source of K[:, i] reproduces the oracle's picks.
+
+    D=400 spans two frequency blocks and n > 256 at least two row stripes of
+    the Gram build. n=450 is within 8 * M but above D, so it takes the scan
+    source.
+    """
+
+    M = 60  # 8 * M = 480
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n", [350, 400, 450, 481, 700])
+    def test_sources_match_oracle(self, used_sources, seed, n):
+        rmap = sample_frequencies(2, 400, 1.0, 40 + seed)
+        gen = np.random.default_rng(seed)
+        comp = gen.random(n) < 0.3
+        cells = np.where(comp[:, None], gen.normal(size=(n, 2)),
+                         gen.normal(loc=(4.0, 0.0), size=(n, 2)))
+        s = make_sample(cells)
+        expected = oracle_herd(rmap, cells, self.M)
+        gram = n <= herding.GRAM_MAX_N_PER_M * self.M and n <= rmap.D
+        for cache, source in [(herding.DEFAULT_CACHE_BYTES,
+                               "_gram_source" if gram else "_scan_source"),
+                              (1024, "_chunked_source")]:
+            used_sources.clear()
+            assert herd(rmap, s, self.M, max_cache_bytes=cache).selected_indices == expected
+            assert used_sources == [source]
+
+    @pytest.mark.parametrize("D, cache, source", [
+        (400, herding.DEFAULT_CACHE_BYTES, "_gram_source"),
+        (300, herding.DEFAULT_CACHE_BYTES, "_scan_source"),
+        (400, 1024, "_chunked_source"),
+    ])
+    def test_duplicate_cells_go_to_smallest_index(self, used_sources, D, cache, source):
+        # exact ties: every copy of a cell scores the same, the first copy wins
+        gen = np.random.default_rng(5)
+        cells = np.round(gen.normal(size=(360, 2)), 1)
+        cells[::7] = cells[0]
+        rmap = sample_frequencies(2, D, 1.0, 9)
+        picks = herd(rmap, make_sample(cells), self.M, max_cache_bytes=cache).selected_indices
+        assert used_sources == [source]
+        assert picks == oracle_herd(rmap, cells, self.M)
+        for t, i in enumerate(picks):
+            copies = np.flatnonzero((cells[:i] == cells[i]).all(axis=1))
+            assert set(copies) <= set(picks[:t])
+        assert 0 in picks  # the group of 52 copies of cell 0 is reached
 
 
 class TestUniformSubsample:

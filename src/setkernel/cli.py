@@ -301,9 +301,9 @@ def cmd_interpret(args) -> int:
     score_rows = []
     offset = 0
     for s, indices in zip(subs, index_map):
-        scores = itp.cell_scores(model, s.cells)
+        scores = region.cell_scores[offset:offset + s.n]
         ids = clusters.assignments[offset:offset + s.n]
-        for k, (orig_idx, sc, cid) in enumerate(zip(indices, scores, ids)):
+        for orig_idx, sc, cid in zip(indices, scores, ids):
             score_rows.append([s.sample_id, str(orig_idx), _fmt(sc), str(cid)])
         offset += s.n
     _write_csv(out_dir / "scores.csv", ["sample_id", "cell_index", "score", "cluster_id"],

@@ -9,6 +9,7 @@ binary labels.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -130,8 +131,9 @@ def load_sample_set(path, expected_markers: Sequence[str] | None = None,
     """Load one sample CSV (header of marker names, one numeric row per cell).
 
     If expected_markers is given, columns are permuted to that order; a
-    mismatch in the marker set is an error. Row/column positions in error
-    messages are 1-based and count data rows (header excluded).
+    mismatch in the marker set, or a marker named twice, is an error.
+    Row/column positions in error messages are 1-based and count data rows
+    (header excluded); blank lines are skipped but counted.
     """
     path = Path(path)
     try:
@@ -139,31 +141,17 @@ def load_sample_set(path, expected_markers: Sequence[str] | None = None,
     except OSError as e:
         raise DataError(f"cannot read sample file {path}: {e}") from e
     with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        # readline, not file iteration: fh.tell() must still mark the body's start
+        header = next(csv.reader(iter(fh.readline, "")), None)
         if header is None:
             raise DataError(f"{path}: empty file")
         markers = tuple(h.strip() for h in header)
-        d = len(markers)
-        rows = []
-        for r, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) != d:
-                raise DataError(f"{path}: row {r} has {len(row)} fields, expected {d}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                for c, v in enumerate(row, start=1):
-                    try:
-                        float(v)
-                    except ValueError:
-                        raise DataError(
-                            f"{path}: non-numeric value at row {r}, column {c}"
-                        ) from None
-    if not rows:
+        repeated = next((m for i, m in enumerate(markers) if m in markers[:i]), None)
+        if repeated is not None:
+            raise DataError(f"{path}: marker {repeated!r} appears more than once in the header")
+        cells = _read_cells(fh, path, len(markers))
+    if cells.shape[0] == 0:
         raise DataError(f"{path}: no cell rows")
-    cells = np.asarray(rows, dtype=np.float64)
     bad = np.argwhere(~np.isfinite(cells))
     if bad.size:
         r, c = bad[0]
@@ -178,6 +166,52 @@ def load_sample_set(path, expected_markers: Sequence[str] | None = None,
         cells = cells[:, perm]
         markers = expected
     return SampleSet(cells=cells, sample_id=sample_id or path.stem, marker_names=markers)
+
+
+def _read_cells(fh, path: Path, d: int) -> np.ndarray:
+    """The (n, d) cell rows that follow the header, or an empty array when n is 0.
+
+    numpy's C reader parses well-formed files. Anything it rejects, or a
+    column count that differs from the header's, goes to the row scan, so
+    accepted inputs, parsed values and error messages are the scan's.
+    """
+    start = fh.tell()
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            cells = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"',
+                               dtype=np.float64, ndmin=2)
+        if cells.shape[0] == 0 or cells.shape[1] == d:
+            return cells
+    except ValueError:
+        pass
+    fh.seek(start)
+    return _scan_rows(fh, path, d)
+
+
+def _scan_rows(fh, path: Path, d: int) -> np.ndarray:
+    """Parse rows one by one with float(), naming the first bad row and column.
+
+    float() also takes a few spellings numpy's reader does not, such as
+    "1_0" or non-ASCII digits; those rows are returned, not rejected.
+    """
+    rows = []
+    for r, row in enumerate(csv.reader(fh), start=1):
+        if not row:
+            continue
+        if len(row) != d:
+            raise DataError(f"{path}: row {r} has {len(row)} fields, expected {d}")
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError:
+            for c, v in enumerate(row, start=1):
+                try:
+                    float(v)
+                except ValueError:
+                    raise DataError(
+                        f"{path}: non-numeric value at row {r}, column {c}"
+                    ) from None
+    return np.array(rows, dtype=np.float64).reshape(len(rows), d)
 
 
 def save_sample_set(sample: SampleSet, path) -> None:

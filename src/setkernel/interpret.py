@@ -57,6 +57,7 @@ class RegionScores:
     average_scores: np.ndarray   # (C,)
     frequencies: np.ndarray      # (N, C), rows on the simplex
     sample_ids: tuple[str, ...]
+    cell_scores: np.ndarray      # (n_pooled,), one per clustered cell
 
 
 def cell_scores(model: LinearModel, X: np.ndarray) -> np.ndarray:
@@ -181,10 +182,12 @@ def average_score(model: LinearModel, clusters: ClusterModel,
     X must be the cell matrix the cluster assignments refer to. Generally
     differs from centroid_score because the feature map is nonlinear.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[0] != clusters.assignments.shape[0]:
+    return _cluster_means(clusters, cell_scores(model, X))
+
+
+def _cluster_means(clusters: ClusterModel, scores: np.ndarray) -> np.ndarray:
+    if scores.shape[0] != clusters.assignments.shape[0]:
         raise ValueError("X rows must match the cells the clustering was fit on")
-    scores = cell_scores(model, X)
     out = np.empty(clusters.C)
     for c in range(clusters.C):
         mask = clusters.assignments == c
@@ -248,12 +251,18 @@ def frequency_score_predict(freqs: np.ndarray, cluster_scores: np.ndarray) -> fl
 
 def region_scores(model: LinearModel, clusters: ClusterModel, pooled: np.ndarray,
                   samples: Sequence[SampleSet]) -> RegionScores:
-    """Bundle centroid/average scores with per-sample cluster frequencies."""
+    """Bundle centroid/average scores with per-sample cluster frequencies.
+
+    pooled holds the cells the clustering was fit on; each is scored once,
+    and those scores are returned as cell_scores.
+    """
+    scores = cell_scores(model, pooled)
     return RegionScores(
         centroid_scores=centroid_score(model, clusters),
-        average_scores=average_score(model, clusters, pooled),
+        average_scores=_cluster_means(clusters, scores),
         frequencies=np.stack([cluster_frequencies(s, clusters) for s in samples]),
         sample_ids=tuple(s.sample_id for s in samples),
+        cell_scores=scores,
     )
 
 

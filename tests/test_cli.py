@@ -411,6 +411,23 @@ class TestInterpretCommand:
         err = capsys.readouterr().err
         assert message in err and len(err.strip().splitlines()) == 1
 
+    def test_each_cell_is_featurized_once(self, separable_dir, interpreted, tmp_path,
+                                          monkeypatch):
+        import setkernel.interpret
+
+        rows = []
+        featurize = setkernel.interpret.featurize_batch
+
+        def counting(rmap, X):
+            rows.append(np.atleast_2d(X).shape[0])
+            return featurize(rmap, X)
+
+        monkeypatch.setattr(setkernel.interpret, "featurize_batch", counting)
+        assert main(["interpret", "--manifest", manifest_of(separable_dir),
+                     "--model", str(interpreted.parent / "model.txt"),
+                     "--out", str(tmp_path / "i"), "--clusters-C", "4", "--seed", "1"]) == 0
+        assert sum(rows) == 8 * 20 + 4  # N samples x m kept cells, plus C centroids
+
     def test_zero_beta_model_reports_na(self, separable_dir, tmp_path, capsys):
         rmap = sample_frequencies(2, 64, 1.0, 5)
         model = LinearModel(beta=np.zeros(64), bias=0.25, rff=rmap, reg_c=1.0,
@@ -449,6 +466,27 @@ class TestConfigPrecedence:
         code = main(["crossval", "--manifest", manifest_of(separable_dir),
                      "--out", str(tmp_path / "cv"), "--config", str(cfg_file)])
         assert code == EXIT_CONFIG
+
+    def test_threads_above_max_exit_2(self, separable_dir, tmp_path, capsys, monkeypatch):
+        import concurrent.futures
+
+        from setkernel import ConfigError, PipelineConfig
+        from setkernel.config import MAX_THREADS
+
+        PipelineConfig(threads=MAX_THREADS).validate()
+        with pytest.raises(ConfigError, match=f"between 1 and {MAX_THREADS}"):
+            PipelineConfig(threads=10**6).validate()
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was built")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        code = main(["crossval", "--manifest", manifest_of(separable_dir),
+                     "--out", str(tmp_path / "cv"), "--threads", str(MAX_THREADS + 1)] + FAST)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"threads must be between 1 and {MAX_THREADS}" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_m_all_setting(self, separable_dir, tmp_path):
         code = main(["crossval", "--manifest", manifest_of(separable_dir),

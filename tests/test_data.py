@@ -85,6 +85,60 @@ class TestLoadSampleSet:
         with pytest.raises(ValueError):
             s.cells[0, 0] = 5.0
 
+    @pytest.mark.parametrize("text, expected", [
+        ("a,b\n1,2\n\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),         # blank line skipped
+        ("a,b\n1,2\n \n3,4\n", "row 2 has 1 fields, expected 2"),  # whitespace-only line
+        ("a,b\n 1 , 2 \n", [[1.0, 2.0]]),                          # spaces around values
+        ('a,b\n"1",2\n', [[1.0, 2.0]]),                            # quoted value
+        ("a,b\n1_0,2\n", [[10.0, 2.0]]),                           # only float() parses it
+        ("a,b\n\u0661,2\n", [[1.0, 2.0]]),                         # non-ASCII digit
+        ("a,b\r\n1,2\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]]),       # CRLF
+        ("a,b\r1,2\r3,4\r", [[1.0, 2.0], [3.0, 4.0]]),              # CR only
+        ("a,b\n1,2\n3,4", [[1.0, 2.0], [3.0, 4.0]]),               # no final newline
+        ("a,b\n1,2,\n", "row 1 has 3 fields, expected 2"),         # trailing comma
+        ("a,b\n1\n3,4\n", "row 1 has 1 fields, expected 2"),       # short first row
+        ("a,b\n1,\n", "non-numeric value at row 1, column 2"),     # empty field
+        ("a,b\n1,2\n#1,2\n", "non-numeric value at row 2, column 1"),  # not a comment
+        ("a,b\n0x10,2\n", "non-numeric value at row 1, column 1"),
+        ("a,b\n1,+inf\n", "non-finite value at row 1, column 2"),
+        ("a,b\n1e400,2\n", "non-finite value at row 1, column 1"),
+        ("a\n1.5\n-2\n", [[1.5], [-2.0]]),                         # one column
+    ])
+    def test_ingest_edge_cases(self, tmp_path, text, expected):
+        p = tmp_path / "a.csv"
+        p.write_bytes(text.encode("utf-8"))
+        if isinstance(expected, str):
+            with pytest.raises(DataError) as err:
+                load_sample_set(p)
+            assert str(err.value) == f"{p}: {expected}"
+        else:
+            np.testing.assert_array_equal(load_sample_set(p).cells, expected)
+
+    def test_parsed_doubles_match_float_bit_for_bit(self, tmp_path, rng, monkeypatch):
+        bits = rng.integers(0, 2**63, size=20_000, dtype=np.uint64)
+        bits[rng.random(bits.size) < 0.5] |= np.uint64(1 << 63)
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values)]
+        values = np.concatenate([values, [-0.0, 0.0, 5e-324, 2.2250738585072009e-308,
+                                          np.finfo(float).max, -np.finfo(float).max]])
+        values = values[:values.size // 4 * 4].reshape(-1, 4)
+        lines = [",".join(format(v, ".17g") for v in row) for row in values]
+        p = write(tmp_path / "a.csv", "a,b,c,d\n" + "\n".join(lines) + "\n")
+        expected = np.array([[float(v) for v in ln.split(",")] for ln in lines])
+
+        def no_scan(*args):
+            raise AssertionError("well-formed file fell back to the row scan")
+
+        monkeypatch.setattr("setkernel.data._scan_rows", no_scan)
+        assert load_sample_set(p).cells.tobytes() == expected.tobytes()
+
+    def test_repeated_marker_rejected(self, tmp_path):
+        p = write(tmp_path / "a.csv", "a,a,b\n1,2,3\n4,5,6\n")
+        for expected in (None, ("a", "a", "b")):
+            with pytest.raises(DataError) as err:
+                load_sample_set(p, expected_markers=expected)
+            assert str(err.value) == f"{p}: marker 'a' appears more than once in the header"
+
 
 class TestManifest:
     def _write_dataset(self, tmp_path, labels=("ctrl", "case", "ctrl", "case")):
@@ -149,6 +203,20 @@ class TestManifest:
             load_manifest(manifest)
         assert main(["train", "--manifest", str(manifest), "--model", str(tmp_path / "m.txt"),
                      "--D", "16", "--out", str(tmp_path / "t")]) == EXIT_DATA
+
+    def test_repeated_marker_exit_3(self, tmp_path, capsys):
+        from setkernel.cli import EXIT_DATA, main
+
+        for i in range(4):
+            write(tmp_path / f"s{i}.csv", "a,a,b\n1,2,3\n4,5,6\n")
+        write_manifest([(f"s{i}", f"s{i}.csv", "ab"[i % 2]) for i in range(4)],
+                       tmp_path / "m.csv")
+        with pytest.raises(DataError, match="marker 'a' appears more than once"):
+            load_manifest(tmp_path / "m.csv")
+        assert main(["train", "--manifest", str(tmp_path / "m.csv"), "--D", "16",
+                     "--model", str(tmp_path / "m.txt"),
+                     "--out", str(tmp_path / "t")]) == EXIT_DATA
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
     def test_expected_markers_align_every_sample(self, tmp_path):
         manifest = self._write_dataset(tmp_path)

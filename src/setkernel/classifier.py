@@ -26,7 +26,7 @@ from .herding import herd, uniform_subsample
 from .rff import GENERATOR_NAME, RffMap, philox_rng, sample_frequencies
 
 MODEL_MAGIC = "setkernel-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2  # version 1 also stored W; it is still read
 
 
 @dataclass(frozen=True)
@@ -296,8 +296,8 @@ class Pipeline:
             res = herd(self.rff, sample, self.m)
         return np.asarray(res.selected_indices)
 
-    def embed(self, samples: Sequence[SampleSet], threads: int = 1) -> np.ndarray:
-        """One feature row per raw sample, computed on `threads` worker threads."""
+    def embed(self, samples: Sequence[SampleSet]) -> np.ndarray:
+        """One feature row per raw sample."""
 
         def one(sample: SampleSet) -> np.ndarray:
             prepared = self.prepare(sample)
@@ -306,11 +306,6 @@ class Pipeline:
                 return naive_mean(kept)
             return embed_matrix(self.rff, kept.cells)
 
-        if threads > 1 and len(samples) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                return np.stack(list(pool.map(one, samples)))
         return np.stack([one(s) for s in samples])
 
 
@@ -322,8 +317,6 @@ def cross_validate(dataset: LabeledDataset, cfg: PipelineConfig) -> CvReport:
     computed once per run and reused across folds.
     """
     cfg.validate()
-    if cfg.folds > dataset.N:
-        raise ConfigError(f"folds exceeds sample count ({cfg.folds} > {dataset.N})")
     y = np.asarray(dataset.labels)
     per_fold_fit = cfg.preprocessing == "standardize"
     all_acc: list[tuple[float, ...]] = []
@@ -338,7 +331,7 @@ def cross_validate(dataset: LabeledDataset, cfg: PipelineConfig) -> CvReport:
             if feats is None or per_fold_fit:
                 fit_on = ([dataset.samples[i] for i in train_idx] if per_fold_fit
                           else dataset.samples)
-                feats = Pipeline.fit(cfg, fit_on, run_seed).embed(dataset.samples, cfg.threads)
+                feats = Pipeline.fit(cfg, fit_on, run_seed).embed(dataset.samples)
             res = solve_hinge(feats[train_idx], y[train_idx], reg_c=cfg.reg_c)
             scores = feats[test_idx] @ res.w + res.bias
             pred = np.where(scores < 0, -1, +1)
@@ -357,7 +350,7 @@ def fit_pipeline(dataset: LabeledDataset, cfg: PipelineConfig) -> LinearModel:
     if cfg.features != "rff":
         raise ConfigError("only features=rff models can be trained and saved")
     pipe = Pipeline.fit(cfg, dataset.samples, cfg.seed)
-    feats = pipe.embed(dataset.samples, cfg.threads)
+    feats = pipe.embed(dataset.samples)
     res = solve_hinge(feats, np.asarray(dataset.labels, dtype=float), reg_c=cfg.reg_c)
     meta = {
         "label_neg": dataset.label_names[-1],
@@ -405,19 +398,24 @@ def _fmt_row(row: np.ndarray) -> str:
 
 
 def save_model(model: LinearModel, path) -> None:
-    """Write the model as UTF-8 text; all numeric fields round-trip exactly."""
+    """Write the model as UTF-8 text; all numeric fields round-trip exactly.
+
+    W is not written: (d, D, gamma, seed, generator) regenerate it bit for bit,
+    so a map whose W is not its seed's draw is refused.
+    """
+    rff = model.rff
+    if sample_frequencies(rff.d, rff.D, rff.gamma, rff.seed).W.tobytes() != rff.W.tobytes():
+        raise ValueError("model W is not the draw of its seed and cannot be saved")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     meta = model.train_meta
     lines = [f"{MODEL_MAGIC} {MODEL_VERSION}"]
     lines.append("KERNEL")
-    lines.append(f"gamma {_fmt(model.rff.gamma)}")
-    lines.append(f"D {model.rff.D}")
-    lines.append(f"seed {model.rff.seed}")
+    lines.append(f"gamma {_fmt(rff.gamma)}")
+    lines.append(f"D {rff.D}")
+    lines.append(f"seed {rff.seed}")
     lines.append(f"generator {GENERATOR_NAME}")
-    lines.append("W")
-    for row in model.rff.W:
-        lines.append(_fmt_row(row))
+    lines.append(f"d {rff.d}")
     lines.append("LINEAR")
     lines.append(f"beta {_fmt_row(model.beta)}")
     lines.append(f"bias {_fmt(model.bias)}")
@@ -467,17 +465,21 @@ class _Cursor:
 
 
 def load_model(path) -> LinearModel:
-    """Read a model file written by save_model; rejects unknown versions."""
+    """Read a model file written by save_model; rejects unknown versions.
+
+    W is regenerated from the seed. A version-1 file's stored W must equal
+    that draw bit for bit.
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ModelFormatError(f"cannot read model file {path}: {e}") from e
     cur = _Cursor(text.splitlines(), path)
     head = cur.next("header").split()
     if len(head) != 2 or head[0] != MODEL_MAGIC:
         raise ModelFormatError(f"{path}: not a {MODEL_MAGIC} file")
-    if head[1] != str(MODEL_VERSION):
+    if head[1] not in ("1", str(MODEL_VERSION)):
         raise ModelFormatError(f"{path}: unsupported model version {head[1]}")
     cur.expect("KERNEL")
     try:
@@ -485,16 +487,17 @@ def load_model(path) -> LinearModel:
         D = int(cur.keyed("D", "KERNEL"))
         seed = int(cur.keyed("seed", "KERNEL"))
         generator = cur.keyed("generator", "KERNEL")
-        cur.expect("W")
-        rows = []  # d is implied by the number of W rows before LINEAR
-        while True:
-            line = cur.next("W rows or LINEAR")
-            if line.strip() == "LINEAR":
-                break
-            rows.append(np.array([float(v) for v in line.split()]))
-        if not rows:
-            raise ModelFormatError(f"{path}: W section has no rows")
-        W = np.stack(rows)
+        W = None
+        if head[1] == "1":
+            cur.expect("W")
+            rows = []  # d is implied by the number of W rows before LINEAR
+            while (line := cur.next("W rows or LINEAR")).strip() != "LINEAR":
+                rows.append([float(v) for v in line.split()])
+            W = np.array(rows, dtype=np.float64, ndmin=2)
+            d = W.shape[0]
+        else:
+            d = int(cur.keyed("d", "KERNEL"))
+            cur.expect("LINEAR")
         beta = np.array([float(v) for v in cur.keyed("beta", "LINEAR").split()])
         bias = float(cur.keyed("bias", "LINEAR"))
         cur.expect("META")
@@ -518,7 +521,17 @@ def load_model(path) -> LinearModel:
                 f"{path}: unknown frequency generator {generator!r} "
                 f"(this build supports {GENERATOR_NAME!r})"
             )
-        rmap = RffMap(W=W, gamma=gamma, D=D, seed=seed, scale=float(np.sqrt(2.0 / D)))
+        # Checked before W is drawn, so a corrupted d or D cannot size a huge W.
+        if meta["marker_names"] and len(meta["marker_names"].split(",")) != d:
+            raise ModelFormatError(f"{path}: d={d} disagrees with marker_names")
+        if beta.shape[0] != D:
+            raise ModelFormatError(f"{path}: beta has length {beta.shape[0]}, D={D}")
+        rmap = sample_frequencies(d, D, gamma, seed)
+        if W is not None and (W.shape != rmap.W.shape or W.tobytes() != rmap.W.tobytes()):
+            raise ModelFormatError(
+                f"{path}: stored W ({W.shape[0]}x{W.shape[1]}) differs from the W "
+                f"that seed {seed} draws for d={d}, D={D}"
+            )
         return LinearModel(beta=beta, bias=bias, rff=rmap, reg_c=reg_c, train_meta=meta)
     except (ValueError, IndexError) as e:
         raise ModelFormatError(f"{path}: corrupted model file: {e}") from e

@@ -1,7 +1,7 @@
 """Command-line pipeline: synth, featurize, herd, train, predict, crossval,
 herd-bench, interpret, stats.
 
-Every command takes --config/--seed/--threads/--out plus per-key flags;
+Every command takes --config/--seed/--out plus per-key flags;
 flags override config-file values override defaults. Runs are deterministic:
 identical inputs, config, and seed produce byte-identical output files.
 Exit codes: 0 ok, 2 config/validation, 3 data/IO, 4 numerical failure.
@@ -63,8 +63,6 @@ def _effective_config(args) -> PipelineConfig:
             overrides[key] = coerce_setting(key, str(raw))
     if args.seed is not None:
         overrides["seed"] = int(args.seed)
-    if args.threads is not None:
-        overrides["threads"] = int(args.threads)
     return build_config(file_settings, overrides)
 
 
@@ -127,7 +125,7 @@ def cmd_synth(args) -> int:
 def cmd_featurize(args) -> int:
     cfg = _effective_config(args)
     dataset = load_manifest(args.manifest)
-    feats = Pipeline.fit(cfg, dataset.samples, cfg.seed).embed(dataset.samples, cfg.threads)
+    feats = Pipeline.fit(cfg, dataset.samples, cfg.seed).embed(dataset.samples)
     out_dir = Path(args.out)
     rows = [[s.sample_id] + [_fmt(v) for v in row] for s, row in zip(dataset.samples, feats)]
     header = ["sample_id"] + [f"mu_{j}" for j in range(feats.shape[1])]
@@ -245,8 +243,6 @@ def _permuted(dataset: LabeledDataset, seed: int) -> LabeledDataset:
 def cmd_crossval(args) -> int:
     cfg = _effective_config(args)
     dataset = load_manifest(args.manifest)
-    if cfg.folds > dataset.N:
-        raise ConfigError(f"folds exceeds sample count ({cfg.folds} > {dataset.N})")
     if args.permute_labels is not None:
         dataset = _permuted(dataset, int(args.permute_labels))
     out_dir = Path(args.out)
@@ -259,7 +255,6 @@ def cmd_crossval(args) -> int:
     for gamma in sweep_gammas:
         for reg_c in sweep_regs:
             sub_cfg = replace(cfg, gamma=gamma, reg_c=reg_c)
-            sub_cfg.validate()
             report = cross_validate(dataset, sub_cfg)
             rows = [[str(r), str(f), _fmt(acc)]
                     for r, accs in enumerate(report.accuracies)
@@ -363,7 +358,7 @@ def cmd_stats(args) -> int:
     try:
         lines = [ln for ln in freq_path.read_text(encoding="utf-8").splitlines()
                  if ln and not ln.startswith("#")]
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"cannot read frequencies file {freq_path}: {e}") from e
     if not lines:
         raise DataError(f"{freq_path}: empty frequencies file")
@@ -398,7 +393,7 @@ def cmd_stats(args) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--seed", type=int, default=None, help="base seed")
-    parser.add_argument("--threads", type=int, default=None, help="worker threads")
+    parser.add_argument("--threads", type=int, choices=[1], help="kept for old scripts; only 1")
     parser.add_argument("--out", default="out", help="output directory")
     for key in _CONFIG_FLAGS:
         parser.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None,

@@ -12,10 +12,6 @@ MASK64 = (1 << 64) - 1
 SUBSAMPLE_METHODS = ("herding", "uniform")
 FEATURE_MODES = ("rff", "naive")
 
-# Upper bound on worker threads (each embeds one sample at a time), so a
-# mistyped --threads is a config error rather than a pool of that size.
-MAX_THREADS = 64
-
 
 def derive_seed(seed: int, tag: str) -> int:
     """Derive a purpose-specific sub-seed as seed XOR sha256(tag)[:8].
@@ -49,7 +45,6 @@ class PipelineConfig:
     preprocessing: str = "none"
     clusters_C: int = 10
     features: str = "rff"
-    threads: int = 1
 
     def validate(self) -> None:
         if not self.gamma > 0:
@@ -66,10 +61,6 @@ class PipelineConfig:
             raise ConfigError(f"reg_c must be positive, got {self.reg_c}")
         if self.clusters_C < 2:
             raise ConfigError(f"clusters_C must be >= 2, got {self.clusters_C}")
-        if not 1 <= self.threads <= MAX_THREADS:
-            raise ConfigError(
-                f"threads must be between 1 and {MAX_THREADS}, got {self.threads}"
-            )
         if self.subsample_method not in SUBSAMPLE_METHODS:
             raise ConfigError(
                 f"subsample_method must be one of {SUBSAMPLE_METHODS}, "
@@ -109,7 +100,7 @@ class PipelineConfig:
         return out
 
 
-_INT_KEYS = {"D", "folds", "runs", "seed", "clusters_C", "threads"}
+_INT_KEYS = {"D", "folds", "runs", "seed", "clusters_C"}
 _FLOAT_KEYS = {"gamma", "reg_c"}
 _STR_KEYS = {"subsample_method", "preprocessing", "features"}
 

@@ -137,19 +137,19 @@ def load_sample_set(path, expected_markers: Sequence[str] | None = None,
     """
     path = Path(path)
     try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as e:
+        with open(path, newline="", encoding="utf-8") as fh:
+            # readline, not file iteration: fh.tell() must still mark the body's start
+            header = next(csv.reader(iter(fh.readline, "")), None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            markers = tuple(h.strip() for h in header)
+            repeated = next((m for i, m in enumerate(markers) if m in markers[:i]), None)
+            if repeated is not None:
+                raise DataError(f"{path}: marker {repeated!r} appears more than once "
+                                "in the header")
+            cells = _read_cells(fh, path, len(markers))
+    except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"cannot read sample file {path}: {e}") from e
-    with fh:
-        # readline, not file iteration: fh.tell() must still mark the body's start
-        header = next(csv.reader(iter(fh.readline, "")), None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        markers = tuple(h.strip() for h in header)
-        repeated = next((m for i, m in enumerate(markers) if m in markers[:i]), None)
-        if repeated is not None:
-            raise DataError(f"{path}: marker {repeated!r} appears more than once in the header")
-        cells = _read_cells(fh, path, len(markers))
     if cells.shape[0] == 0:
         raise DataError(f"{path}: no cell rows")
     bad = np.argwhere(~np.isfinite(cells))
@@ -235,28 +235,27 @@ def load_manifest(path, expected_markers: Sequence[str] | None = None) -> Labele
     """
     path = Path(path)
     try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as e:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"cannot read manifest {path}: {e}") from e
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != MANIFEST_HEADER:
-            raise DataError(
-                f"{path}: manifest header must be exactly "
-                f"{','.join(MANIFEST_HEADER)!r}, got {header}"
-            )
-        entries, seen_ids = [], set()
-        for r, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise DataError(f"{path}: manifest row {r} has {len(row)} fields, expected 3")
-            entry = (row[0].strip(), row[1].strip(), row[2].strip())
-            if entry[0] in seen_ids:
-                raise DataError(f"{path}: manifest row {r} repeats sample_id {entry[0]!r}")
-            seen_ids.add(entry[0])
-            entries.append(entry)
+    header = rows[0] if rows else None
+    if header is None or tuple(h.strip() for h in header) != MANIFEST_HEADER:
+        raise DataError(
+            f"{path}: manifest header must be exactly "
+            f"{','.join(MANIFEST_HEADER)!r}, got {header}"
+        )
+    entries, seen_ids = [], set()
+    for r, row in enumerate(rows[1:], start=1):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise DataError(f"{path}: manifest row {r} has {len(row)} fields, expected 3")
+        entry = (row[0].strip(), row[1].strip(), row[2].strip())
+        if entry[0] in seen_ids:
+            raise DataError(f"{path}: manifest row {r} repeats sample_id {entry[0]!r}")
+        seen_ids.add(entry[0])
+        entries.append(entry)
     if len(entries) < 2:
         raise DataError(f"{path}: N >= 2 required, manifest lists {len(entries)} sample(s)")
     label_values = sorted(set(e[2] for e in entries))

@@ -10,7 +10,6 @@ vector, a score gradient, and a rank-sum test on frequency differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb, erfc, sqrt
 from typing import Sequence
 
@@ -347,23 +346,3 @@ def rank_sum_test(a: Sequence[float], b: Sequence[float]) -> float:
         z = max(0.0, abs(w - mean_w) - 0.5) / sqrt(var_w)
         p = erfc(z / sqrt(2.0))
     return float(min(1.0, max(p, np.finfo(float).tiny)))
-
-
-def brute_force_rank_sum_p(a: Sequence[float], b: Sequence[float]) -> float:
-    """Independent oracle: enumerate every group-1 subset explicitly.
-
-    Only feasible for small inputs; used to validate the exact path.
-    """
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    n1, n = a.shape[0], a.shape[0] + b.shape[0]
-    ranks2 = np.rint(2.0 * _midranks(np.concatenate([a, b]))).astype(np.int64)
-    e2 = n1 * (n + 1)
-    obs = abs(int(ranks2[:n1].sum()) - e2)
-    extreme = 0
-    total = 0
-    for subset_idx in combinations(range(n), n1):
-        total += 1
-        if abs(int(ranks2[list(subset_idx)].sum()) - e2) >= obs:
-            extreme += 1
-    return extreme / total

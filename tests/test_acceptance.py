@@ -37,7 +37,6 @@ from setkernel.embedding import embed_matrix
 from setkernel.interpret import (
     assign_clusters,
     average_score,
-    brute_force_rank_sum_p,
     centroid_score,
     pearson,
     use_exact_rank_sum,
@@ -49,7 +48,7 @@ from setkernel.synth import (
     variance_contrast_spec,
 )
 
-from conftest import make_sample
+from conftest import brute_force_rank_sum_p, make_sample
 
 
 def report(criterion, ok, detail):

@@ -16,11 +16,21 @@ from setkernel import (
     solve_hinge,
     train,
 )
-from setkernel.classifier import _optimal_bias, fit_pipeline, stratified_folds
+from setkernel.classifier import MODEL_VERSION, _optimal_bias, fit_pipeline, stratified_folds
+from setkernel.cli import EXIT_DATA, EXIT_OK, main
 from setkernel.data import LabeledDataset
 from setkernel.synth import benchmark_spec, generate_dataset, spec_from_dict
 
-from conftest import make_sample
+from conftest import MODEL_V1, make_sample
+
+
+def predict_probe(tmp_path, model_text):
+    """Exit code of `predict` on a two-marker probe sample with this model text."""
+    (tmp_path / "bad.txt").write_text(model_text)
+    probe = tmp_path / "probe.csv"
+    probe.write_text("f0,f1\n0.5,1.5\n")
+    return main(["predict", str(probe), "--model", str(tmp_path / "bad.txt"),
+                 "--out", str(tmp_path / "p")])
 
 
 def embeddings_from(X, sample_ids=None):
@@ -253,15 +263,6 @@ class TestCrossValidate:
         rep = cross_validate(ds, cfg)
         assert rep.mean == 1.0
 
-    def test_threads_do_not_change_results(self):
-        spec = benchmark_spec(seed=3, sets_per_class=4, cells_per_set=80)
-        ds = generate_dataset(spec)
-        base = PipelineConfig(D=128, m=20, folds=4, runs=2, seed=6)
-        seq = cross_validate(ds, base)
-        par = cross_validate(ds, PipelineConfig(D=128, m=20, folds=4, runs=2,
-                                                seed=6, threads=4))
-        assert seq.accuracies == par.accuracies
-
 
 class TestModelIO:
     def _trained_model(self, rng, preprocessing="none"):
@@ -299,26 +300,34 @@ class TestModelIO:
         with pytest.raises(ModelFormatError, match="LINEAR"):
             load_model(tmp_path / "cut.txt")
 
-    def test_d_line_disagreeing_with_w_is_format_error(self, tmp_path, rng):
-        from setkernel.cli import EXIT_DATA, main
+    def test_d_line_disagreeing_with_w_is_format_error(self, tmp_path, capsys):
+        text = MODEL_V1.read_text()
+        assert "\nD 64\n" in text
+        assert predict_probe(tmp_path, text.replace("\nD 64\n", "\nD 66\n", 1)) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(tmp_path / "bad.txt") in err and len(err.strip().splitlines()) == 1
 
-        model = self._trained_model(rng)
-        save_model(model, tmp_path / "m.txt")
-        text = (tmp_path / "m.txt").read_text()
-        (tmp_path / "bad.txt").write_text(text.replace("\nD 96\n", "\nD 98\n", 1))
-        with pytest.raises(ModelFormatError, match="W must be d x D/2"):
-            load_model(tmp_path / "bad.txt")
-        probe = tmp_path / "probe.csv"
-        probe.write_text("f0,f1\n0.5,1.5\n")
-        assert main(["predict", str(probe), "--model", str(tmp_path / "bad.txt"),
-                     "--out", str(tmp_path / "p")]) == EXIT_DATA
+    @pytest.mark.parametrize("line, edited, message", [
+        ("D 64", "D 66", "beta has length 64, D=66"),
+        ("d 2", "d 3", "d=3 disagrees with marker_names"),
+    ])
+    def test_v2_kernel_line_disagreeing_is_format_error(self, tmp_path, capsys, line,
+                                                        edited, message):
+        # Both are checked before W is drawn, so a corrupted d or D sizes no array.
+        save_model(load_model(MODEL_V1), tmp_path / "v2.txt")
+        text = (tmp_path / "v2.txt").read_text()
+        assert f"\n{line}\n" in text
+        assert predict_probe(tmp_path, text.replace(f"\n{line}\n", f"\n{edited}\n", 1)) \
+            == EXIT_DATA
+        assert message in capsys.readouterr().err
 
     def test_unknown_version_rejected(self, tmp_path, rng):
         model = self._trained_model(rng)
         save_model(model, tmp_path / "m.txt")
         text = (tmp_path / "m.txt").read_text()
-        (tmp_path / "v9.txt").write_text(text.replace("setkernel-model 1",
-                                                      "setkernel-model 9", 1))
+        current = f"setkernel-model {MODEL_VERSION}\n"
+        assert text.startswith(current)
+        (tmp_path / "v9.txt").write_text(text.replace(current, "setkernel-model 9\n", 1))
         with pytest.raises(ModelFormatError, match="version"):
             load_model(tmp_path / "v9.txt")
 
@@ -355,3 +364,51 @@ class TestModelIO:
         sub = subset(prepped, herd(model.rff, prepped, 20))
         manual = decision(model, mean_embedding(model.rff, sub))
         assert apply_model(model, sample) == pytest.approx(manual, abs=1e-12)
+
+
+class TestModelV1:
+    """Version-1 files stored W; it must be the draw that their seed regenerates."""
+
+    def test_v1_and_v2_predict_byte_identical(self, tmp_path):
+        from setkernel.synth import generate_files
+
+        manifest = generate_files(benchmark_spec(seed=9, sets_per_class=3, cells_per_set=50),
+                                  tmp_path / "data")
+        save_model(load_model(MODEL_V1), tmp_path / "v2.txt")
+        v2_text = (tmp_path / "v2.txt").read_text()
+        assert v2_text.startswith("setkernel-model 2\n") and "\nW\n" not in v2_text
+        assert len(v2_text) < len(MODEL_V1.read_text())
+        np.testing.assert_array_equal(load_model(tmp_path / "v2.txt").rff.W,
+                                      load_model(MODEL_V1).rff.W)
+        outputs = []
+        for name, path in (("p1", MODEL_V1), ("p2", tmp_path / "v2.txt")):
+            assert main(["predict", "--manifest", str(manifest), "--model", str(path),
+                         "--out", str(tmp_path / name)]) == EXIT_OK
+            outputs.append((tmp_path / name / "predictions.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("edit", ["one_ulp", "column_dropped"])
+    def test_w_not_drawn_from_seed_exits_3(self, tmp_path, capsys, edit):
+        lines = MODEL_V1.read_text().splitlines()
+        row = lines.index("W") + 1
+        values = lines[row].split()
+        if edit == "one_ulp":
+            values[0] = format(np.nextafter(float(values[0]), np.inf), ".17g")
+            lines[row] = " ".join(values)
+        else:
+            lines[row:row + 2] = [" ".join(ln.split()[:-1]) for ln in lines[row:row + 2]]
+        assert lines[row + 2] == "LINEAR"
+        assert predict_probe(tmp_path, "\n".join(lines) + "\n") == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "differs from the W that seed" in err and str(tmp_path / "bad.txt") in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_save_refuses_w_not_drawn_from_seed(self, small_map, tmp_path):
+        from setkernel import RffMap
+
+        rmap = RffMap(W=small_map.W * 2.0, gamma=small_map.gamma, D=small_map.D,
+                      seed=small_map.seed, scale=small_map.scale)
+        model = LinearModel(beta=np.ones(rmap.D), bias=0.0, rff=rmap, reg_c=1.0)
+        with pytest.raises(ValueError, match="not the draw of its seed"):
+            save_model(model, tmp_path / "m.txt")
+        assert not (tmp_path / "m.txt").exists()

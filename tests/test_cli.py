@@ -7,6 +7,8 @@ from setkernel import LinearModel, save_model, sample_frequencies
 from setkernel.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, main
 from setkernel.data import load_sample_set
 
+from conftest import MODEL_V1
+
 
 @pytest.fixture(scope="module")
 def separable_dir(tmp_path_factory):
@@ -467,26 +469,24 @@ class TestConfigPrecedence:
                      "--out", str(tmp_path / "cv"), "--config", str(cfg_file)])
         assert code == EXIT_CONFIG
 
-    def test_threads_above_max_exit_2(self, separable_dir, tmp_path, capsys, monkeypatch):
-        import concurrent.futures
-
-        from setkernel import ConfigError, PipelineConfig
-        from setkernel.config import MAX_THREADS
-
-        PipelineConfig(threads=MAX_THREADS).validate()
-        with pytest.raises(ConfigError, match=f"between 1 and {MAX_THREADS}"):
-            PipelineConfig(threads=10**6).validate()
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a worker pool was built")
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-        code = main(["crossval", "--manifest", manifest_of(separable_dir),
-                     "--out", str(tmp_path / "cv"), "--threads", str(MAX_THREADS + 1)] + FAST)
-        assert code == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert f"threads must be between 1 and {MAX_THREADS}" in err
-        assert len(err.strip().splitlines()) == 1
+    def test_threads_flag_accepts_only_1(self, separable_dir, tmp_path, capsys):
+        # --threads survives so existing scripts still parse; samples are embedded
+        # one at a time and the setting reaches no output.
+        args = ["crossval", "--manifest", manifest_of(separable_dir), "--folds", "4",
+                "--runs", "1"] + FAST
+        assert main(args + ["--out", str(tmp_path / "a"), "--threads", "1"]) == EXIT_OK
+        assert main(args + ["--out", str(tmp_path / "b")]) == EXIT_OK
+        for name in ("report.csv", "meta.txt"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        assert "threads" not in (tmp_path / "a" / "meta.txt").read_text()
+        capsys.readouterr()
+        assert main(args + ["--out", str(tmp_path / "c"), "--threads", "2"]) == EXIT_CONFIG
+        assert "invalid choice: 2" in capsys.readouterr().err
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text("threads=1\n")
+        assert main(args + ["--out", str(tmp_path / "d"), "--config", str(cfg_file)]) \
+            == EXIT_CONFIG
+        assert "unknown config key 'threads'" in capsys.readouterr().err
 
     def test_m_all_setting(self, separable_dir, tmp_path):
         code = main(["crossval", "--manifest", manifest_of(separable_dir),
@@ -508,3 +508,27 @@ class TestExitCodes:
         assert code == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert err == "error: Singular matrix\n"
+
+    @pytest.mark.parametrize("kind", ["sample", "manifest", "model", "frequencies"])
+    def test_non_utf8_file_exits_3_naming_it(self, separable_dir, tmp_path, capsys, kind):
+        probe = tmp_path / "probe.csv"
+        probe.write_bytes(b"f0,f1\n0.5,1.5\n")
+        bad = tmp_path / "bad.csv"
+        if kind == "sample":
+            bad.write_bytes(b"f0,f1\n0.5,1\xff5\n")
+            argv = ["predict", "--model", str(MODEL_V1), str(bad)]
+        elif kind == "manifest":
+            bad.write_bytes(b"sample_id,path,label\na,probe.csv,x\xff\nb,probe.csv,y\n")
+            argv = ["predict", "--model", str(MODEL_V1), "--manifest", str(bad)]
+        elif kind == "model":
+            bad.write_bytes(MODEL_V1.read_bytes().replace(b"label_neg neg", b"label_neg n\xffg"))
+            argv = ["predict", "--model", str(bad), str(probe)]
+        else:
+            bad.write_bytes(b"sample_id,label,freq_0\nneg_000,neg,0\xff5\n")
+            argv = ["stats", "--manifest", manifest_of(separable_dir), "--frequencies",
+                    str(bad), "--cluster", "0"]
+        assert b"\xff" in bad.read_bytes()
+        assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(bad) in err and "can't decode byte 0xff" in err
+        assert len(err.strip().splitlines()) == 1

@@ -20,11 +20,10 @@ from setkernel import (
 )
 from setkernel.interpret import (
     assign_clusters,
-    brute_force_rank_sum_p,
     use_exact_rank_sum,
 )
 
-from conftest import make_sample
+from conftest import brute_force_rank_sum_p, make_sample
 
 
 def random_model(rmap, rng, bias=0.3):

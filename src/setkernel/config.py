@@ -136,7 +136,7 @@ def parse_config_file(path) -> dict:
     try:
         with open(path, encoding="utf-8") as f:
             lines = f.readlines()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config file {path}: {e}") from e
     for lineno, line in enumerate(lines, start=1):
         line = line.split("#", 1)[0].strip()

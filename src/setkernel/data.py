@@ -218,11 +218,12 @@ def save_sample_set(sample: SampleSet, path) -> None:
     """Write a sample CSV with full-precision decimals (round-trips exactly)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    row = ",".join(["%" + FLOAT_FMT] * sample.d) + "\r\n"  # csv.writer's line end
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(sample.marker_names)
-        for row in sample.cells:
-            writer.writerow([format(v, FLOAT_FMT) for v in row])
+        csv.writer(fh).writerow(sample.marker_names)
+        cells = sample.cells
+        for start in range(0, cells.shape[0], 4096):  # bounds the Python floats held at once
+            fh.writelines(row % tuple(r) for r in cells[start:start + 4096].tolist())
 
 
 def load_manifest(path, expected_markers: Sequence[str] | None = None) -> LabeledDataset:

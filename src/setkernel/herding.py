@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import SampleSet
-from .rff import RffMap, featurize_batch, philox_rng
+# featurize_batch stays bound here because perfbench/trace_cli.py wraps this name.
+from .rff import RffMap, featurize_batch, featurize_f32trig, philox_rng  # noqa: F401
 
 DEFAULT_CACHE_BYTES = 2 << 30  # cache phi(X) or K up to 2 GiB, else recompute per pick
 # K comes from the Gram matrix only for n <= GRAM_MAX_N_PER_M * m, where one
@@ -62,7 +63,9 @@ def herd(rmap: RffMap, sample: SampleSet, m: int,
     step theta += theta0 - phi_i gives s += s0 - K[:, i], with K = phi phi^T.
     The column K[:, i] comes from the Gram matrix when n <= GRAM_MAX_N_PER_M * m,
     n <= D and K fits in max_cache_bytes, else from cached phi (n x D) when
-    that fits, else from phi recomputed chunk-wise on every pick.
+    that fits, else from phi recomputed chunk-wise on every pick. Every
+    source builds phi with featurize_f32trig (float32 sin/cos on arguments
+    reduced in float64); phi, K and the scores are float64.
     """
     X = sample.cells
     n = X.shape[0]
@@ -91,16 +94,17 @@ def _gram_source(rmap, X):
         W = rmap.W[:, start:start + GRAM_BLOCK]
         block = RffMap(W=W, gamma=rmap.gamma, D=2 * W.shape[1], seed=rmap.seed,
                        scale=rmap.scale)
-        phi = featurize_batch(block, X)
+        phi = featurize_f32trig(block, X)
         for r in range(0, n, GRAM_ROWS):
             K[r:r + GRAM_ROWS, r:] += phi[r:r + GRAM_ROWS] @ phi[r:].T
+        del phi  # so two blocks of phi never coexist, which would raise peak RSS
     for r in range(0, n, GRAM_ROWS):
         K[r + GRAM_ROWS:, r:r + GRAM_ROWS] = K[r:r + GRAM_ROWS, r + GRAM_ROWS:].T
     return K.mean(axis=1), lambda i: K[i]
 
 
 def _scan_source(rmap, X):
-    phi = featurize_batch(rmap, X)
+    phi = featurize_f32trig(rmap, X)
     return phi @ phi.mean(axis=0), lambda i: phi @ phi[i]
 
 
@@ -108,13 +112,13 @@ def _chunked_source(rmap, X):
     n = X.shape[0]
 
     def chunks():
-        return (featurize_batch(rmap, X[s:s + CHUNK_ROWS]) for s in range(0, n, CHUNK_ROWS))
+        return (featurize_f32trig(rmap, X[s:s + CHUNK_ROWS]) for s in range(0, n, CHUNK_ROWS))
 
     def phi_times(v):
         return np.concatenate([c @ v for c in chunks()])
 
     theta0 = sum(c.sum(axis=0) for c in chunks()) / n
-    return phi_times(theta0), lambda i: phi_times(featurize_batch(rmap, X[i:i + 1])[0])
+    return phi_times(theta0), lambda i: phi_times(featurize_f32trig(rmap, X[i:i + 1])[0])
 
 
 def uniform_subsample(sample: SampleSet, m: int, seed: int) -> HerdingResult:

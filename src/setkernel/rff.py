@@ -16,6 +16,8 @@ import numpy as np
 from .config import MASK64
 
 GENERATOR_NAME = "philox4x64-boxmuller"
+TWO_PI = 2.0 * np.pi
+TRIG_CHUNK = 1 << 15  # elements of X @ W per float32 trig pass (256 KB in float64)
 
 
 @dataclass(frozen=True)
@@ -78,17 +80,54 @@ def sample_frequencies(d: int, D: int, gamma: float, seed: int) -> RffMap:
                   scale=float(np.sqrt(2.0 / D)))
 
 
-def featurize_batch(rmap: RffMap, X: np.ndarray) -> np.ndarray:
-    """Feature map for an (n, d) matrix of cells; returns (n, D)."""
+def _as_cells(rmap: RffMap, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != rmap.d:
         raise ValueError(f"input has d={X.shape[1]}, map expects d={rmap.d}")
+    return X
+
+
+def featurize_batch(rmap: RffMap, X: np.ndarray) -> np.ndarray:
+    """Feature map for an (n, d) matrix of cells; returns (n, D)."""
+    X = _as_cells(rmap, X)
     Z = X @ rmap.W
     out = np.empty((X.shape[0], rmap.D))
     half = rmap.D // 2
     np.sin(Z, out=out[:, :half])
     np.cos(Z, out=out[:, half:])
     out *= rmap.scale
+    return out
+
+
+def featurize_f32trig(rmap: RffMap, X: np.ndarray) -> np.ndarray:
+    """featurize_batch with sin/cos evaluated in float32, where numpy uses SIMD.
+
+    X @ W is computed and reduced to [-pi, pi] in float64, so the float32
+    argument carries only its own rounding at any cell magnitude: entries
+    differ from featurize_batch by at most about 1.6e-7 * scale (5e-9 at
+    D=2000). The result and the scaling are float64. Rows go through the
+    trig TRIG_CHUNK elements at a time in reused buffers, so apart from the
+    result no temporary grows with n.
+    """
+    X = _as_cells(rmap, X)
+    n, half = X.shape[0], rmap.D // 2
+    out = np.empty((n, rmap.D))
+    rows = max(1, min(n, TRIG_CHUNK // half))
+    z, turns = np.empty((rows, half)), np.empty((rows, half))
+    z32, trig32 = np.empty((rows, half), np.float32), np.empty((rows, half), np.float32)
+    for r in range(0, n, rows):
+        c = min(rows, n - r)
+        zc, tc, z32c, trig32c = z[:c], turns[:c], z32[:c], trig32[:c]
+        np.matmul(X[r:r + c], rmap.W, out=zc)
+        np.multiply(zc, 1.0 / TWO_PI, out=tc)
+        np.rint(tc, out=tc)
+        tc *= TWO_PI
+        zc -= tc
+        z32c[...] = zc
+        np.sin(z32c, out=trig32c)
+        np.multiply(trig32c, rmap.scale, out=out[r:r + c, :half], dtype=np.float64)
+        np.cos(z32c, out=trig32c)
+        np.multiply(trig32c, rmap.scale, out=out[r:r + c, half:], dtype=np.float64)
     return out
 
 

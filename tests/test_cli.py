@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setkernel import LinearModel, save_model, sample_frequencies
 from setkernel.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, main
+from setkernel.config import build_config, parse_config_file
 from setkernel.data import load_sample_set
+from setkernel.errors import ConfigError
 
 from conftest import MODEL_V1
 
@@ -509,6 +515,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "error: Singular matrix\n"
 
+    def test_non_utf8_config_exits_2_naming_it(self, separable_dir, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_bytes(b"gamma=1\n\xff\n")
+        code = main(["crossval", "--manifest", manifest_of(separable_dir),
+                     "--out", str(tmp_path / "cv"), "--config", str(cfg_file)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config file {cfg_file}: ")
+        assert "can't decode byte 0xff" in err
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("kind", ["sample", "manifest", "model", "frequencies"])
     def test_non_utf8_file_exits_3_naming_it(self, separable_dir, tmp_path, capsys, kind):
         probe = tmp_path / "probe.csv"
@@ -532,3 +549,44 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert str(bad) in err and "can't decode byte 0xff" in err
         assert len(err.strip().splitlines()) == 1
+
+
+_CONFIG_KEYS = ["gamma", "D", "m", "folds", "runs", "reg_c", "seed", "subsample_method",
+                "preprocessing", "clusters_C", "features", "threads", "", " D "]
+_config_line = st.one_of(
+    st.tuples(st.sampled_from(_CONFIG_KEYS),
+              st.one_of(st.text(max_size=12), st.integers().map(str),
+                        st.floats().map(repr))).map("=".join),
+    st.text(max_size=20))
+_config_bytes = st.one_of(
+    st.binary(max_size=120),
+    st.lists(_config_line, max_size=6).map(lambda lines: "\n".join(lines).encode("utf-8")),
+    st.tuples(st.lists(_config_line, max_size=4), st.binary(max_size=8)).map(
+        lambda t: "\r\n".join(t[0]).encode("utf-8") + t[1]))
+
+
+class TestConfigFuzz:
+    """Any config file gives a settings dict or a ConfigError; the CLI turns a
+    bad one into exit 2 with a one-line message, never a traceback."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=_config_bytes)
+    def test_arbitrary_bytes(self, tmp_path_factory, raw):
+        work = tmp_path_factory.getbasetemp() / "config_fuzz"
+        work.mkdir(exist_ok=True)
+        cfg_file = work / "cfg.txt"
+        cfg_file.write_bytes(raw)
+        try:
+            build_config(parse_config_file(cfg_file))
+        except ConfigError:
+            expected = EXIT_CONFIG
+        else:
+            expected = EXIT_DATA  # a valid config gets as far as the missing manifest
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["crossval", "--config", str(cfg_file),
+                         "--manifest", str(work / "missing.csv"), "--out", str(work / "o")])
+        assert code == expected
+        message = err.getvalue()
+        assert message.startswith("error: ") and message.count("\n") == 1
+        assert message.endswith("\n")

@@ -1,4 +1,6 @@
+import csv
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -321,3 +323,25 @@ class TestSampleSetInvariants:
     def test_marker_count_checked(self):
         with pytest.raises(ValueError, match="marker names"):
             SampleSet(cells=np.ones((2, 2)), sample_id="x", marker_names=("a",))
+
+
+class TestSaveSampleSet:
+    def test_bytes_match_csv_writer(self, tmp_path):
+        # oracle: the csv.writer row loop with format(v, ".17g") per value
+        bits = np.random.default_rng(9).integers(0, 2**64, size=600, dtype=np.uint64)
+        tiny = np.finfo(np.float64).smallest_subnormal
+        big = np.finfo(np.float64).max
+        special = [0.0, -0.0, tiny, -tiny, 3 * tiny, 2.2250738585072009e-308, big, -big,
+                   np.inf, -np.inf, np.nan, -np.nan, 0.1, 1e16, 123456789.0, -1.5]
+        cells = np.concatenate([bits.view(np.float64), special, special[:2]]).reshape(-1, 3)
+        # a stand-in: SampleSet itself rejects inf and nan
+        sample = SimpleNamespace(cells=cells, d=3, marker_names=("CD3", 'a "b"', "x,y"))
+        save_sample_set(sample, tmp_path / "fast.csv")
+        with open(tmp_path / "oracle.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(sample.marker_names)
+            for row in cells:
+                writer.writerow([format(v, ".17g") for v in row])
+        data = (tmp_path / "fast.csv").read_bytes()
+        assert data == (tmp_path / "oracle.csv").read_bytes()
+        assert data.count(b"\r\n") == cells.shape[0] + 1

@@ -9,9 +9,11 @@ from setkernel import (
     uniform_subsample,
 )
 from setkernel import herding
+from setkernel.config import derive_seed
 from setkernel.embedding import embed_matrix
 from setkernel.herding import HerdingResult
-from setkernel.rff import featurize_batch
+from setkernel.rff import featurize_batch, featurize_f32trig
+from setkernel.synth import _draw_sample, benchmark_spec
 
 from conftest import make_sample
 
@@ -217,3 +219,55 @@ class TestHerdingResultInvariants:
     def test_length_must_match_m(self):
         with pytest.raises(ValueError):
             HerdingResult(selected_indices=(0,), method="uniform", m=2)
+
+
+class TestFloat32Trig:
+    """Herding featurizes with float32 sin/cos on float64-reduced arguments.
+
+    The picks must still be those of the float64 oracle, also where the
+    arguments of sin/cos are large (raw intensities) and where the float64
+    scores have a near-tie.
+    """
+
+    @pytest.mark.parametrize("scale", [1.0, 1e2, 1e4, 1e6])
+    def test_agrees_with_float64_featurizer(self, scale):
+        rmap = sample_frequencies(5, 2000, 1.0, 21)
+        cells = np.random.default_rng(3).normal(size=(300, 5)) * scale
+        fast = featurize_f32trig(rmap, cells)
+        assert fast.dtype == np.float64 and fast.shape == (300, 2000)
+        assert np.abs(fast - featurize_batch(rmap, cells)).max() <= 2e-8
+
+    @pytest.mark.parametrize("rows", [1, 2000])  # one row; many trig passes
+    def test_any_row_count(self, rows):
+        rmap = sample_frequencies(3, 64, 1.0, 2)
+        cells = np.random.default_rng(4).normal(size=(rows, 3)) * 1e3
+        assert np.abs(featurize_f32trig(rmap, cells)
+                      - featurize_batch(rmap, cells)).max() <= 2e-7
+
+    def test_wrong_d_rejected(self, small_map):
+        with pytest.raises(ValueError, match="map expects d=2"):
+            featurize_f32trig(small_map, np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("D, cache, source", [
+        (400, herding.DEFAULT_CACHE_BYTES, "_gram_source"),
+        (300, herding.DEFAULT_CACHE_BYTES, "_scan_source"),
+        (400, 1024, "_chunked_source"),
+    ])
+    def test_raw_intensities_match_oracle(self, used_sources, D, cache, source):
+        # cells ~1e4 with gamma=100: sin/cos arguments reach thousands of radians
+        gen = np.random.default_rng(8)
+        cells = np.abs(gen.normal(loc=1e4, scale=2e3, size=(360, 3)))
+        rmap = sample_frequencies(3, D, 100.0, 17)
+        picks = herd(rmap, make_sample(cells), 60, max_cache_bytes=cache).selected_indices
+        assert used_sources == [source]
+        assert picks == oracle_herd(rmap, cells, 60)
+
+    def test_criterion_2_sample_10_near_tie(self, used_sources):
+        # the float64 scores of the top two cells differ by 9.1e-8 at pick 120;
+        # a float32 Gram matrix flips that pick
+        spec = benchmark_spec(seed=0, sets_per_class=1, cells_per_set=2000)
+        sample = _draw_sample(spec, spec.weights_neg, derive_seed(10, "accept-bench"), "s10")
+        rmap = sample_frequencies(2, 2000, 1.0, derive_seed(10, "accept-rff"))
+        picks = herd(rmap, sample, 256).selected_indices
+        assert used_sources == ["_gram_source"]
+        assert picks == oracle_herd(rmap, sample.cells, 256)

@@ -103,8 +103,8 @@ def solve_hinge(X: np.ndarray, y: np.ndarray, reg_c: float = 1.0,
         raise ValueError("X and y length mismatch")
     if not (np.any(y > 0) and np.any(y < 0)):
         raise ValueError("both classes required")
-    if not reg_c > 0:
-        raise ValueError(f"reg_c must be positive, got {reg_c}")
+    if not 0 < reg_c < np.inf:
+        raise ValueError(f"reg_c must be positive and finite, got {reg_c}")
     C = reg_c / n
     K = X @ X.T
     yy = np.outer(y, y)

@@ -240,16 +240,29 @@ def _permuted(dataset: LabeledDataset, seed: int) -> LabeledDataset:
                           label_names=dataset.label_names)
 
 
+def _sweep_values(raw: str | None, key: str, cfg: PipelineConfig) -> list[float]:
+    """The values of a --sweep-<key> list, each checked before any point runs."""
+    if not raw:
+        return [getattr(cfg, key)]
+    values = []
+    for v in raw.split(","):
+        try:
+            value = coerce_setting(key, v)
+            replace(cfg, **{key: value}).validate()
+        except ConfigError as e:
+            raise ConfigError(f"--sweep-{key.replace('_', '-')}: {e}") from None
+        values.append(value)
+    return values
+
+
 def cmd_crossval(args) -> int:
     cfg = _effective_config(args)
+    sweep_gammas = _sweep_values(args.sweep_gamma, "gamma", cfg)
+    sweep_regs = _sweep_values(args.sweep_reg_c, "reg_c", cfg)
     dataset = load_manifest(args.manifest)
     if args.permute_labels is not None:
         dataset = _permuted(dataset, int(args.permute_labels))
     out_dir = Path(args.out)
-    sweep_gammas = ([float(v) for v in args.sweep_gamma.split(",")]
-                    if args.sweep_gamma else [cfg.gamma])
-    sweep_regs = ([float(v) for v in args.sweep_reg_c.split(",")]
-                  if args.sweep_reg_c else [cfg.reg_c])
     sweeping = args.sweep_gamma or args.sweep_reg_c
     summary_rows = []
     for gamma in sweep_gammas:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
@@ -47,8 +48,8 @@ class PipelineConfig:
     features: str = "rff"
 
     def validate(self) -> None:
-        if not self.gamma > 0:
-            raise ConfigError(f"gamma must be positive, got {self.gamma}")
+        if not 0 < self.gamma < math.inf:
+            raise ConfigError(f"gamma must be positive and finite, got {self.gamma}")
         if self.D < 2 or self.D % 2 != 0:
             raise ConfigError(f"D must be even and >= 2, got {self.D}")
         if self.m is not None and self.m < 1:
@@ -57,8 +58,8 @@ class PipelineConfig:
             raise ConfigError(f"folds must be >= 2, got {self.folds}")
         if self.runs < 1:
             raise ConfigError(f"runs must be >= 1, got {self.runs}")
-        if not self.reg_c > 0:
-            raise ConfigError(f"reg_c must be positive, got {self.reg_c}")
+        if not 0 < self.reg_c < math.inf:
+            raise ConfigError(f"reg_c must be positive and finite, got {self.reg_c}")
         if self.clusters_C < 2:
             raise ConfigError(f"clusters_C must be >= 2, got {self.clusters_C}")
         if self.subsample_method not in SUBSAMPLE_METHODS:

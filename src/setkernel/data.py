@@ -148,7 +148,8 @@ def load_sample_set(path, expected_markers: Sequence[str] | None = None,
                 raise DataError(f"{path}: marker {repeated!r} appears more than once "
                                 "in the header")
             cells = _read_cells(fh, path, len(markers))
-    except (OSError, UnicodeDecodeError) as e:
+    # ValueError: a path with a NUL byte; csv.Error: a field over csv's size limit
+    except (OSError, UnicodeDecodeError, ValueError, csv.Error) as e:
         raise DataError(f"cannot read sample file {path}: {e}") from e
     if cells.shape[0] == 0:
         raise DataError(f"{path}: no cell rows")
@@ -238,7 +239,7 @@ def load_manifest(path, expected_markers: Sequence[str] | None = None) -> Labele
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
-    except (OSError, UnicodeDecodeError) as e:
+    except (OSError, UnicodeDecodeError, ValueError, csv.Error) as e:
         raise DataError(f"cannot read manifest {path}: {e}") from e
     header = rows[0] if rows else None
     if header is None or tuple(h.strip() for h in header) != MANIFEST_HEADER:

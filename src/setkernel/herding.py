@@ -16,7 +16,7 @@ from .data import SampleSet
 # featurize_batch stays bound here because perfbench/trace_cli.py wraps this name.
 from .rff import RffMap, featurize_batch, featurize_f32trig, philox_rng  # noqa: F401
 
-DEFAULT_CACHE_BYTES = 2 << 30  # cache phi(X) or K up to 2 GiB, else recompute per pick
+DEFAULT_CACHE_BYTES = 2 << 30  # cache trig values or K up to 2 GiB, else recompute per pick
 # K comes from the Gram matrix only for n <= GRAM_MAX_N_PER_M * m, where one
 # n x n x D product costs less than m scans of phi, and for n <= D, where K
 # (n^2 doubles) is no larger than phi.
@@ -26,6 +26,7 @@ GRAM_MAX_N_PER_M = 8
 GRAM_BLOCK = 125
 GRAM_ROWS = 256
 CHUNK_ROWS = 8192  # rows re-featurized at a time when phi is not cached
+RESCORE_ROWS = 256  # float64 phi rows rebuilt at a time to rescore screened picks
 
 
 @dataclass(frozen=True)
@@ -62,24 +63,26 @@ def herd(rmap: RffMap, sample: SampleSet, m: int,
     smallest index. The scores s = phi @ theta are updated in place: the
     step theta += theta0 - phi_i gives s += s0 - K[:, i], with K = phi phi^T.
     The column K[:, i] comes from the Gram matrix when n <= GRAM_MAX_N_PER_M * m,
-    n <= D and K fits in max_cache_bytes, else from cached phi (n x D) when
-    that fits, else from phi recomputed chunk-wise on every pick. Every
-    source builds phi with featurize_f32trig (float32 sin/cos on arguments
-    reduced in float64); phi, K and the scores are float64.
+    n <= D and K fits in max_cache_bytes, else from the float32 trig values
+    of every cell (n x D float32) when those fit, else from phi recomputed
+    chunk-wise on every pick. Every source builds phi with featurize_f32trig
+    (float32 sin/cos on arguments reduced in float64). The Gram and chunked
+    sources are float64 and pick the argmax; the scan source screens in
+    float32 and certifies each pick in float64 (see _scan_source).
     """
     X = sample.cells
     n = X.shape[0]
     _check_m(m, n)
     if n <= GRAM_MAX_N_PER_M * m and n <= rmap.D and n * n * 8 <= max_cache_bytes:
-        s0, column = _gram_source(rmap, X)
-    elif n * rmap.D * 8 <= max_cache_bytes:
-        s0, column = _scan_source(rmap, X)
+        s0, column, pick = _gram_source(rmap, X)
+    elif n * rmap.D * 4 <= max_cache_bytes:
+        s0, column, pick = _scan_source(rmap, X)
     else:
-        s0, column = _chunked_source(rmap, X)
+        s0, column, pick = _chunked_source(rmap, X)
     scores = s0.copy()
     selected = np.empty(m, dtype=int)
     for t in range(m):
-        i = int(np.argmax(scores))  # first occurrence = smallest index on ties
+        i = pick(scores, t)
         selected[t] = i
         scores += s0 - column(i)
         scores[i] = -np.inf  # stays -inf: taken cells are never picked again
@@ -100,12 +103,84 @@ def _gram_source(rmap, X):
         del phi  # so two blocks of phi never coexist, which would raise peak RSS
     for r in range(0, n, GRAM_ROWS):
         K[r + GRAM_ROWS:, r:r + GRAM_ROWS] = K[r:r + GRAM_ROWS, r + GRAM_ROWS:].T
-    return K.mean(axis=1), lambda i: K[i]
+    return K.mean(axis=1), lambda i: K[i], _argmax
+
+
+def _argmax(scores, t):
+    return int(np.argmax(scores))  # first occurrence = smallest index on ties
 
 
 def _scan_source(rmap, X):
-    phi = featurize_f32trig(rmap, X)
-    return phi @ phi.mean(axis=0), lambda i: phi @ phi[i]
+    """Columns screened in float32 from cached trig values, picks certified in float64.
+
+    t32 holds the float32 sin/cos, so phi = scale * t32 exactly and each
+    pick reads n * D * 4 bytes. A float32 dot product of length D is within
+    gamma_D = D u / (1 - D u), u = 2^-24, times sum_k |t_jk t_ik| <= D of
+    the exact one, so a screened column entry scale^2 * (t32 @ t32[i]) is
+    within 2 gamma_D of the float64 one (scale^2 = 2 / D), and after t picks
+    the screened scores are within tol(t) ~ 2 t gamma_D of phi_j . theta(t).
+    Every cell within 2 tol(t) of the top is rescored against theta(t),
+    kept in float64, and the pick is the best float64 score, smallest index
+    on ties: the pick the float64 loop makes, while reading half the bytes.
+    """
+    t32 = featurize_f32trig(rmap, X, raw=True)
+    n, D = t32.shape
+    scale = rmap.scale
+    every = np.arange(n)
+    theta0 = sum(_phi_rows(t32, scale, every[s:s + RESCORE_ROWS]).sum(axis=0)
+                 for s in range(0, n, RESCORE_ROWS)) / n
+    s0 = _exact_scores(t32, scale, theta0, every)
+    theta = theta0.copy()
+    first = _first_copies(X, t32)
+    gamma_d = D * 2.0 ** -24 / (1 - D * 2.0 ** -24)
+
+    def pick(scores, t):
+        # the second term bounds the float64 roundings in s0, theta, the updates and the rescore
+        tol = 2 * t * gamma_d + (t + 1) * (D + 2 * t + 2) * 2.0 ** -50
+        i = _best(t32, scale, theta, np.flatnonzero(scores >= scores.max() - 2 * tol), first)
+        theta[:] += theta0 - _phi_rows(t32, scale, [i])[0]
+        return i
+
+    return s0, lambda i: scale * scale * (t32 @ t32[i]), pick
+
+
+def _phi_rows(t32, scale, rows):
+    return np.multiply(t32[rows], scale, dtype=np.float64)
+
+
+def _exact_scores(t32, scale, theta, rows):
+    """phi[rows] @ theta in float64, RESCORE_ROWS rows at a time.
+
+    A row-wise einsum gives identical rows bit-identical scores wherever
+    they sit, which a BLAS GEMV on gathered rows does not.
+    """
+    out = np.empty(len(rows))
+    for s in range(0, len(rows), RESCORE_ROWS):
+        phi = _phi_rows(t32, scale, rows[s:s + RESCORE_ROWS])
+        out[s:s + RESCORE_ROWS] = np.einsum("ij,j->i", phi, theta)
+    return out
+
+
+def _best(t32, scale, theta, rows, first):
+    """The row of rows (ascending) with the best exact score, smallest on ties.
+
+    Copies share a score, so each group of copies is rescored once.
+    """
+    groups, where = np.unique(first[rows], return_inverse=True)
+    return int(rows[np.argmax(_exact_scores(t32, scale, theta, groups)[where])])
+
+
+def _first_copies(X, t32):
+    """For each row, the first row holding the same cell and the same trig values."""
+    cells = np.ascontiguousarray(X).view(np.dtype((np.void, X.itemsize * X.shape[1]))).ravel()
+    _, first, inverse = np.unique(cells, return_index=True, return_inverse=True)
+    first = first[inverse]
+    copies = np.flatnonzero(first != np.arange(len(first)))
+    for s in range(0, len(copies), RESCORE_ROWS):
+        c = copies[s:s + RESCORE_ROWS]
+        differ = c[(t32[c] != t32[first[c]]).any(axis=1)]
+        first[differ] = differ
+    return first
 
 
 def _chunked_source(rmap, X):
@@ -118,7 +193,8 @@ def _chunked_source(rmap, X):
         return np.concatenate([c @ v for c in chunks()])
 
     theta0 = sum(c.sum(axis=0) for c in chunks()) / n
-    return phi_times(theta0), lambda i: phi_times(featurize_f32trig(rmap, X[i:i + 1])[0])
+    return (phi_times(theta0), lambda i: phi_times(featurize_f32trig(rmap, X[i:i + 1])[0]),
+            _argmax)
 
 
 def uniform_subsample(sample: SampleSet, m: int, seed: int) -> HerdingResult:

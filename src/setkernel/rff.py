@@ -34,8 +34,8 @@ class RffMap:
         W = np.asarray(self.W, dtype=np.float64)
         if self.D < 2 or self.D % 2 != 0:
             raise ValueError(f"D must be even and >= 2, got {self.D}")
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if W.ndim != 2 or W.shape[1] != self.D // 2:
             raise ValueError(f"W must be d x D/2, got shape {W.shape} for D={self.D}")
         if not np.all(np.isfinite(W)):
@@ -73,8 +73,8 @@ def sample_frequencies(d: int, D: int, gamma: float, seed: int) -> RffMap:
         raise ValueError(f"d must be >= 1, got {d}")
     if D < 2 or D % 2 != 0:
         raise ValueError(f"D must be even and >= 2, got {D}")
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     W = gaussian_draws(d * (D // 2), seed).reshape(d, D // 2) / np.sqrt(gamma)
     return RffMap(W=W, gamma=float(gamma), D=int(D), seed=int(seed) & MASK64,
                   scale=float(np.sqrt(2.0 / D)))
@@ -99,35 +99,39 @@ def featurize_batch(rmap: RffMap, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def featurize_f32trig(rmap: RffMap, X: np.ndarray) -> np.ndarray:
+def featurize_f32trig(rmap: RffMap, X: np.ndarray, raw: bool = False) -> np.ndarray:
     """featurize_batch with sin/cos evaluated in float32, where numpy uses SIMD.
 
     X @ W is computed and reduced to [-pi, pi] in float64, so the float32
     argument carries only its own rounding at any cell magnitude: entries
     differ from featurize_batch by at most about 1.6e-7 * scale (5e-9 at
-    D=2000). The result and the scaling are float64. Rows go through the
-    trig TRIG_CHUNK elements at a time in reused buffers, so apart from the
-    result no temporary grows with n.
+    D=2000). The result and the scaling are float64. With raw=True the
+    result is the unscaled float32 sin/cos values instead, from which the
+    default result is exactly rmap.scale * raw.astype(np.float64). Rows go
+    through the trig TRIG_CHUNK elements at a time in reused buffers, so
+    apart from the result no temporary grows with n.
     """
     X = _as_cells(rmap, X)
     n, half = X.shape[0], rmap.D // 2
-    out = np.empty((n, rmap.D))
+    out = np.empty((n, rmap.D), np.float32 if raw else np.float64)
     rows = max(1, min(n, TRIG_CHUNK // half))
     z, turns = np.empty((rows, half)), np.empty((rows, half))
-    z32, trig32 = np.empty((rows, half), np.float32), np.empty((rows, half), np.float32)
+    z32 = np.empty((rows, half), np.float32)
+    trig32 = None if raw else np.empty((rows, rmap.D), np.float32)
     for r in range(0, n, rows):
         c = min(rows, n - r)
-        zc, tc, z32c, trig32c = z[:c], turns[:c], z32[:c], trig32[:c]
+        zc, tc, z32c = z[:c], turns[:c], z32[:c]
+        trig = out[r:r + c] if raw else trig32[:c]
         np.matmul(X[r:r + c], rmap.W, out=zc)
         np.multiply(zc, 1.0 / TWO_PI, out=tc)
         np.rint(tc, out=tc)
         tc *= TWO_PI
         zc -= tc
         z32c[...] = zc
-        np.sin(z32c, out=trig32c)
-        np.multiply(trig32c, rmap.scale, out=out[r:r + c, :half], dtype=np.float64)
-        np.cos(z32c, out=trig32c)
-        np.multiply(trig32c, rmap.scale, out=out[r:r + c, half:], dtype=np.float64)
+        np.sin(z32c, out=trig[:, :half])
+        np.cos(z32c, out=trig[:, half:])
+        if not raw:
+            np.multiply(trig, rmap.scale, out=out[r:r + c], dtype=np.float64)
     return out
 
 
@@ -159,7 +163,7 @@ def kernel_exact(x: np.ndarray, x2: np.ndarray, gamma: float) -> float:
     x2 = np.asarray(x2, dtype=np.float64).ravel()
     if x.shape != x2.shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {x2.shape}")
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     delta = x - x2
     return float(np.exp(-float(delta @ delta) / (2.0 * gamma)))

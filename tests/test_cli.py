@@ -526,6 +526,48 @@ class TestExitCodes:
         assert "can't decode byte 0xff" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("setting, message", [
+        (["--gamma", "inf"], "gamma must be positive and finite, got inf"),
+        (["--gamma", "1e400"], "gamma must be positive and finite, got inf"),
+        (["--reg-c", "inf"], "reg_c must be positive and finite, got inf"),
+        ("reg_c=inf", "reg_c must be positive and finite, got inf"),
+        (["--sweep-gamma", "inf"], "--sweep-gamma: gamma must be positive and finite, got inf"),
+        (["--sweep-gamma", "1,abc"], "--sweep-gamma: gamma must be a number, got 'abc'"),
+        (["--sweep-reg-c", "1,nan"], "--sweep-reg-c: reg_c must be positive and finite, got nan"),
+    ])
+    def test_bad_gamma_or_reg_c_exits_2_before_any_output(self, separable_dir, tmp_path,
+                                                         capsys, setting, message):
+        # gamma = inf would draw W = 0, so every feature would be constant
+        if isinstance(setting, str):
+            cfg_file = tmp_path / "cfg.txt"
+            cfg_file.write_text(setting + "\n")
+            setting = ["--config", str(cfg_file)]
+        out = tmp_path / "cv"
+        code = main(["crossval", "--manifest", manifest_of(separable_dir), "--out", str(out),
+                     "--folds", "4", "--runs", "1"] + FAST + setting)
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()  # the first sweep point's report is not written
+
+    def test_train_with_infinite_gamma_writes_no_model(self, separable_dir, tmp_path, capsys):
+        model = tmp_path / "model.txt"
+        code = main(["train", "--manifest", manifest_of(separable_dir), "--model", str(model),
+                     "--gamma", "1e400", "--out", str(tmp_path / "tr")] + FAST)
+        assert code == EXIT_CONFIG and not model.exists()
+        assert capsys.readouterr().err == "error: gamma must be positive and finite, got inf\n"
+
+    @pytest.mark.parametrize("gamma", ["inf", "nan", "-inf"])
+    def test_model_with_non_finite_gamma_exits_3_naming_it(self, tmp_path, capsys, gamma):
+        model = tmp_path / "model.txt"
+        model.write_text(MODEL_V1.read_text().replace("\ngamma 1\n", f"\ngamma {gamma}\n"))
+        probe = tmp_path / "probe.csv"
+        probe.write_text("f0,f1\n0.5,1.5\n")
+        code = main(["predict", "--model", str(model), str(probe), "--out", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: ") and "positive and finite" in err
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("kind", ["sample", "manifest", "model", "frequencies"])
     def test_non_utf8_file_exits_3_naming_it(self, separable_dir, tmp_path, capsys, kind):
         probe = tmp_path / "probe.csv"

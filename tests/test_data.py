@@ -1,9 +1,14 @@
+import contextlib
 import csv
+import io
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setkernel import (
     DataError,
@@ -15,9 +20,10 @@ from setkernel import (
     load_sample_set,
     save_sample_set,
 )
+from setkernel.cli import EXIT_DATA, EXIT_OK, main
 from setkernel.data import write_manifest
 
-from conftest import make_sample
+from conftest import MODEL_V1, make_sample
 
 
 def write(path, text):
@@ -345,3 +351,105 @@ class TestSaveSampleSet:
         data = (tmp_path / "fast.csv").read_bytes()
         assert data == (tmp_path / "oracle.csv").read_bytes()
         assert data.count(b"\r\n") == cells.shape[0] + 1
+
+
+_MODEL_MARKERS = ("f0", "f1")  # the markers of the checked-in v1 model
+_token = st.one_of(
+    st.sampled_from(["f0", "f1", "", " 1", "1e400", "nan", "-inf", "0x1p3", '"', '"2"', "1_0"]),
+    st.floats().map(repr), st.integers().map(str), st.text(max_size=6))
+_csv_lines = st.lists(st.lists(_token, max_size=4).map(",".join), max_size=6)
+_sample_bytes = st.one_of(
+    st.binary(max_size=80),
+    _csv_lines.map(lambda lines: "\n".join(lines).encode("utf-8")),
+    st.tuples(_csv_lines, st.binary(max_size=6)).map(
+        lambda t: "\r\n".join(["f0,f1"] + t[0]).encode("utf-8") + t[1]))
+# Sample paths a fuzzed manifest may name, all relative to its directory.
+_SAMPLE_NAMES = ["probe.csv", "bad.csv", "missing.csv", "sub/../probe.csv", ".", "pro\x00be.csv"]
+_manifest_row = st.tuples(st.one_of(st.sampled_from(["a", "b", "a/b", ""]), st.text(max_size=4)),
+                          st.sampled_from(_SAMPLE_NAMES),
+                          st.one_of(st.sampled_from(["neg", "pos", "x"]), st.text(max_size=3)))
+_manifest_bytes = st.one_of(
+    st.binary(max_size=80),
+    st.lists(_manifest_row, max_size=5).map(
+        lambda rows: "\n".join(["sample_id,path,label"] + [",".join(r) for r in rows])
+        .encode("utf-8")),
+    st.tuples(st.lists(_manifest_row, max_size=4), st.binary(max_size=6)).map(
+        lambda t: ("sample_id,path,label\r\n" + "\r\n".join(",".join(r) for r in t[0]))
+        .encode("utf-8") + t[1]))
+
+
+def _predict_exit(argv):
+    """Exit code and stderr of `setkernel predict` under the v1 model."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["predict", "--model", str(MODEL_V1)] + argv)
+    return code, err.getvalue()
+
+
+class TestParserFuzz:
+    """Any sample or manifest file loads or raises a DataError; the CLI turns a
+    bad one into exit 3 with one line naming the file, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def work(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("parser_fuzz")
+        write(work / "probe.csv", "f0,f1\n0.5,1.5\n")
+        write(work / "bad.csv", "f0,f1\n0.5,abc\n")
+        return work
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=_sample_bytes)
+    def test_sample_file(self, work, raw):
+        path = work / "sample.csv"
+        path.write_bytes(raw)
+        try:
+            load_sample_set(path, expected_markers=_MODEL_MARKERS)
+        except DataError as e:
+            assert str(path) in str(e) and "\n" not in str(e)
+            expected = EXIT_DATA
+        else:
+            expected = None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # cells near the float64 limit
+            code, err = _predict_exit(["--out", str(work / "o"), str(path)])
+        if expected is None:
+            assert code != EXIT_DATA
+        else:
+            assert code == EXIT_DATA
+            assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=_manifest_bytes)
+    def test_manifest_file(self, work, raw):
+        path = work / "manifest.csv"
+        path.write_bytes(raw)
+        named = [str(path)] + [str(work / name) for name in _SAMPLE_NAMES]
+        try:
+            load_manifest(path, expected_markers=_MODEL_MARKERS)
+        except DataError as e:
+            assert any(p in str(e) for p in named) and "\n" not in str(e)
+            expected = EXIT_DATA
+        else:
+            expected = EXIT_OK
+        code, err = _predict_exit(["--out", str(work / "o"), "--manifest", str(path)])
+        assert code == expected
+        if expected == EXIT_DATA:
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert any(p in err for p in named)
+
+    @pytest.mark.parametrize("text", ["f" * 200_000 + ",f1\n1,2\n",
+                                      "f0,f1\n" + "x" * 200_000 + ",2\n"])
+    def test_field_over_csv_limit_is_data_error(self, tmp_path, text):
+        path = write(tmp_path / "big.csv", text)
+        with pytest.raises(DataError, match="field larger than field limit"):
+            load_sample_set(path)
+        manifest = write(tmp_path / "m.csv", "sample_id,path,label\n" + text)
+        with pytest.raises(DataError, match="cannot read manifest"):
+            load_manifest(manifest)
+
+    def test_nul_in_sample_path_is_data_error(self, tmp_path):
+        write(tmp_path / "probe.csv", "f0,f1\n1,2\n")
+        manifest = write(tmp_path / "m.csv",
+                         "sample_id,path,label\na,pro\x00be.csv,x\nb,probe.csv,y\n")
+        with pytest.raises(DataError, match="cannot read sample file .*embedded null byte"):
+            load_manifest(manifest)

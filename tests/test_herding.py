@@ -271,3 +271,64 @@ class TestFloat32Trig:
         picks = herd(rmap, sample, 256).selected_indices
         assert used_sources == ["_gram_source"]
         assert picks == oracle_herd(rmap, sample.cells, 256)
+
+    def test_raw_mode_is_unscaled_float32_trig(self):
+        rmap = sample_frequencies(3, 400, 1.0, 6)
+        cells = np.random.default_rng(9).normal(size=(500, 3)) * 1e3
+        raw = featurize_f32trig(rmap, cells, raw=True)
+        assert raw.dtype == np.float32 and raw.shape == (500, 400)
+        np.testing.assert_array_equal(rmap.scale * raw.astype(np.float64),
+                                      featurize_f32trig(rmap, cells))
+
+
+@pytest.fixture
+def rescore_sets(monkeypatch):
+    """Sizes of the sets of cells the scan source rescores in float64, per pick."""
+    sizes = []
+    best = herding._best
+    monkeypatch.setattr(herding, "_best",
+                        lambda t32, scale, theta, rows, first:
+                        sizes.append(len(rows)) or best(t32, scale, theta, rows, first))
+    return sizes
+
+
+class TestScreenedScan:
+    """The scan source screens in float32 and certifies every pick in float64.
+
+    Its picks must be exactly the float64 oracle's: near-ties included, and
+    ties between copies of a cell going to the smallest index.
+    """
+
+    @pytest.mark.parametrize("rescore_rows", [herding.RESCORE_ROWS, 7])
+    def test_criterion_2_sample_10_near_tie(self, used_sources, rescore_sets, monkeypatch,
+                                            rescore_rows):
+        # n = 2000 > 8 * 249 takes the scan source; the float64 scores of the
+        # top two cells differ by 9.1e-8 at pick 120, which a float32 screen
+        # without the float64 check flips
+        monkeypatch.setattr(herding, "RESCORE_ROWS", rescore_rows)
+        spec = benchmark_spec(seed=0, sets_per_class=1, cells_per_set=2000)
+        sample = _draw_sample(spec, spec.weights_neg, derive_seed(10, "accept-bench"), "s10")
+        rmap = sample_frequencies(2, 2000, 1.0, derive_seed(10, "accept-rff"))
+        picks = herd(rmap, sample, 249).selected_indices
+        assert used_sources == ["_scan_source"]
+        assert picks == oracle_herd(rmap, sample.cells, 249)
+        assert len(rescore_sets) == 249 and max(rescore_sets) > 1
+
+    def test_duplicate_heavy_sample(self, used_sources, rescore_sets):
+        # 100 distinct cells x 300 copies: every pick's rescore set holds all
+        # remaining copies of the top cell, more than one rescore chunk
+        distinct = np.round(np.random.default_rng(11).normal(size=(100, 2)), 2)
+        cells = np.tile(distinct, (300, 1))
+        rmap = sample_frequencies(2, 32, 1.0, 13)
+        picks = herd(rmap, make_sample(cells), 60).selected_indices
+        assert used_sources == ["_scan_source"]
+        assert picks == oracle_herd(rmap, cells, 60)
+        assert min(rescore_sets) > herding.RESCORE_ROWS
+        for t, i in enumerate(picks):
+            copies = np.flatnonzero((cells[:i] == cells[i]).all(axis=1))
+            assert set(copies) <= set(picks[:t])
+
+    def test_identical_cells_take_storage_order(self, used_sources):
+        picks = herd(sample_frequencies(3, 64, 1.0, 2), make_sample(np.ones((3000, 3))), 50)
+        assert used_sources == ["_scan_source"]
+        assert picks.selected_indices == tuple(range(50))

@@ -38,7 +38,8 @@ class TestSampleFrequencies:
         assert m.scale == pytest.approx(math.sqrt(2.0 / 50))
 
     @pytest.mark.parametrize("d,D,gamma", [(2, 9, 1.0), (2, 0, 1.0), (2, 10, 0.0),
-                                           (2, 10, -1.0), (0, 10, 1.0)])
+                                           (2, 10, -1.0), (0, 10, 1.0), (2, 10, math.inf),
+                                           (2, 10, math.nan)])
     def test_invalid_args(self, d, D, gamma):
         with pytest.raises(ValueError):
             sample_frequencies(d, D, gamma, 0)

@@ -11,6 +11,7 @@ every update, and convergence is declared on the exact duality gap.
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -21,12 +22,15 @@ from . import data as dat
 from .config import PipelineConfig, derive_seed
 from .data import FLOAT_FMT, LabeledDataset, SampleSet, Standardizer
 from .embedding import MeanEmbedding, embed_matrix, naive_mean
-from .errors import ConfigError, ModelFormatError
+from .errors import ConfigError, ModelFormatError, NumericalError
 from .herding import herd, uniform_subsample
 from .rff import GENERATOR_NAME, RffMap, philox_rng, sample_frequencies
 
 MODEL_MAGIC = "setkernel-model"
 MODEL_VERSION = 2  # version 1 also stored W; it is still read
+# load_model regenerates W (d x D/2 float64) only up to 1 GiB, so a corrupted d
+# cannot make it allocate without bound.
+MAX_W_VALUES = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -293,7 +297,8 @@ class Pipeline:
             res = uniform_subsample(sample, self.m,
                                     derive_seed(self.seed, f"uniform:{sample.sample_id}"))
         else:
-            res = herd(self.rff, sample, self.m)
+            with _naming(sample):
+                res = herd(self.rff, sample, self.m)
         return np.asarray(res.selected_indices)
 
     def embed(self, samples: Sequence[SampleSet]) -> np.ndarray:
@@ -304,9 +309,19 @@ class Pipeline:
             kept = replace(prepared, cells=prepared.cells[self.select(prepared)])
             if self.features == "naive":
                 return naive_mean(kept)
-            return embed_matrix(self.rff, kept.cells)
+            with _naming(sample):
+                return embed_matrix(self.rff, kept.cells)
 
         return np.stack([one(s) for s in samples])
+
+
+@contextmanager
+def _naming(sample: SampleSet):
+    """Name the sample in a NumericalError raised while featurizing its cells."""
+    try:
+        yield
+    except NumericalError as e:
+        raise NumericalError(f"sample {sample.sample_id!r}: {e}") from None
 
 
 def cross_validate(dataset: LabeledDataset, cfg: PipelineConfig) -> CvReport:
@@ -526,12 +541,23 @@ def load_model(path) -> LinearModel:
             raise ModelFormatError(f"{path}: d={d} disagrees with marker_names")
         if beta.shape[0] != D:
             raise ModelFormatError(f"{path}: beta has length {beta.shape[0]}, D={D}")
+        if d * (D // 2) > MAX_W_VALUES:
+            raise ModelFormatError(f"{path}: d={d} and D={D} need a W of {d * (D // 2)} "
+                                   f"values, more than the {MAX_W_VALUES} regenerated")
+        std = meta.get("standardizer")
+        if (std is not None) != (meta["preprocessing"] == "standardize"):
+            raise ModelFormatError(f"{path}: preprocessing {meta['preprocessing']} "
+                                   f"{'with' if std is not None else 'without'} a standardizer")
+        if std is not None and std.d != d:
+            raise ModelFormatError(f"{path}: standardizer has d={std.d}, model d={d}")
         rmap = sample_frequencies(d, D, gamma, seed)
         if W is not None and (W.shape != rmap.W.shape or W.tobytes() != rmap.W.tobytes()):
             raise ModelFormatError(
                 f"{path}: stored W ({W.shape[0]}x{W.shape[1]}) differs from the W "
                 f"that seed {seed} draws for d={d}, D={D}"
             )
-        return LinearModel(beta=beta, bias=bias, rff=rmap, reg_c=reg_c, train_meta=meta)
-    except (ValueError, IndexError) as e:
+        model = LinearModel(beta=beta, bias=bias, rff=rmap, reg_c=reg_c, train_meta=meta)
+        model_config(model).validate()  # the pipeline settings predict applies
+        return model
+    except (ValueError, IndexError, MemoryError) as e:  # ConfigError is a ValueError
         raise ModelFormatError(f"{path}: corrupted model file: {e}") from e

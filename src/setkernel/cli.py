@@ -140,10 +140,10 @@ def cmd_herd(args) -> int:
     dataset = load_manifest(args.manifest)
     names = [_cell_file_name(s.sample_id) for s in dataset.samples]
     pipe = Pipeline.fit(cfg, dataset.samples, cfg.seed)
+    picks = [pipe.select(pipe.prepare(s)) for s in dataset.samples]  # before any file is written
     out_dir = Path(args.out)
     index_rows = []
-    for s, name in zip(dataset.samples, names):
-        idx = pipe.select(pipe.prepare(s))
+    for s, name, idx in zip(dataset.samples, names, picks):
         save_sample_set(replace(s, cells=s.cells[idx]), out_dir / "cells" / name)
         index_rows += [[s.sample_id, str(rank), str(i)] for rank, i in enumerate(idx)]
     _write_csv(out_dir / "indices.csv", ["sample_id", "selection_order", "row_index"],

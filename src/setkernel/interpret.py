@@ -19,6 +19,8 @@ from .classifier import LinearModel, solve_hinge
 from .data import SampleSet
 from .rff import featurize_batch, philox_rng
 
+SCORE_ROWS = 128  # cells featurized and scored at a time (2 MB of phi at D=2000)
+
 
 @dataclass(frozen=True)
 class ClusterModel:
@@ -60,8 +62,25 @@ class RegionScores:
 
 
 def cell_scores(model: LinearModel, X: np.ndarray) -> np.ndarray:
-    """Scores phi(x).beta + bias for each row of X."""
-    return featurize_batch(model.rff, X) @ model.beta + model.bias
+    """Scores phi(x).beta + bias for each row of X.
+
+    Rows are featurized and scored SCORE_ROWS at a time, so no n x D phi is
+    held; the last block also takes the leftover rows, because a lone row
+    goes through BLAS's matrix-vector path, which rounds X @ W differently.
+    The scores equal featurize_batch(X) @ beta + bias bit for bit when
+    n < 2 * SCORE_ROWS, or when a threaded BLAS splits that one-shot product
+    at multiples of four rows (n a multiple of 8 on two threads); elsewhere
+    a few can differ in the last bit.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    n = X.shape[0]
+    out = np.empty(n)
+    start = 0
+    while start < n:
+        stop = n if n - start < 2 * SCORE_ROWS else start + SCORE_ROWS
+        out[start:stop] = featurize_batch(model.rff, X[start:stop]) @ model.beta + model.bias
+        start = stop
+    return out
 
 
 def cell_score(model: LinearModel, x: np.ndarray) -> float:
@@ -112,19 +131,9 @@ def kmeans(X: np.ndarray, C: int, seed: int, max_iter: int = 300,
     assignments = np.argmin(_sq_dists(X, centroids), axis=1)
     history = []
     for _ in range(max_iter):
-        for c in range(C):
-            mask = assignments == c
-            if mask.any():
-                centroids[c] = X[mask].mean(axis=0)
+        _recenter(X, centroids, assignments)
         d2 = _sq_dists(X, centroids)
-        point_cost = d2[np.arange(n), assignments]
-        for c in range(C):
-            if not np.any(assignments == c):
-                far = int(np.argmax(point_cost))
-                centroids[c] = X[far]
-                assignments[far] = c
-                d2[:, c] = np.sum((X - centroids[c]) ** 2, axis=1)
-                point_cost = d2[np.arange(n), assignments]
+        _repair_empty(X, centroids, assignments, d2)
         new_assignments = np.argmin(d2, axis=1)
         history.append(float(d2[np.arange(n), new_assignments].sum()))
         if np.array_equal(new_assignments, assignments):
@@ -132,24 +141,39 @@ def kmeans(X: np.ndarray, C: int, seed: int, max_iter: int = 300,
             break
         assignments = new_assignments
     # final pass: centroids consistent with final assignments, and vice versa
-    for c in range(C):
+    _recenter(X, centroids, assignments)
+    d2 = _sq_dists(X, centroids)
+    assignments = np.argmin(d2, axis=1)
+    _repair_empty(X, centroids, assignments, d2)  # a cluster the last reassignment emptied
+    inertia = float(d2[np.arange(n), assignments].sum())
+    return ClusterModel(centroids=centroids, assignments=assignments, C=C,
+                        inertia=inertia, seed=int(seed),
+                        inertia_history=tuple(history))
+
+
+def _recenter(X: np.ndarray, centroids: np.ndarray, assignments: np.ndarray) -> None:
+    """Move each non-empty cluster's centroid to the mean of its cells, in place."""
+    for c in range(centroids.shape[0]):
         mask = assignments == c
         if mask.any():
             centroids[c] = X[mask].mean(axis=0)
-    d2 = _sq_dists(X, centroids)
-    assignments = np.argmin(d2, axis=1)
-    point_cost = d2[np.arange(n), assignments]
-    for c in range(C):  # repair any cluster emptied by the last reassignment
+
+
+def _repair_empty(X: np.ndarray, centroids: np.ndarray, assignments: np.ndarray,
+                  d2: np.ndarray) -> None:
+    """Reseed each empty cluster with the cell farthest from its centroid.
+
+    centroids, assignments and the squared distances d2 are updated in place.
+    """
+    rows = np.arange(X.shape[0])
+    point_cost = d2[rows, assignments]
+    for c in range(centroids.shape[0]):
         if not np.any(assignments == c):
             far = int(np.argmax(point_cost))
             centroids[c] = X[far]
             assignments[far] = c
             d2[:, c] = np.sum((X - centroids[c]) ** 2, axis=1)
-            point_cost = d2[np.arange(n), assignments]
-    inertia = float(d2[np.arange(n), assignments].sum())
-    return ClusterModel(centroids=centroids, assignments=assignments, C=C,
-                        inertia=inertia, seed=int(seed),
-                        inertia_history=tuple(history))
+            point_cost = d2[rows, assignments]
 
 
 def _kmeanspp_init(X: np.ndarray, C: int, seed: int) -> np.ndarray:

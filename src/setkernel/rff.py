@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MASK64
+from .errors import NumericalError
 
 GENERATOR_NAME = "philox4x64-boxmuller"
 TWO_PI = 2.0 * np.pi
@@ -87,10 +88,20 @@ def _as_cells(rmap: RffMap, X: np.ndarray) -> np.ndarray:
     return X
 
 
+def _phases(X: np.ndarray, W: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """X @ W, raising NumericalError instead of warning when it is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        Z = np.matmul(X, W, out=out)
+    if not np.isfinite(Z).all():
+        raise NumericalError("X @ W overflows float64: a cell's values are too large "
+                             "for the feature map")
+    return Z
+
+
 def featurize_batch(rmap: RffMap, X: np.ndarray) -> np.ndarray:
     """Feature map for an (n, d) matrix of cells; returns (n, D)."""
     X = _as_cells(rmap, X)
-    Z = X @ rmap.W
+    Z = _phases(X, rmap.W)
     out = np.empty((X.shape[0], rmap.D))
     half = rmap.D // 2
     np.sin(Z, out=out[:, :half])
@@ -122,7 +133,7 @@ def featurize_f32trig(rmap: RffMap, X: np.ndarray, raw: bool = False) -> np.ndar
         c = min(rows, n - r)
         zc, tc, z32c = z[:c], turns[:c], z32[:c]
         trig = out[r:r + c] if raw else trig32[:c]
-        np.matmul(X[r:r + c], rmap.W, out=zc)
+        _phases(X[r:r + c], rmap.W, out=zc)
         np.multiply(zc, 1.0 / TWO_PI, out=tc)
         np.rint(tc, out=tc)
         tc *= TWO_PI

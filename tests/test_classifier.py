@@ -1,5 +1,10 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setkernel import (
     ConfigError,
@@ -17,7 +22,7 @@ from setkernel import (
     train,
 )
 from setkernel.classifier import MODEL_VERSION, _optimal_bias, fit_pipeline, stratified_folds
-from setkernel.cli import EXIT_DATA, EXIT_OK, main
+from setkernel.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, main
 from setkernel.data import LabeledDataset
 from setkernel.synth import benchmark_spec, generate_dataset, spec_from_dict
 
@@ -412,3 +417,112 @@ class TestModelV1:
         with pytest.raises(ValueError, match="not the draw of its seed"):
             save_model(model, tmp_path / "m.txt")
         assert not (tmp_path / "m.txt").exists()
+
+
+# Values a fuzzed model line may take. Free text has at most four characters, so
+# a fuzzed d or D sizes a W of at most 1e4 x 5e3 values.
+_model_value = st.one_of(
+    st.sampled_from(["", "0", "-1", "2", "3", "65", "nan", "inf", "-inf", "1e400", "0x1p3",
+                     "all", "herding", "uniform", "none", "standardize", "arcsinh:5",
+                     "arcsinh:-1", "arcsinh:x", "f0", "f1,f0", "f0,f1,f2", "1 2", "END"]),
+    st.text(max_size=4))
+_model_edit = st.tuples(st.sampled_from(["value", "line", "delete", "duplicate", "swap"]),
+                        st.integers(0, 1000), st.integers(0, 1000), _model_value)
+
+
+def _edited(text, edits):
+    lines = text.splitlines()
+    for kind, i, j, value in edits:
+        if not lines:
+            break
+        i, j = i % len(lines), j % len(lines)
+        if kind == "value":
+            lines[i] = lines[i].split(" ", 1)[0] + " " + value
+        elif kind == "line":
+            lines[i] = value
+        elif kind == "delete":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            lines[i], lines[j] = lines[j], lines[i]
+    return "\n".join(lines) + "\n"
+
+
+class TestModelFuzz:
+    """Any mutated model file loads or raises a ModelFormatError; `predict` under
+    it exits with a documented code and, on failure, one line, never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def work(self, tmp_path_factory):
+        work = tmp_path_factory.mktemp("model_fuzz")
+        save_model(load_model(MODEL_V1), work / "v2.txt")
+        rng = np.random.default_rng(3)
+        # 30 cells: with the model's m=20 herding runs, and a fuzzed small m scans
+        np.savetxt(work / "probe.csv", rng.normal(size=(30, 2)), delimiter=",",
+                   header="f0,f1", comments="")
+        return work
+
+    @settings(max_examples=300, deadline=None)
+    @given(version=st.sampled_from(["v1", "v2"]),
+           edits=st.lists(_model_edit, min_size=1, max_size=3),
+           tail=st.binary(max_size=4))
+    def test_mutated_model(self, work, version, edits, tail):
+        base = MODEL_V1 if version == "v1" else work / "v2.txt"
+        path = work / "model.txt"
+        path.write_bytes(_edited(base.read_text(), edits).encode("utf-8") + tail)
+        try:
+            load_model(path)
+        except ModelFormatError as e:
+            assert str(path) in str(e) and "\n" not in str(e)
+            loaded = False
+        else:
+            loaded = True
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["predict", "--model", str(path), str(work / "probe.csv"),
+                         "--out", str(work / "o")])
+        message = err.getvalue()
+        if not loaded:
+            assert code == EXIT_DATA and str(path) in message
+        assert code in (EXIT_OK, EXIT_DATA, EXIT_NUMERICAL)
+        if code != EXIT_OK:
+            assert message.startswith("error: ") and message.count("\n") == 1
+
+    def test_huge_d_exits_3_without_drawing_w(self, work, capsys):
+        text = (work / "v2.txt").read_text()
+        text = text.replace("\nd 2\n", "\nd 1000000000\n").replace(
+            "\nmarker_names f0,f1\n", "\nmarker_names \n")
+        path = work / "huge.txt"
+        path.write_text(text)
+        code = main(["predict", "--model", str(path), str(work / "probe.csv"),
+                     "--out", str(work / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA and err.count("\n") == 1
+        assert err.startswith(f"error: {path}: d=1000000000 and D=64 need a W of")
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("m 20", "m 0", "m must be positive"),
+        ("m 20", "m x", "invalid literal for int"),
+        ("preprocessing none", "preprocessing arcsinh:-1", "cofactor must be positive"),
+        ("preprocessing none", "preprocessing standardize", "without a standardizer"),
+        ("subsample_method herding", "subsample_method greedy", "subsample_method must be"),
+        ("reg_c 1", "reg_c nan", "reg_c must be positive"),
+        ("marker_names f0,f1", "marker_names f0,f1\nstandardizer_mean 0 0\nstandardizer_std 1 1",
+         "preprocessing none with a standardizer"),
+        ("preprocessing none\nm 20\nsubsample_method herding\nseed 4\nreg_c 1\n"
+         "marker_names f0,f1",
+         "preprocessing standardize\nm 20\nsubsample_method herding\nseed 4\nreg_c 1\n"
+         "marker_names f0,f1\nstandardizer_mean 0\nstandardizer_std 1",
+         "standardizer has d=1, model d=2"),
+    ])
+    def test_bad_pipeline_setting_exits_3(self, work, capsys, old, new, message):
+        text = (work / "v2.txt").read_text()
+        assert f"\n{old}\n" in text
+        path = work / "bad.txt"
+        path.write_text(text.replace(f"\n{old}\n", f"\n{new}\n"))
+        code = main(["predict", "--model", str(path), str(work / "probe.csv"),
+                     "--out", str(work / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA and err.count("\n") == 1
+        assert str(path) in err and message in err

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -591,6 +592,65 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert str(bad) in err and "can't decode byte 0xff" in err
         assert len(err.strip().splitlines()) == 1
+
+
+@pytest.fixture(scope="module")
+def overflow_dir(tmp_path_factory):
+    """Four 20-cell samples, and a manifest where sample b has one cell at 1e308."""
+    root = tmp_path_factory.mktemp("overflow")
+    rng = np.random.default_rng(8)
+    for name in "abcd":
+        np.savetxt(root / f"{name}.csv", rng.normal(size=(20, 2)), delimiter=",",
+                   header="f0,f1", comments="")
+    big = np.loadtxt(root / "b.csv", delimiter=",", skiprows=1)
+    big[3] = 1e308
+    np.savetxt(root / "big.csv", big, delimiter=",", header="f0,f1", comments="")
+    rows = "\na,a.csv,neg\nb,{},pos\nc,c.csv,neg\nd,d.csv,pos\n"
+    (root / "clean.csv").write_text("sample_id,path,label" + rows.format("b.csv"))
+    (root / "overflow.csv").write_text("sample_id,path,label" + rows.format("big.csv"))
+    return root
+
+
+class TestOverflowingFeatures:
+    """A cell too large for X @ W to be finite exits 4 with one line naming its
+    sample, emits no warning and writes no result file. With 20 cells and m=2
+    herding takes its scan source (n > 8 m)."""
+
+    SCAN = ["--m", "2", "--D", "64", "--seed", "1"]
+
+    def run(self, argv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERICAL
+        assert err == ("error: sample 'b': X @ W overflows float64: a cell's values are "
+                       "too large for the feature map\n")
+
+    def test_predict(self, tmp_path, capsys):
+        (tmp_path / "b.csv").write_text("f0,f1\n1e308,1e308\n")
+        self.run(["predict", "--model", str(MODEL_V1), str(tmp_path / "b.csv"),
+                  "--out", str(tmp_path / "o")], capsys)
+        assert not (tmp_path / "o").exists()
+
+    def test_train(self, overflow_dir, tmp_path, capsys):
+        model = tmp_path / "model.txt"
+        self.run(["train", "--manifest", str(overflow_dir / "overflow.csv"), "--model",
+                  str(model), "--out", str(tmp_path / "t")] + self.SCAN, capsys)
+        assert not model.exists()
+
+    def test_herd(self, overflow_dir, tmp_path, capsys):
+        self.run(["herd", "--manifest", str(overflow_dir / "overflow.csv"),
+                  "--out", str(tmp_path / "h")] + self.SCAN, capsys)
+        assert not (tmp_path / "h").exists()  # not even sample a's cells
+
+    def test_interpret(self, overflow_dir, tmp_path, capsys):
+        model = tmp_path / "model.txt"
+        assert main(["train", "--manifest", str(overflow_dir / "clean.csv"), "--model",
+                     str(model), "--out", str(tmp_path / "t")] + self.SCAN) == EXIT_OK
+        self.run(["interpret", "--manifest", str(overflow_dir / "overflow.csv"), "--model",
+                  str(model), "--clusters-C", "2", "--out", str(tmp_path / "i")], capsys)
+        assert not (tmp_path / "i").exists()
 
 
 _CONFIG_KEYS = ["gamma", "D", "m", "folds", "runs", "reg_c", "seed", "subsample_method",

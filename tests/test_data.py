@@ -2,7 +2,6 @@ import contextlib
 import csv
 import io
 import math
-import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -409,9 +408,7 @@ class TestParserFuzz:
             expected = EXIT_DATA
         else:
             expected = None
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # cells near the float64 limit
-            code, err = _predict_exit(["--out", str(work / "o"), str(path)])
+        code, err = _predict_exit(["--out", str(work / "o"), str(path)])
         if expected is None:
             assert code != EXIT_DATA
         else:

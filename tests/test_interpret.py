@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,13 +17,16 @@ from setkernel import (
     mean_embedding,
     pearson,
     rank_sum_test,
+    sample_frequencies,
     score_gradient,
     train_frequency_model,
 )
 from setkernel.interpret import (
+    SCORE_ROWS,
     assign_clusters,
     use_exact_rank_sum,
 )
+from setkernel.rff import featurize_batch
 
 from conftest import brute_force_rank_sum_p, make_sample
 
@@ -48,6 +53,38 @@ class TestCellScore:
         half = small_map.D // 2
         expected = 0.1 + small_map.scale * model.beta[half:].sum()
         assert cell_score(model, np.zeros(2)) == pytest.approx(expected, abs=1e-12)
+
+
+class TestBlockedCellScores:
+    """cell_scores featurizes SCORE_ROWS cells at a time instead of all at once."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        rng = np.random.default_rng(5)
+        return random_model(sample_frequencies(30, 2000, 30.0, 11), rng)
+
+    @pytest.mark.parametrize("n", [1, SCORE_ROWS - 1, SCORE_ROWS, SCORE_ROWS + 1, 4000])
+    def test_equal_to_one_shot_bit_for_bit(self, model, rng, n):
+        X = rng.normal(scale=3.0, size=(n, 30))
+        one_shot = featurize_batch(model.rff, X) @ model.beta + model.bias
+        assert cell_scores(model, X).tobytes() == one_shot.tobytes()
+
+    @pytest.mark.parametrize("n", [2 * SCORE_ROWS + 1, 1001, 3999])
+    def test_close_to_one_shot_at_any_n(self, model, rng, n):
+        # a threaded GEMV may split the one-shot product off a multiple of four rows
+        X = rng.normal(scale=3.0, size=(n, 30))
+        one_shot = featurize_batch(model.rff, X) @ model.beta + model.bias
+        np.testing.assert_allclose(cell_scores(model, X), one_shot, rtol=1e-13, atol=1e-13)
+
+    def test_peak_memory_does_not_grow_with_n(self, model, rng):
+        X = rng.normal(size=(8000, 30))
+        tracemalloc.start()
+        try:
+            cell_scores(model, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6  # one-shot: 8000 x 2000 phi plus 8000 x 1000 X @ W, ~190 MB
 
 
 class TestKmeans:

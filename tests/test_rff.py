@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from setkernel import (
     kernel_exact,
     sample_frequencies,
 )
+from setkernel.errors import NumericalError
+from setkernel.rff import featurize_f32trig
 
 
 class TestSampleFrequencies:
@@ -46,6 +49,19 @@ class TestSampleFrequencies:
 
 
 class TestFeaturize:
+    @pytest.mark.parametrize("featurizer", [
+        featurize_batch, featurize_f32trig,
+        lambda rmap, X: featurize_f32trig(rmap, X, raw=True)])
+    @pytest.mark.parametrize("big", [1e308, -1e308])
+    def test_overflowing_cell_raises_without_warning(self, small_map, featurizer, big):
+        X = np.zeros((40, 2))
+        X[37] = big
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="X @ W overflows float64"):
+                featurizer(small_map, X)
+            featurizer(small_map, X[:37])  # the cells before it are fine
+
     def test_zero_input_structure(self, small_map):
         phi = featurize(small_map, np.zeros(2))
         half = small_map.D // 2

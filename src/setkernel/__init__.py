@@ -9,6 +9,7 @@ the embeddings, and decompose every prediction into exact per-cell scores.
 from .config import PipelineConfig, derive_seed
 from .data import (
     LabeledDataset,
+    Manifest,
     SampleSet,
     Standardizer,
     apply_standardizer,
@@ -16,6 +17,8 @@ from .data import (
     fit_standardizer,
     load_manifest,
     load_sample_set,
+    map_samples,
+    read_manifest,
     save_sample_set,
 )
 from .embedding import MeanEmbedding, mean_embedding, mmd, naive_mean

@@ -34,7 +34,15 @@ from .config import (
     derive_seed,
     parse_config_file,
 )
-from .data import FLOAT_FMT, LabeledDataset, load_manifest, load_sample_set, save_sample_set
+from .data import (
+    FLOAT_FMT,
+    LabeledDataset,
+    load_manifest,
+    load_sample_set,
+    map_samples,
+    read_manifest,
+    save_sample_set,
+)
 from .embedding import embed_matrix
 from .errors import ConfigError, DataError, NumericalError
 from .herding import herd, uniform_subsample
@@ -102,12 +110,11 @@ def _cell_file_name(sample_id: str) -> str:
     return f"{sample_id}.csv"
 
 
-def _check_dims(samples, model) -> None:
-    for s in samples:
-        if s.d != model.rff.d:
-            raise DataError(
-                f"sample {s.sample_id!r} has d={s.d}, model expects d={model.rff.d}"
-            )
+def _check_dims(sample, model) -> None:
+    if sample.d != model.rff.d:
+        raise DataError(
+            f"sample {sample.sample_id!r} has d={sample.d}, model expects d={model.rff.d}"
+        )
 
 
 def cmd_synth(args) -> int:
@@ -211,19 +218,20 @@ def cmd_predict(args) -> int:
     cfg = _effective_config(args)
     model = load_model(args.model)
     markers = _model_markers(model)
-    samples = []
-    if args.manifest:
-        samples = list(load_manifest(args.manifest, expected_markers=markers).samples)
-    samples += [load_sample_set(path, expected_markers=markers) for path in args.samples]
-    if not samples:
+    manifest = read_manifest(args.manifest) if args.manifest else None
+    if manifest is None and not args.samples:
         raise ConfigError("predict needs --manifest or at least one sample CSV")
-    _check_dims(samples, model)
     label_names = {-1: model.train_meta.get("label_neg", "-1"),
                    +1: model.train_meta.get("label_pos", "+1")}
-    rows = []
-    for s in samples:
+
+    def row(s) -> list[str]:
+        _check_dims(s, model)
         dec = apply_model(model, s)
-        rows.append([s.sample_id, _fmt(dec), label_names[-1 if dec < 0 else +1]])
+        return [s.sample_id, _fmt(dec), label_names[-1 if dec < 0 else +1]]
+
+    # one raw sample in memory at a time: each is read, decided and dropped
+    rows = map_samples(manifest, row, markers) if manifest else []
+    rows += [row(load_sample_set(path, expected_markers=markers)) for path in args.samples]
     out_dir = Path(args.out)
     _write_csv(out_dir / "predictions.csv", ["sample_id", "decision", "label"], rows,
                _config_comment(model_config(model)))
@@ -289,17 +297,23 @@ def cmd_crossval(args) -> int:
 def cmd_interpret(args) -> int:
     cfg = _effective_config(args)
     model = load_model(args.model)
-    dataset = load_manifest(args.manifest, expected_markers=_model_markers(model))
-    _check_dims(dataset.samples, model)
+    manifest = read_manifest(args.manifest)
     # Clustering runs in the feature space the model consumes (after its
     # stored preprocessing), which summary.txt records.
     pipe = Pipeline.from_model(model)
-    subs, index_map = [], []
-    for s in dataset.samples:
+    pool_range = itp.ClusterRange()
+
+    def keep(s):
+        """The kept cells of one raw sample, and their row indices in it."""
+        _check_dims(s, model)
         prepared = pipe.prepare(s)
         idx = pipe.select(prepared)
-        subs.append(replace(prepared, cells=prepared.cells[idx]))
-        index_map.append(idx)
+        kept = replace(prepared, cells=prepared.cells[idx])
+        pool_range.add(kept)
+        return kept, idx
+
+    # one raw sample in memory at a time: only its kept cells outlive it
+    subs, index_map = zip(*map_samples(manifest, keep, _model_markers(model)))
     pooled = np.concatenate([s.cells for s in subs], axis=0)
     clusters = itp.kmeans(pooled, cfg.clusters_C, derive_seed(cfg.seed, "kmeans"))
     region = itp.region_scores(model, clusters, pooled, subs)
@@ -334,12 +348,12 @@ def cmd_interpret(args) -> int:
 
     freq_header = ["sample_id", "label"] + [f"freq_{c}" for c in range(clusters.C)]
     freq_rows = [
-        [sid, dataset.label_names[lab]] + [_fmt(v) for v in freqs]
-        for sid, lab, freqs in zip(region.sample_ids, dataset.labels, region.frequencies)
+        [sid, manifest.label_names[lab]] + [_fmt(v) for v in freqs]
+        for sid, lab, freqs in zip(region.sample_ids, manifest.labels, region.frequencies)
     ]
     _write_csv(out_dir / "frequencies.csv", freq_header, freq_rows, comment)
 
-    y = np.asarray(dataset.labels)
+    y = np.asarray(manifest.labels)
     stat_rows = []
     for c in range(clusters.C):
         f_neg = region.frequencies[y == -1, c]
@@ -365,8 +379,8 @@ def cmd_interpret(args) -> int:
 
 def cmd_stats(args) -> int:
     cfg = _effective_config(args)
-    dataset = load_manifest(args.manifest)
-    labels_by_id = {s.sample_id: y for s, y in zip(dataset.samples, dataset.labels)}
+    manifest = read_manifest(args.manifest)
+    labels_by_id = dict(zip(manifest.sample_ids, manifest.labels))
     freq_path = Path(args.frequencies)
     try:
         lines = [ln for ln in freq_path.read_text(encoding="utf-8").splitlines()

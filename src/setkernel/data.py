@@ -12,7 +12,7 @@ import csv
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -227,13 +227,27 @@ def save_sample_set(sample: SampleSet, path) -> None:
             fh.writelines(row % tuple(r) for r in cells[start:start + 4096].tolist())
 
 
-def load_manifest(path, expected_markers: Sequence[str] | None = None) -> LabeledDataset:
-    """Load a manifest CSV and all sample files it references.
+@dataclass(frozen=True)
+class Manifest:
+    """A checked manifest: one sample id, resolved path and label per sample.
 
-    The two distinct label strings map to -1/+1 by lexicographic order
-    (smaller string -> -1). Sample paths are resolved relative to the
-    manifest's directory. Every sample's columns are permuted to
-    expected_markers, or to the first sample's marker order when None.
+    Reading it opens no sample file. labels are -1/+1, and label_names maps
+    them back to the two label strings.
+    """
+
+    sample_ids: tuple[str, ...]
+    paths: tuple[Path, ...]
+    labels: tuple[int, ...]
+    label_names: dict[int, str]
+
+
+def read_manifest(path) -> Manifest:
+    """Read and check a manifest CSV without reading the samples it lists.
+
+    The header must be exactly sample_id,path,label; sample ids must be
+    unique; N >= 2 samples and exactly two label strings are required. The
+    two label strings map to -1/+1 by lexicographic order (smaller string
+    -> -1). Sample paths are resolved relative to the manifest's directory.
     """
     path = Path(path)
     try:
@@ -266,23 +280,44 @@ def load_manifest(path, expected_markers: Sequence[str] | None = None) -> Labele
             f"{path}: exactly two label values required, got {label_values}"
         )
     label_map = {label_values[0]: -1, label_values[1]: +1}
-    base = path.parent
-    samples, labels = [], []
-    expected = expected_markers
-    for sample_id, rel, label_str in entries:
-        sample_path = Path(rel)
-        if not sample_path.is_absolute():
-            sample_path = base / sample_path
-        s = load_sample_set(sample_path, expected_markers=expected, sample_id=sample_id)
-        expected = expected or s.marker_names
-        samples.append(s)
-        labels.append(label_map[label_str])
-    if len(set(labels)) != 2:  # unreachable given two distinct strings, kept as guard
-        raise DataError(f"{path}: both labels must be present")
-    return LabeledDataset(
-        samples=tuple(samples),
-        labels=tuple(labels),
+    return Manifest(
+        sample_ids=tuple(e[0] for e in entries),
+        paths=tuple(path.parent / e[1] for e in entries),  # an absolute e[1] wins
+        labels=tuple(label_map[e[2]] for e in entries),
         label_names={-1: label_values[0], +1: label_values[1]},
+    )
+
+
+def map_samples(manifest: Manifest, fn: Callable[[SampleSet], object],
+                expected_markers: Sequence[str] | None = None) -> list:
+    """fn(sample) for every manifest sample in order, reading one sample at a time.
+
+    The next sample is read only after fn has returned, so as long as fn's
+    results do not hold the samples, at most one sample's cells are in
+    memory. Every sample's columns are permuted to expected_markers, or to
+    the first sample's marker order when None. An error in a sample stops
+    the map there, so the first failing sample in manifest order decides it.
+    """
+    out, expected = [], expected_markers
+    for sample_id, sample_path in zip(manifest.sample_ids, manifest.paths):
+        sample = load_sample_set(sample_path, expected_markers=expected, sample_id=sample_id)
+        expected = expected or sample.marker_names
+        out.append(fn(sample))
+        del sample  # freed before the next sample is read
+    return out
+
+
+def load_manifest(path, expected_markers: Sequence[str] | None = None) -> LabeledDataset:
+    """Load a manifest CSV (see read_manifest) and all sample files it references.
+
+    Every sample's columns are permuted to expected_markers, or to the first
+    sample's marker order when None.
+    """
+    manifest = read_manifest(path)
+    return LabeledDataset(
+        samples=tuple(map_samples(manifest, lambda s: s, expected_markers)),
+        labels=manifest.labels,
+        label_names=manifest.label_names,
     )
 
 

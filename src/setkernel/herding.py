@@ -65,10 +65,11 @@ def herd(rmap: RffMap, sample: SampleSet, m: int,
     The column K[:, i] comes from the Gram matrix when n <= GRAM_MAX_N_PER_M * m,
     n <= D and K fits in max_cache_bytes, else from the float32 trig values
     of every cell (n x D float32) when those fit, else from phi recomputed
-    chunk-wise on every pick. Every source builds phi with featurize_f32trig
-    (float32 sin/cos on arguments reduced in float64). The Gram and chunked
-    sources are float64 and pick the argmax; the scan source screens in
-    float32 and certifies each pick in float64 (see _scan_source).
+    chunk-wise; m picks read m - 1 columns, as no pick needs the last one's.
+    Every source builds phi with featurize_f32trig (float32 sin/cos on
+    arguments reduced in float64). The Gram and chunked sources are float64
+    and pick the argmax; the scan source screens in float32 and certifies
+    each pick in float64 (see _scan_source).
     """
     X = sample.cells
     n = X.shape[0]
@@ -84,6 +85,8 @@ def herd(rmap: RffMap, sample: SampleSet, m: int,
     for t in range(m):
         i = pick(scores, t)
         selected[t] = i
+        if t == m - 1:
+            break  # no pick reads the column of the last one
         scores += s0 - column(i)
         scores[i] = -np.inf  # stays -inf: taken cells are never picked again
     return HerdingResult(selected_indices=tuple(selected), method="herding", m=m)
@@ -115,10 +118,12 @@ def _scan_source(rmap, X):
 
     t32 holds the float32 sin/cos, so phi = scale * t32 exactly and each
     pick reads n * D * 4 bytes. A float32 dot product of length D is within
-    gamma_D = D u / (1 - D u), u = 2^-24, times sum_k |t_jk t_ik| <= D of
-    the exact one, so a screened column entry scale^2 * (t32 @ t32[i]) is
-    within 2 gamma_D of the float64 one (scale^2 = 2 / D), and after t picks
-    the screened scores are within tol(t) ~ 2 t gamma_D of phi_j . theta(t).
+    gamma_D = D u / (1 - D u), u = 2^-24, times sum_k |t_jk t_ik| <= D / 2
+    (Cauchy-Schwarz on each sin/cos pair) of the exact one. Scaled by
+    scale^2 = 2 / D in float64, a screened column entry is within gamma_D
+    plus two float64 roundings, so within 2 gamma_D, of the float64 one, and
+    after t picks the screened scores are within tol(t) ~ 2 t gamma_D of
+    phi_j . theta(t).
     Every cell within 2 tol(t) of the top is rescored against theta(t),
     kept in float64, and the pick is the best float64 score, smallest index
     on ties: the pick the float64 loop makes, while reading half the bytes.
@@ -141,7 +146,9 @@ def _scan_source(rmap, X):
         theta[:] += theta0 - _phi_rows(t32, scale, [i])[0]
         return i
 
-    return s0, lambda i: scale * scale * (t32 @ t32[i]), pick
+    # the float32 product, scaled in float64 (a Python float is a weak scalar,
+    # so scale * scale * (t32 @ t32[i]) would round the scaling to float32)
+    return s0, lambda i: np.multiply(t32 @ t32[i], scale * scale, dtype=np.float64), pick
 
 
 def _phi_rows(t32, scale, rows):

@@ -17,6 +17,7 @@ import numpy as np
 
 from .classifier import LinearModel, solve_hinge
 from .data import SampleSet
+from .errors import NumericalError
 from .rff import featurize_batch, philox_rng
 
 SCORE_ROWS = 128  # cells featurized and scored at a time (2 MB of phi at D=2000)
@@ -174,6 +175,31 @@ def _repair_empty(X: np.ndarray, centroids: np.ndarray, assignments: np.ndarray,
             assignments[far] = c
             d2[:, c] = np.sum((X - centroids[c]) ** 2, axis=1)
             point_cost = d2[rows, assignments]
+
+
+class ClusterRange:
+    """Keeps kmeans's float64 arithmetic finite while kept cells are pooled.
+
+    For n cells of squared norm at most r2, every squared distance kmeans
+    forms, every sum of them and its inertia stay below 4 * n * r2, so that
+    bound must be finite. add() checks it as each sample's cells join the
+    pool and names the sample that breaks it.
+    """
+
+    def __init__(self):
+        self.n = 0
+        self.max_sq_norm = 0.0
+
+    def add(self, sample: SampleSet) -> None:
+        with np.errstate(over="ignore"):
+            sq_norms = np.einsum("ij,ij->i", sample.cells, sample.cells)
+        self.n += sample.n
+        self.max_sq_norm = max(self.max_sq_norm, float(sq_norms.max()))
+        if not 4.0 * self.n * self.max_sq_norm < np.inf:  # Python floats: no warning
+            raise NumericalError(
+                f"sample {sample.sample_id!r}: cells too large for k-means in float64 "
+                f"(squared norm up to {self.max_sq_norm:.3g} over {self.n} pooled cells)"
+            )
 
 
 def _kmeanspp_init(X: np.ndarray, C: int, seed: int) -> np.ndarray:

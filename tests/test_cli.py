@@ -180,6 +180,55 @@ class TestTrainPredict:
         assert code == EXIT_CONFIG
 
 
+@pytest.fixture(scope="module")
+def wide_cohort(tmp_path_factory):
+    """12 samples of 20000 cells x 4 markers, and a model that keeps 20 cells each."""
+    root = tmp_path_factory.mktemp("wide")
+    rng = np.random.default_rng(0)
+    rows = ["sample_id,path,label"]
+    for i in range(12):
+        np.savetxt(root / f"s{i}.csv", rng.normal(size=(20000, 4)) + i % 2, delimiter=",",
+                   header="a,b,c,d", comments="")
+        rows.append(f"s{i},s{i}.csv,{'ab'[i % 2]}")
+    (root / "manifest.csv").write_text("\n".join(rows) + "\n")
+    assert main(["train", "--manifest", str(root / "manifest.csv"),
+                 "--model", str(root / "model.txt"), "--D", "32", "--m", "20",
+                 "--subsample-method", "uniform", "--out", str(root / "t")]) == EXIT_OK
+    return root
+
+
+class TestStreaming:
+    """predict and interpret read, select and drop one raw sample at a time."""
+
+    RAW_BYTES = 20000 * 4 * 8
+
+    @pytest.mark.parametrize("command", ["predict", "interpret"])
+    def test_peak_memory_is_a_few_raw_samples(self, wide_cohort, tmp_path, command):
+        import tracemalloc
+
+        argv = [command, "--manifest", str(wide_cohort / "manifest.csv"),
+                "--model", str(wide_cohort / "model.txt"), "--out", str(tmp_path / "o")]
+        if command == "interpret":
+            argv += ["--clusters-C", "3"]
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 2.2 raw samples; holding all 12 samples peaks above 13
+        assert peak < 3 * self.RAW_BYTES
+
+    def test_predict_writes_manifest_rows_then_files(self, wide_cohort, tmp_path):
+        files = [str(wide_cohort / "s5.csv"), str(wide_cohort / "s0.csv")]
+        assert main(["predict", "--manifest", str(wide_cohort / "manifest.csv"),
+                     "--model", str(wide_cohort / "model.txt"),
+                     "--out", str(tmp_path / "p")] + files) == EXIT_OK
+        rows = data_rows(tmp_path / "p" / "predictions.csv")
+        assert [r[0] for r in rows] == [f"s{i}" for i in range(12)] + ["s5", "s0"]
+        assert rows[12][1:] == rows[5][1:] and rows[13][1:] == rows[0][1:]
+
+
 class TestFeaturizeHerd:
     def test_featurize_row_format(self, separable_dir, tmp_path):
         assert main(["featurize", "--manifest", manifest_of(separable_dir),
@@ -405,6 +454,23 @@ class TestInterpretCommand:
         pos = [by_id[s.sample_id] for s, y in zip(ds.samples, ds.labels) if y == +1]
         assert printed == rank_sum_test(neg, pos)
 
+    def test_stats_reads_no_sample_file(self, separable_dir, interpreted, tmp_path, capsys):
+        import shutil
+
+        args = ["stats", "--frequencies", str(interpreted / "frequencies.csv"),
+                "--cluster", "0", "--out", str(tmp_path / "s")]
+        assert main(args + ["--manifest", manifest_of(separable_dir)]) == EXIT_OK
+        before = capsys.readouterr().out
+        # a copy of the manifest whose relative sample paths name no file
+        shutil.copy(manifest_of(separable_dir), tmp_path / "manifest.csv")
+        assert not (tmp_path / "cells").exists()
+        assert main(args + ["--manifest", str(tmp_path / "manifest.csv")]) == EXIT_OK
+        assert capsys.readouterr().out == before
+        (tmp_path / "bad.csv").write_text("sample_id,path\nneg_000,x.csv\n")
+        assert main(args + ["--manifest", str(tmp_path / "bad.csv")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "manifest header" in err and len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("text, message", [
         ("", "empty frequencies file"),
         ("sample_id,label,freq_0,freq_1\nneg_000,neg,0.5\n", "row 1 has 3 fields, expected 4"),
@@ -605,9 +671,12 @@ def overflow_dir(tmp_path_factory):
     big = np.loadtxt(root / "b.csv", delimiter=",", skiprows=1)
     big[3] = 1e308
     np.savetxt(root / "big.csv", big, delimiter=",", header="f0,f1", comments="")
+    big[3] = 1e200  # X @ W is finite, its square is not
+    np.savetxt(root / "huge.csv", big, delimiter=",", header="f0,f1", comments="")
     rows = "\na,a.csv,neg\nb,{},pos\nc,c.csv,neg\nd,d.csv,pos\n"
     (root / "clean.csv").write_text("sample_id,path,label" + rows.format("b.csv"))
     (root / "overflow.csv").write_text("sample_id,path,label" + rows.format("big.csv"))
+    (root / "huge_b.csv").write_text("sample_id,path,label" + rows.format("huge.csv"))
     return root
 
 
@@ -650,6 +719,49 @@ class TestOverflowingFeatures:
                      str(model), "--out", str(tmp_path / "t")] + self.SCAN) == EXIT_OK
         self.run(["interpret", "--manifest", str(overflow_dir / "overflow.csv"), "--model",
                   str(model), "--clusters-C", "2", "--out", str(tmp_path / "i")], capsys)
+        assert not (tmp_path / "i").exists()
+
+    @pytest.mark.parametrize("command", ["predict", "interpret"])
+    @pytest.mark.parametrize("first", ["overflow", "missing"])
+    def test_first_failing_sample_decides(self, overflow_dir, tmp_path, capsys, command,
+                                          first):
+        model = tmp_path / "model.txt"
+        assert main(["train", "--manifest", str(overflow_dir / "clean.csv"), "--model",
+                     str(model), "--out", str(tmp_path / "t")] + self.SCAN) == EXIT_OK
+        bad = {"overflow": overflow_dir / "big.csv", "missing": tmp_path / "gone.csv"}
+        second = "missing" if first == "overflow" else "overflow"
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(f"sample_id,path,label\na,{overflow_dir / 'a.csv'},neg\n"
+                            f"b,{bad[first]},pos\nc,{bad[second]},neg\n"
+                            f"d,{overflow_dir / 'd.csv'},pos\n")
+        argv = [command, "--manifest", str(manifest), "--model", str(model),
+                "--out", str(tmp_path / "o")]
+        if command == "interpret":
+            argv += ["--clusters-C", "2"]
+        if first == "overflow":
+            self.run(argv, capsys)
+        else:
+            assert main(argv) == EXIT_DATA
+            err = capsys.readouterr().err
+            assert "gone.csv" in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_interpret_kmeans_overflow(self, overflow_dir, tmp_path, capsys):
+        # uniform selection with m >= n keeps the 1e200 cell; its squared
+        # norm overflows the k-means distances
+        model = tmp_path / "model.txt"
+        assert main(["train", "--manifest", str(overflow_dir / "clean.csv"), "--model",
+                     str(model), "--m", "50", "--subsample-method", "uniform", "--D", "64",
+                     "--seed", "1", "--out", str(tmp_path / "t")]) == EXIT_OK
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["interpret", "--manifest", str(overflow_dir / "huge_b.csv"),
+                         "--model", str(model), "--clusters-C", "2",
+                         "--out", str(tmp_path / "i")])
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "error: sample 'b': cells too large for k-means in float64 "
+            "(squared norm up to inf over 40 pooled cells)\n")
         assert not (tmp_path / "i").exists()
 
 

@@ -106,6 +106,18 @@ def used_sources(monkeypatch):
     return used
 
 
+@pytest.fixture
+def column_calls(monkeypatch):
+    """The cells whose column K[:, i] herd asked its source for, in call order."""
+    calls = []
+    for name in ("_gram_source", "_scan_source", "_chunked_source"):
+        def counted(*a, f=getattr(herding, name)):
+            s0, column, pick = f(*a)
+            return s0, lambda i: calls.append(i) or column(i), pick
+        monkeypatch.setattr(herding, name, counted)
+    return calls
+
+
 class TestColumnSources:
     """Every source of K[:, i] reproduces the oracle's picks.
 
@@ -152,6 +164,24 @@ class TestColumnSources:
             copies = np.flatnonzero((cells[:i] == cells[i]).all(axis=1))
             assert set(copies) <= set(picks[:t])
         assert 0 in picks  # the group of 52 copies of cell 0 is reached
+
+
+    @pytest.mark.parametrize("n, cache, source", [
+        (300, herding.DEFAULT_CACHE_BYTES, "_gram_source"),
+        (600, herding.DEFAULT_CACHE_BYTES, "_scan_source"),
+        (300, 1024, "_chunked_source"),
+    ])
+    def test_m_picks_take_m_minus_1_columns(self, used_sources, column_calls, n, cache,
+                                            source):
+        rmap = sample_frequencies(2, 400, 1.0, 3)
+        cells = np.random.default_rng(n).normal(size=(n, 2))
+        picks = herd(rmap, make_sample(cells), self.M, max_cache_bytes=cache).selected_indices
+        assert used_sources == [source]
+        assert column_calls == list(picks[:-1])  # none for the last pick
+        assert picks == oracle_herd(rmap, cells, self.M)
+        column_calls.clear()
+        herd(rmap, make_sample(cells), 1, max_cache_bytes=cache)
+        assert column_calls == []
 
 
 class TestUniformSubsample:
@@ -327,6 +357,25 @@ class TestScreenedScan:
         for t, i in enumerate(picks):
             copies = np.flatnonzero((cells[:i] == cells[i]).all(axis=1))
             assert set(copies) <= set(picks[:t])
+
+    def test_column_is_scaled_in_float64(self):
+        rmap = sample_frequencies(2, 64, 1.0, 4)
+        cells = np.random.default_rng(12).normal(size=(700, 2))
+        t32 = featurize_f32trig(rmap, cells, raw=True)
+        _, column, _ = herding._scan_source(rmap, cells)
+        col = column(5)
+        assert col.dtype == np.float64
+        np.testing.assert_array_equal(
+            col, (t32 @ t32[5]).astype(np.float64) * (rmap.scale * rmap.scale))
+
+    @pytest.mark.parametrize("D", [2, 4])
+    def test_few_frequencies_match_oracle(self, used_sources, D):
+        # at small D the float32 rounding of the scaling is largest against gamma_D
+        cells = np.random.default_rng(D).normal(size=(500, 2))
+        rmap = sample_frequencies(2, D, 1.0, 21)
+        picks = herd(rmap, make_sample(cells), 100).selected_indices
+        assert used_sources == ["_scan_source"]
+        assert picks == oracle_herd(rmap, cells, 100)
 
     def test_identical_cells_take_storage_order(self, used_sources):
         picks = herd(sample_frequencies(3, 64, 1.0, 2), make_sample(np.ones((3000, 3))), 50)

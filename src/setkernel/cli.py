@@ -225,6 +225,8 @@ def cmd_predict(args) -> int:
                    +1: model.train_meta.get("label_pos", "+1")}
 
     def row(s) -> list[str]:
+        nonlocal markers  # without the model's, every sample follows the first one read
+        markers = markers or s.marker_names
         _check_dims(s, model)
         dec = apply_model(model, s)
         return [s.sample_id, _fmt(dec), label_names[-1 if dec < 0 else +1]]

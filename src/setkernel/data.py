@@ -166,7 +166,8 @@ def load_sample_set(path, expected_markers: Sequence[str] | None = None,
         perm = [markers.index(m) for m in expected]
         cells = cells[:, perm]
         markers = expected
-    return SampleSet(cells=cells, sample_id=sample_id or path.stem, marker_names=markers)
+    return SampleSet(cells=cells, sample_id=path.stem if sample_id is None else sample_id,
+                     marker_names=markers)
 
 
 def _read_cells(fh, path: Path, d: int) -> np.ndarray:
@@ -245,9 +246,10 @@ def read_manifest(path) -> Manifest:
     """Read and check a manifest CSV without reading the samples it lists.
 
     The header must be exactly sample_id,path,label; sample ids must be
-    unique; N >= 2 samples and exactly two label strings are required. The
-    two label strings map to -1/+1 by lexicographic order (smaller string
-    -> -1). Sample paths are resolved relative to the manifest's directory.
+    non-empty and unique; N >= 2 samples and exactly two label strings are
+    required. The two label strings map to -1/+1 by lexicographic order
+    (smaller string -> -1). Sample paths are resolved relative to the
+    manifest's directory.
     """
     path = Path(path)
     try:
@@ -268,6 +270,8 @@ def read_manifest(path) -> Manifest:
         if len(row) != 3:
             raise DataError(f"{path}: manifest row {r} has {len(row)} fields, expected 3")
         entry = (row[0].strip(), row[1].strip(), row[2].strip())
+        if not entry[0]:
+            raise DataError(f"{path}: manifest row {r} has an empty sample_id")
         if entry[0] in seen_ids:
             raise DataError(f"{path}: manifest row {r} repeats sample_id {entry[0]!r}")
         seen_ids.add(entry[0])

@@ -25,7 +25,7 @@ GRAM_MAX_N_PER_M = 8
 # triangle at a time, so no n x D phi or second n x n array is ever held.
 GRAM_BLOCK = 125
 GRAM_ROWS = 256
-CHUNK_ROWS = 8192  # rows re-featurized at a time when phi is not cached
+CHUNK_ROWS = 256  # trig rows recomputed at a time when they are not cached
 RESCORE_ROWS = 256  # float64 phi rows rebuilt at a time to rescore screened picks
 
 
@@ -61,15 +61,12 @@ def herd(rmap: RffMap, sample: SampleSet, m: int,
 
     Deterministic: no randomness in the loop, argmax ties break to the
     smallest index. The scores s = phi @ theta are updated in place: the
-    step theta += theta0 - phi_i gives s += s0 - K[:, i], with K = phi phi^T.
-    The column K[:, i] comes from the Gram matrix when n <= GRAM_MAX_N_PER_M * m,
-    n <= D and K fits in max_cache_bytes, else from the float32 trig values
-    of every cell (n x D float32) when those fit, else from phi recomputed
-    chunk-wise; m picks read m - 1 columns, as no pick needs the last one's.
-    Every source builds phi with featurize_f32trig (float32 sin/cos on
-    arguments reduced in float64). The Gram and chunked sources are float64
-    and pick the argmax; the scan source screens in float32 and certifies
-    each pick in float64 (see _scan_source).
+    step theta += theta0 - phi_i gives s += s0 - K[:, i], with K = phi phi^T
+    and phi = scale * t32, t32 being featurize_f32trig's float32 sin/cos.
+    K[:, i] comes from the float64 Gram matrix when n <= GRAM_MAX_N_PER_M * m,
+    n <= D and K fits in max_cache_bytes, else from the certified float32
+    screen of _scan_source, on t32 cached when its n * D * 4 bytes fit and
+    recomputed otherwise. m picks read m - 1 columns, none for the last pick.
     """
     X = sample.cells
     n = X.shape[0]
@@ -77,9 +74,10 @@ def herd(rmap: RffMap, sample: SampleSet, m: int,
     if n <= GRAM_MAX_N_PER_M * m and n <= rmap.D and n * n * 8 <= max_cache_bytes:
         s0, column, pick = _gram_source(rmap, X)
     elif n * rmap.D * 4 <= max_cache_bytes:
-        s0, column, pick = _scan_source(rmap, X)
+        t32 = featurize_f32trig(rmap, X)
+        s0, column, pick = _scan_source(rmap, X, t32.__getitem__, t32.__matmul__)
     else:
-        s0, column, pick = _chunked_source(rmap, X)
+        s0, column, pick = _scan_source(rmap, X, *_stream_trig(rmap, X))
     scores = s0.copy()
     selected = np.empty(m, dtype=int)
     for t in range(m):
@@ -100,8 +98,10 @@ def _gram_source(rmap, X):
         W = rmap.W[:, start:start + GRAM_BLOCK]
         block = RffMap(W=W, gamma=rmap.gamma, D=2 * W.shape[1], seed=rmap.seed,
                        scale=rmap.scale)
-        phi = featurize_f32trig(block, X)
-        for r in range(0, n, GRAM_ROWS):
+        phi = np.empty((n, block.D))
+        for r in reversed(range(0, n, GRAM_ROWS)):  # so phi[r:] is filled when read
+            np.multiply(featurize_f32trig(block, X[r:r + GRAM_ROWS]), rmap.scale,
+                        out=phi[r:r + GRAM_ROWS], dtype=np.float64)  # as _phi_rows scales
             K[r:r + GRAM_ROWS, r:] += phi[r:r + GRAM_ROWS] @ phi[r:].T
         del phi  # so two blocks of phi never coexist, which would raise peak RSS
     for r in range(0, n, GRAM_ROWS):
@@ -113,11 +113,28 @@ def _argmax(scores, t):
     return int(np.argmax(scores))  # first occurrence = smallest index on ties
 
 
-def _scan_source(rmap, X):
-    """Columns screened in float32 from cached trig values, picks certified in float64.
+def _stream_trig(rmap, X):
+    """_scan_source's trig rows and products, recomputed CHUNK_ROWS rows at a time."""
+    def chunk(s):
+        return featurize_f32trig(rmap, X[s:s + CHUNK_ROWS])
 
-    t32 holds the float32 sin/cos, so phi = scale * t32 exactly and each
-    pick reads n * D * 4 bytes. A float32 dot product of length D is within
+    def trig(rows):  # each row with its whole chunk, so rescored rows match the columns
+        rows = np.asarray(rows)
+        starts = rows - rows % CHUNK_ROWS
+        out = np.empty((len(rows), rmap.D), np.float32)
+        for s in np.unique(starts):
+            out[starts == s] = chunk(s)[rows[starts == s] - s]
+        return out
+
+    return trig, lambda v: np.concatenate([chunk(s) @ v for s in range(0, len(X), CHUNK_ROWS)])
+
+
+def _scan_source(rmap, X, trig, products):
+    """Columns screened in float32, picks certified in float64.
+
+    trig(rows) returns the float32 sin/cos values t32[rows], from which
+    phi = scale * t32 exactly, and products(v) the float32 product t32 @ v.
+    A float32 dot product of length D is within
     gamma_D = D u / (1 - D u), u = 2^-24, times sum_k |t_jk t_ik| <= D / 2
     (Cauchy-Schwarz on each sin/cos pair) of the exact one. Scaled by
     scale^2 = 2 / D in float64, a screened column entry is within gamma_D
@@ -128,34 +145,32 @@ def _scan_source(rmap, X):
     kept in float64, and the pick is the best float64 score, smallest index
     on ties: the pick the float64 loop makes, while reading half the bytes.
     """
-    t32 = featurize_f32trig(rmap, X, raw=True)
-    n, D = t32.shape
-    scale = rmap.scale
+    n, D, scale = X.shape[0], rmap.D, rmap.scale
     every = np.arange(n)
-    theta0 = sum(_phi_rows(t32, scale, every[s:s + RESCORE_ROWS]).sum(axis=0)
+    theta0 = sum(_phi_rows(trig, scale, every[s:s + RESCORE_ROWS]).sum(axis=0)
                  for s in range(0, n, RESCORE_ROWS)) / n
-    s0 = _exact_scores(t32, scale, theta0, every)
+    s0 = _exact_scores(trig, scale, theta0, every)
     theta = theta0.copy()
-    first = _first_copies(X, t32)
+    first = _first_copies(X, trig)
     gamma_d = D * 2.0 ** -24 / (1 - D * 2.0 ** -24)
 
     def pick(scores, t):
         # the second term bounds the float64 roundings in s0, theta, the updates and the rescore
         tol = 2 * t * gamma_d + (t + 1) * (D + 2 * t + 2) * 2.0 ** -50
-        i = _best(t32, scale, theta, np.flatnonzero(scores >= scores.max() - 2 * tol), first)
-        theta[:] += theta0 - _phi_rows(t32, scale, [i])[0]
+        i = _best(trig, scale, theta, np.flatnonzero(scores >= scores.max() - 2 * tol), first)
+        theta[:] += theta0 - _phi_rows(trig, scale, [i])[0]
         return i
 
     # the float32 product, scaled in float64 (a Python float is a weak scalar,
     # so scale * scale * (t32 @ t32[i]) would round the scaling to float32)
-    return s0, lambda i: np.multiply(t32 @ t32[i], scale * scale, dtype=np.float64), pick
+    return s0, lambda i: np.multiply(products(trig([i])[0]), scale * scale, dtype=np.float64), pick
 
 
-def _phi_rows(t32, scale, rows):
-    return np.multiply(t32[rows], scale, dtype=np.float64)
+def _phi_rows(trig, scale, rows):
+    return np.multiply(trig(rows), scale, dtype=np.float64)
 
 
-def _exact_scores(t32, scale, theta, rows):
+def _exact_scores(trig, scale, theta, rows):
     """phi[rows] @ theta in float64, RESCORE_ROWS rows at a time.
 
     A row-wise einsum gives identical rows bit-identical scores wherever
@@ -163,21 +178,21 @@ def _exact_scores(t32, scale, theta, rows):
     """
     out = np.empty(len(rows))
     for s in range(0, len(rows), RESCORE_ROWS):
-        phi = _phi_rows(t32, scale, rows[s:s + RESCORE_ROWS])
+        phi = _phi_rows(trig, scale, rows[s:s + RESCORE_ROWS])
         out[s:s + RESCORE_ROWS] = np.einsum("ij,j->i", phi, theta)
     return out
 
 
-def _best(t32, scale, theta, rows, first):
+def _best(trig, scale, theta, rows, first):
     """The row of rows (ascending) with the best exact score, smallest on ties.
 
     Copies share a score, so each group of copies is rescored once.
     """
     groups, where = np.unique(first[rows], return_inverse=True)
-    return int(rows[np.argmax(_exact_scores(t32, scale, theta, groups)[where])])
+    return int(rows[np.argmax(_exact_scores(trig, scale, theta, groups)[where])])
 
 
-def _first_copies(X, t32):
+def _first_copies(X, trig):
     """For each row, the first row holding the same cell and the same trig values."""
     cells = np.ascontiguousarray(X).view(np.dtype((np.void, X.itemsize * X.shape[1]))).ravel()
     _, first, inverse = np.unique(cells, return_index=True, return_inverse=True)
@@ -185,23 +200,9 @@ def _first_copies(X, t32):
     copies = np.flatnonzero(first != np.arange(len(first)))
     for s in range(0, len(copies), RESCORE_ROWS):
         c = copies[s:s + RESCORE_ROWS]
-        differ = c[(t32[c] != t32[first[c]]).any(axis=1)]
+        differ = c[(trig(c) != trig(first[c])).any(axis=1)]
         first[differ] = differ
     return first
-
-
-def _chunked_source(rmap, X):
-    n = X.shape[0]
-
-    def chunks():
-        return (featurize_f32trig(rmap, X[s:s + CHUNK_ROWS]) for s in range(0, n, CHUNK_ROWS))
-
-    def phi_times(v):
-        return np.concatenate([c @ v for c in chunks()])
-
-    theta0 = sum(c.sum(axis=0) for c in chunks()) / n
-    return (phi_times(theta0), lambda i: phi_times(featurize_f32trig(rmap, X[i:i + 1])[0]),
-            _argmax)
 
 
 def uniform_subsample(sample: SampleSet, m: int, seed: int) -> HerdingResult:

@@ -110,39 +110,34 @@ def featurize_batch(rmap: RffMap, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def featurize_f32trig(rmap: RffMap, X: np.ndarray, raw: bool = False) -> np.ndarray:
-    """featurize_batch with sin/cos evaluated in float32, where numpy uses SIMD.
+def featurize_f32trig(rmap: RffMap, X: np.ndarray) -> np.ndarray:
+    """The (n, D) float32 sin/cos values t32 of the cells, unscaled.
 
-    X @ W is computed and reduced to [-pi, pi] in float64, so the float32
-    argument carries only its own rounding at any cell magnitude: entries
-    differ from featurize_batch by at most about 1.6e-7 * scale (5e-9 at
-    D=2000). The result and the scaling are float64. With raw=True the
-    result is the unscaled float32 sin/cos values instead, from which the
-    default result is exactly rmap.scale * raw.astype(np.float64). Rows go
-    through the trig TRIG_CHUNK elements at a time in reused buffers, so
-    apart from the result no temporary grows with n.
+    sin/cos run in float32, where numpy uses SIMD, on X @ W computed and
+    reduced to [-pi, pi] in float64, so the float32 argument carries only
+    its own rounding at any cell magnitude. rmap.scale * t32, scaled in
+    float64, is the feature map: its entries differ from featurize_batch by
+    at most about 1.6e-7 * scale (5e-9 at D=2000). Rows go through the trig
+    TRIG_CHUNK elements at a time in reused buffers, so apart from the
+    result no temporary grows with n.
     """
     X = _as_cells(rmap, X)
     n, half = X.shape[0], rmap.D // 2
-    out = np.empty((n, rmap.D), np.float32 if raw else np.float64)
+    out = np.empty((n, rmap.D), np.float32)
     rows = max(1, min(n, TRIG_CHUNK // half))
     z, turns = np.empty((rows, half)), np.empty((rows, half))
     z32 = np.empty((rows, half), np.float32)
-    trig32 = None if raw else np.empty((rows, rmap.D), np.float32)
     for r in range(0, n, rows):
         c = min(rows, n - r)
         zc, tc, z32c = z[:c], turns[:c], z32[:c]
-        trig = out[r:r + c] if raw else trig32[:c]
         _phases(X[r:r + c], rmap.W, out=zc)
         np.multiply(zc, 1.0 / TWO_PI, out=tc)
         np.rint(tc, out=tc)
         tc *= TWO_PI
         zc -= tc
         z32c[...] = zc
-        np.sin(z32c, out=trig[:, :half])
-        np.cos(z32c, out=trig[:, half:])
-        if not raw:
-            np.multiply(trig, rmap.scale, out=out[r:r + c], dtype=np.float64)
+        np.sin(z32c, out=out[r:r + c, :half])
+        np.cos(z32c, out=out[r:r + c, half:])
     return out
 
 

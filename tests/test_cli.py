@@ -173,6 +173,21 @@ class TestTrainPredict:
         swap = (tmp_path / "swap" / "predictions.csv").read_text().splitlines()[-1]
         assert orig.split(",")[1:] == swap.split(",")[1:]
 
+    def test_predict_aligns_positional_files_to_the_first(self, tmp_path):
+        # a model without marker_names: b.csv holds a.csv's cells under the
+        # header f1,f0, and c.csv holds b.csv's cells with the columns f0,f1
+        model = tmp_path / "model.txt"
+        model.write_text(MODEL_V1.read_text().replace("marker_names f0,f1", "marker_names "))
+        cells = np.random.default_rng(2).normal(size=(30, 2))
+        for name, header, columns in [("a", "f0,f1", [0, 1]), ("b", "f1,f0", [0, 1]),
+                                      ("c", "f0,f1", [1, 0])]:
+            np.savetxt(tmp_path / f"{name}.csv", cells[:, columns], delimiter=",",
+                       header=header, comments="")
+        assert main(["predict", "--model", str(model), "--out", str(tmp_path / "p")]
+                    + [str(tmp_path / f"{name}.csv") for name in "abc"]) == EXIT_OK
+        a, b, c = data_rows(tmp_path / "p" / "predictions.csv")
+        assert b[1:] == c[1:] and b[1:] != a[1:]
+
     def test_naive_features_cannot_be_trained(self, separable_dir, tmp_path):
         code = main(["train", "--manifest", manifest_of(separable_dir),
                      "--model", str(tmp_path / "m.txt"), "--out", str(tmp_path / "t"),
@@ -295,6 +310,25 @@ class TestFeaturizeHerd:
         err = capsys.readouterr().err
         assert repr(sample_id) in err and len(err.strip().splitlines()) == 1
         assert not (tmp_path / "run").exists()  # no cell file, not even inside --out
+
+
+@pytest.mark.parametrize("command", ["train", "crossval", "predict", "interpret", "herd",
+                                     "featurize"])
+def test_empty_sample_id_exits_3(separable_dir, tmp_path, capsys, command):
+    # before, every command took the file stem "neg_000" as the id, and herd
+    # wrote cells/neg_000.csv for it
+    cells = separable_dir / "data" / "cells"
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("sample_id,path,label\n"
+                        f"pos_000,{cells / 'pos_000.csv'},pos\n"
+                        f",{cells / 'neg_000.csv'},neg\n")
+    model = ["--model", str(tmp_path / "m.txt") if command == "train" else str(MODEL_V1)]
+    argv = [command, "--manifest", str(manifest), "--out", str(tmp_path / "o")] + FAST
+    assert main(argv + (model if command in ("train", "predict", "interpret") else [])) \
+        == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "manifest row 2 has an empty sample_id" in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o").exists()
 
 
 def data_rows(path):

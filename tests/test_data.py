@@ -20,7 +20,7 @@ from setkernel import (
     save_sample_set,
 )
 from setkernel.cli import EXIT_DATA, EXIT_OK, main
-from setkernel.data import write_manifest
+from setkernel.data import read_manifest, write_manifest
 
 from conftest import MODEL_V1, make_sample
 
@@ -210,6 +210,19 @@ class TestManifest:
             load_manifest(manifest)
         assert main(["train", "--manifest", str(manifest), "--model", str(tmp_path / "m.txt"),
                      "--D", "16", "--out", str(tmp_path / "t")]) == EXIT_DATA
+
+    def test_empty_sample_id_rejected(self, tmp_path):
+        # before, the file stem "s2" silently stood in for the missing id
+        manifest = self._write_dataset(tmp_path)
+        with open(manifest, "a", encoding="utf-8") as fh:
+            fh.write(" ,s2.csv,case\n")
+        with pytest.raises(DataError, match="manifest row 5 has an empty sample_id"):
+            read_manifest(manifest)
+
+    def test_stem_stands_in_only_for_no_id(self, tmp_path):
+        write(tmp_path / "a.csv", "CD3\n1.0\n")
+        assert load_sample_set(tmp_path / "a.csv").sample_id == "a"
+        assert load_sample_set(tmp_path / "a.csv", sample_id="").sample_id == ""
 
     def test_repeated_marker_exit_3(self, tmp_path, capsys):
         from setkernel.cli import EXIT_DATA, main

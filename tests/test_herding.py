@@ -12,7 +12,7 @@ from setkernel import herding
 from setkernel.config import derive_seed
 from setkernel.embedding import embed_matrix
 from setkernel.herding import HerdingResult
-from setkernel.rff import featurize_batch, featurize_f32trig
+from setkernel.rff import RffMap, featurize_batch, featurize_f32trig
 from setkernel.synth import _draw_sample, benchmark_spec
 
 from conftest import make_sample
@@ -47,10 +47,11 @@ class TestHerd:
         s = make_sample(rng.normal(size=(50, 2)))
         assert herd(small_map, s, 20) == herd(small_map, s, 20)
 
-    def test_chunked_path_matches_cached(self, small_map, rng):
+    def test_chunked_path_matches_cached(self, small_map, rng, used_sources):
         s = make_sample(rng.normal(size=(100, 2)))
         cached = herd(small_map, s, 30)
         chunked = herd(small_map, s, 30, max_cache_bytes=1024)
+        assert used_sources == ["_scan_source", "_stream_trig", "_scan_source"]
         assert cached.selected_indices == chunked.selected_indices
 
     @pytest.mark.parametrize("m", [0, -1, 51])
@@ -78,6 +79,11 @@ class TestHerd:
         assert np.mean(errs_h) < np.mean(errs_u)
 
 
+def f32trig_phi(rmap, cells):
+    """phi = scale * t32, scaled in float64 as herding scales it."""
+    return np.multiply(featurize_f32trig(rmap, cells), rmap.scale, dtype=np.float64)
+
+
 def oracle_herd(rmap, cells, m):
     """Reference loop: rescan phi @ theta over every cell on each pick."""
     phi = featurize_batch(rmap, cells)
@@ -95,11 +101,17 @@ def oracle_herd(rmap, cells, m):
     return tuple(picks)
 
 
+# what used_sources records for a herd through each source: the stream
+# source feeds recomputed trig values to the scan source's screen
+CALLS = {"_gram_source": ["_gram_source"], "_scan_source": ["_scan_source"],
+         "_stream_trig": ["_stream_trig", "_scan_source"]}
+
+
 @pytest.fixture
 def used_sources(monkeypatch):
     """Names of the herding column sources called, in call order."""
     used = []
-    for name in ("_gram_source", "_scan_source", "_chunked_source"):
+    for name in CALLS:
         source = getattr(herding, name)
         monkeypatch.setattr(herding, name,
                             lambda *a, f=source, tag=name: used.append(tag) or f(*a))
@@ -110,7 +122,7 @@ def used_sources(monkeypatch):
 def column_calls(monkeypatch):
     """The cells whose column K[:, i] herd asked its source for, in call order."""
     calls = []
-    for name in ("_gram_source", "_scan_source", "_chunked_source"):
+    for name in ("_gram_source", "_scan_source"):
         def counted(*a, f=getattr(herding, name)):
             s0, column, pick = f(*a)
             return s0, lambda i: calls.append(i) or column(i), pick
@@ -123,7 +135,8 @@ class TestColumnSources:
 
     D=400 spans two frequency blocks and n > 256 at least two row stripes of
     the Gram build. n=450 is within 8 * M but above D, so it takes the scan
-    source.
+    source. max_cache_bytes=1024 holds no trig values, so the scan source
+    screens values recomputed by _stream_trig.
     """
 
     M = 60  # 8 * M = 480
@@ -141,15 +154,15 @@ class TestColumnSources:
         gram = n <= herding.GRAM_MAX_N_PER_M * self.M and n <= rmap.D
         for cache, source in [(herding.DEFAULT_CACHE_BYTES,
                                "_gram_source" if gram else "_scan_source"),
-                              (1024, "_chunked_source")]:
+                              (1024, "_stream_trig")]:
             used_sources.clear()
             assert herd(rmap, s, self.M, max_cache_bytes=cache).selected_indices == expected
-            assert used_sources == [source]
+            assert used_sources == CALLS[source]
 
     @pytest.mark.parametrize("D, cache, source", [
         (400, herding.DEFAULT_CACHE_BYTES, "_gram_source"),
         (300, herding.DEFAULT_CACHE_BYTES, "_scan_source"),
-        (400, 1024, "_chunked_source"),
+        (400, 1024, "_stream_trig"),
     ])
     def test_duplicate_cells_go_to_smallest_index(self, used_sources, D, cache, source):
         # exact ties: every copy of a cell scores the same, the first copy wins
@@ -158,25 +171,39 @@ class TestColumnSources:
         cells[::7] = cells[0]
         rmap = sample_frequencies(2, D, 1.0, 9)
         picks = herd(rmap, make_sample(cells), self.M, max_cache_bytes=cache).selected_indices
-        assert used_sources == [source]
+        assert used_sources == CALLS[source]
         assert picks == oracle_herd(rmap, cells, self.M)
         for t, i in enumerate(picks):
             copies = np.flatnonzero((cells[:i] == cells[i]).all(axis=1))
             assert set(copies) <= set(picks[:t])
         assert 0 in picks  # the group of 52 copies of cell 0 is reached
 
+    @pytest.mark.parametrize("chunk_rows", [64, 7])
+    @pytest.mark.parametrize("copies", [False, True])
+    def test_stream_chunks_match_oracle(self, used_sources, monkeypatch, chunk_rows, copies):
+        # 360 cells span many chunks; with copies, the rows checked against
+        # each copy's first row, and the rows rescored, come from several chunks
+        monkeypatch.setattr(herding, "CHUNK_ROWS", chunk_rows)
+        gen = np.random.default_rng(chunk_rows)
+        cells = np.round(gen.normal(size=(360, 2)), 1)
+        if copies:
+            cells[::7] = cells[100]
+        rmap = sample_frequencies(2, 400, 1.0, 9)
+        picks = herd(rmap, make_sample(cells), self.M, max_cache_bytes=1024).selected_indices
+        assert used_sources == CALLS["_stream_trig"]
+        assert picks == oracle_herd(rmap, cells, self.M)
 
     @pytest.mark.parametrize("n, cache, source", [
         (300, herding.DEFAULT_CACHE_BYTES, "_gram_source"),
         (600, herding.DEFAULT_CACHE_BYTES, "_scan_source"),
-        (300, 1024, "_chunked_source"),
+        (300, 1024, "_stream_trig"),
     ])
     def test_m_picks_take_m_minus_1_columns(self, used_sources, column_calls, n, cache,
                                             source):
         rmap = sample_frequencies(2, 400, 1.0, 3)
         cells = np.random.default_rng(n).normal(size=(n, 2))
         picks = herd(rmap, make_sample(cells), self.M, max_cache_bytes=cache).selected_indices
-        assert used_sources == [source]
+        assert used_sources == CALLS[source]
         assert column_calls == list(picks[:-1])  # none for the last pick
         assert picks == oracle_herd(rmap, cells, self.M)
         column_calls.clear()
@@ -263,16 +290,15 @@ class TestFloat32Trig:
     def test_agrees_with_float64_featurizer(self, scale):
         rmap = sample_frequencies(5, 2000, 1.0, 21)
         cells = np.random.default_rng(3).normal(size=(300, 5)) * scale
-        fast = featurize_f32trig(rmap, cells)
-        assert fast.dtype == np.float64 and fast.shape == (300, 2000)
-        assert np.abs(fast - featurize_batch(rmap, cells)).max() <= 2e-8
+        t32 = featurize_f32trig(rmap, cells)
+        assert t32.dtype == np.float32 and t32.shape == (300, 2000)
+        assert np.abs(f32trig_phi(rmap, cells) - featurize_batch(rmap, cells)).max() <= 2e-8
 
     @pytest.mark.parametrize("rows", [1, 2000])  # one row; many trig passes
     def test_any_row_count(self, rows):
         rmap = sample_frequencies(3, 64, 1.0, 2)
         cells = np.random.default_rng(4).normal(size=(rows, 3)) * 1e3
-        assert np.abs(featurize_f32trig(rmap, cells)
-                      - featurize_batch(rmap, cells)).max() <= 2e-7
+        assert np.abs(f32trig_phi(rmap, cells) - featurize_batch(rmap, cells)).max() <= 2e-7
 
     def test_wrong_d_rejected(self, small_map):
         with pytest.raises(ValueError, match="map expects d=2"):
@@ -281,7 +307,7 @@ class TestFloat32Trig:
     @pytest.mark.parametrize("D, cache, source", [
         (400, herding.DEFAULT_CACHE_BYTES, "_gram_source"),
         (300, herding.DEFAULT_CACHE_BYTES, "_scan_source"),
-        (400, 1024, "_chunked_source"),
+        (400, 1024, "_stream_trig"),
     ])
     def test_raw_intensities_match_oracle(self, used_sources, D, cache, source):
         # cells ~1e4 with gamma=100: sin/cos arguments reach thousands of radians
@@ -289,7 +315,7 @@ class TestFloat32Trig:
         cells = np.abs(gen.normal(loc=1e4, scale=2e3, size=(360, 3)))
         rmap = sample_frequencies(3, D, 100.0, 17)
         picks = herd(rmap, make_sample(cells), 60, max_cache_bytes=cache).selected_indices
-        assert used_sources == [source]
+        assert used_sources == CALLS[source]
         assert picks == oracle_herd(rmap, cells, 60)
 
     def test_criterion_2_sample_10_near_tie(self, used_sources):
@@ -302,13 +328,20 @@ class TestFloat32Trig:
         assert used_sources == ["_gram_source"]
         assert picks == oracle_herd(rmap, sample.cells, 256)
 
-    def test_raw_mode_is_unscaled_float32_trig(self):
+    def test_gram_source_scales_in_float64(self):
+        # phi = scale * t32 rounded to float32 would move K's entries by about
+        # 1e-8; a Gram matrix built in float64 stays within 1e-12
         rmap = sample_frequencies(3, 400, 1.0, 6)
         cells = np.random.default_rng(9).normal(size=(500, 3)) * 1e3
-        raw = featurize_f32trig(rmap, cells, raw=True)
-        assert raw.dtype == np.float32 and raw.shape == (500, 400)
-        np.testing.assert_array_equal(rmap.scale * raw.astype(np.float64),
-                                      featurize_f32trig(rmap, cells))
+        _, column, _ = herding._gram_source(rmap, cells)
+        expected = np.zeros((500, 500))
+        for start in range(0, rmap.D // 2, herding.GRAM_BLOCK):  # 125 + 75 frequencies
+            W = rmap.W[:, start:start + herding.GRAM_BLOCK]
+            block = RffMap(W=W, gamma=rmap.gamma, D=2 * W.shape[1], seed=rmap.seed,
+                           scale=rmap.scale)
+            phi = rmap.scale * featurize_f32trig(block, cells).astype(np.float64)
+            expected += phi @ phi.T
+        assert np.abs(np.array([column(i) for i in range(500)]) - expected).max() <= 1e-12
 
 
 @pytest.fixture
@@ -317,8 +350,8 @@ def rescore_sets(monkeypatch):
     sizes = []
     best = herding._best
     monkeypatch.setattr(herding, "_best",
-                        lambda t32, scale, theta, rows, first:
-                        sizes.append(len(rows)) or best(t32, scale, theta, rows, first))
+                        lambda trig, scale, theta, rows, first:
+                        sizes.append(len(rows)) or best(trig, scale, theta, rows, first))
     return sizes
 
 
@@ -361,8 +394,8 @@ class TestScreenedScan:
     def test_column_is_scaled_in_float64(self):
         rmap = sample_frequencies(2, 64, 1.0, 4)
         cells = np.random.default_rng(12).normal(size=(700, 2))
-        t32 = featurize_f32trig(rmap, cells, raw=True)
-        _, column, _ = herding._scan_source(rmap, cells)
+        t32 = featurize_f32trig(rmap, cells)
+        _, column, _ = herding._scan_source(rmap, cells, t32.__getitem__, t32.__matmul__)
         col = column(5)
         assert col.dtype == np.float64
         np.testing.assert_array_equal(

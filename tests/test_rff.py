@@ -49,9 +49,7 @@ class TestSampleFrequencies:
 
 
 class TestFeaturize:
-    @pytest.mark.parametrize("featurizer", [
-        featurize_batch, featurize_f32trig,
-        lambda rmap, X: featurize_f32trig(rmap, X, raw=True)])
+    @pytest.mark.parametrize("featurizer", [featurize_batch, featurize_f32trig])
     @pytest.mark.parametrize("big", [1e308, -1e308])
     def test_overflowing_cell_raises_without_warning(self, small_map, featurizer, big):
         X = np.zeros((40, 2))

@@ -10,6 +10,7 @@ every update, and convergence is declared on the exact duality gap.
 
 from __future__ import annotations
 
+import csv
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -22,7 +23,7 @@ from . import data as dat
 from .config import PipelineConfig, derive_seed
 from .data import FLOAT_FMT, LabeledDataset, SampleSet, Standardizer
 from .embedding import MeanEmbedding, embed_matrix, naive_mean
-from .errors import ConfigError, ModelFormatError, NumericalError
+from .errors import ConfigError, DataError, ModelFormatError, NumericalError
 from .herding import herd, uniform_subsample
 from .rff import GENERATOR_NAME, RffMap, philox_rng, sample_frequencies
 
@@ -374,7 +375,7 @@ def fit_pipeline(dataset: LabeledDataset, cfg: PipelineConfig) -> LinearModel:
         "m": "all" if cfg.m is None else str(cfg.m),
         "subsample_method": cfg.subsample_method,
         "seed": str(cfg.seed),
-        "marker_names": ",".join(dataset.marker_names),
+        "marker_names": dat.csv_line(dataset.marker_names),
         "solver_gap": res.gap,
         "solver_converged": res.converged,
     }
@@ -416,14 +417,21 @@ def save_model(model: LinearModel, path) -> None:
     """Write the model as UTF-8 text; all numeric fields round-trip exactly.
 
     W is not written: (d, D, gamma, seed, generator) regenerate it bit for bit,
-    so a map whose W is not its seed's draw is refused.
+    so a map whose W is not its seed's draw is refused. marker_names is one
+    CSV row (data.csv_line). Each field takes one line, so a label or marker
+    name holding a line break is refused before anything is written.
     """
     rff = model.rff
     if sample_frequencies(rff.d, rff.D, rff.gamma, rff.seed).W.tobytes() != rff.W.tobytes():
         raise ValueError("model W is not the draw of its seed and cannot be saved")
+    meta = model.train_meta
+    for key in ("label_neg", "label_pos", "marker_names"):
+        value = str(meta.get(key, ""))
+        if "".join(value.splitlines()) != value:
+            raise DataError(f"{key} {value!r} holds a line break, which a model file "
+                            "cannot store")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    meta = model.train_meta
     lines = [f"{MODEL_MAGIC} {MODEL_VERSION}"]
     lines.append("KERNEL")
     lines.append(f"gamma {_fmt(rff.gamma)}")
@@ -537,7 +545,7 @@ def load_model(path) -> LinearModel:
                 f"(this build supports {GENERATOR_NAME!r})"
             )
         # Checked before W is drawn, so a corrupted d or D cannot size a huge W.
-        if meta["marker_names"] and len(meta["marker_names"].split(",")) != d:
+        if meta["marker_names"] and len(dat.csv_fields(meta["marker_names"])) != d:
             raise ModelFormatError(f"{path}: d={d} disagrees with marker_names")
         if beta.shape[0] != D:
             raise ModelFormatError(f"{path}: beta has length {beta.shape[0]}, D={D}")
@@ -559,5 +567,6 @@ def load_model(path) -> LinearModel:
         model = LinearModel(beta=beta, bias=bias, rff=rmap, reg_c=reg_c, train_meta=meta)
         model_config(model).validate()  # the pipeline settings predict applies
         return model
-    except (ValueError, IndexError, MemoryError) as e:  # ConfigError is a ValueError
+    # ConfigError is a ValueError; csv.Error: a marker_names field over csv's size limit
+    except (ValueError, IndexError, MemoryError, csv.Error) as e:
         raise ModelFormatError(f"{path}: corrupted model file: {e}") from e

@@ -10,6 +10,7 @@ Exit codes: 0 ok, 2 config/validation, 3 data/IO, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -37,6 +38,7 @@ from .config import (
 from .data import (
     FLOAT_FMT,
     LabeledDataset,
+    csv_fields,
     load_manifest,
     load_sample_set,
     map_samples,
@@ -87,20 +89,19 @@ def _write_meta(out_dir: Path, cfg: PipelineConfig, command: str) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows, comment: str | None = None) -> None:
+    """A header and rows, a field quoted only where it holds a comma, quote or newline."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    out = []
-    if comment:
-        out.append(comment)
-    out.append(",".join(header))
-    for row in rows:
-        out.append(",".join(row))
-    path.write_text("\n".join(out) + "\n", encoding="utf-8")
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        if comment:
+            fh.write(comment + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _model_markers(model) -> list[str] | None:
     """The model's training marker order, which sample columns are aligned to."""
-    names = model.train_meta.get("marker_names", "")
-    return names.split(",") if names else None
+    return csv_fields(model.train_meta.get("marker_names", "")) or None
 
 
 def _cell_file_name(sample_id: str) -> str:
@@ -215,8 +216,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    cfg = _effective_config(args)
+    _effective_config(args)  # the flags are checked, but the model's settings apply
     model = load_model(args.model)
+    cfg = model_config(model)
     markers = _model_markers(model)
     manifest = read_manifest(args.manifest) if args.manifest else None
     if manifest is None and not args.samples:
@@ -236,7 +238,7 @@ def cmd_predict(args) -> int:
     rows += [row(load_sample_set(path, expected_markers=markers)) for path in args.samples]
     out_dir = Path(args.out)
     _write_csv(out_dir / "predictions.csv", ["sample_id", "decision", "label"], rows,
-               _config_comment(model_config(model)))
+               _config_comment(cfg))
     _write_meta(out_dir, cfg, "predict")
     print(f"wrote {out_dir / 'predictions.csv'}")
     return EXIT_OK
@@ -297,8 +299,10 @@ def cmd_crossval(args) -> int:
 
 
 def cmd_interpret(args) -> int:
-    cfg = _effective_config(args)
+    flags = _effective_config(args)
     model = load_model(args.model)
+    # the model's settings apply; only the clustering's come from the command line
+    cfg = replace(model_config(model), clusters_C=flags.clusters_C, seed=flags.seed)
     manifest = read_manifest(args.manifest)
     # Clustering runs in the feature space the model consumes (after its
     # stored preprocessing), which summary.txt records.
@@ -385,20 +389,22 @@ def cmd_stats(args) -> int:
     labels_by_id = dict(zip(manifest.sample_ids, manifest.labels))
     freq_path = Path(args.frequencies)
     try:
-        lines = [ln for ln in freq_path.read_text(encoding="utf-8").splitlines()
-                 if ln and not ln.startswith("#")]
-    except (OSError, UnicodeDecodeError) as e:
+        with freq_path.open(encoding="utf-8", newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    # ValueError: a path with a NUL byte; csv.Error: a field over csv's size limit
+    except (OSError, UnicodeDecodeError, ValueError, csv.Error) as e:
         raise DataError(f"cannot read frequencies file {freq_path}: {e}") from e
-    if not lines:
+    while rows and rows[0][0].startswith("#"):  # the leading '# config' comment
+        rows.pop(0)
+    if not rows:
         raise DataError(f"{freq_path}: empty frequencies file")
-    header = lines[0].split(",")
+    header = rows[0]
     col = f"freq_{args.cluster}"
     if col not in header:
         raise ConfigError(f"cluster {args.cluster} not present in {freq_path}")
     ci = header.index(col)
     neg, pos = [], []
-    for r, ln in enumerate(lines[1:], start=1):
-        fields = ln.split(",")
+    for r, fields in enumerate(rows[1:], start=1):
         if len(fields) != len(header):
             raise DataError(f"{freq_path}: row {r} has {len(fields)} fields, "
                             f"expected {len(header)}")

@@ -9,6 +9,7 @@ binary labels.
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -226,6 +227,18 @@ def save_sample_set(sample: SampleSet, path) -> None:
         cells = sample.cells
         for start in range(0, cells.shape[0], 4096):  # bounds the Python floats held at once
             fh.writelines(row % tuple(r) for r in cells[start:start + 4096].tolist())
+
+
+def csv_line(fields: Sequence[str]) -> str:
+    """fields as one CSV row without a line end, quoted only where one needs it."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(fields)
+    return buf.getvalue()
+
+
+def csv_fields(line: str) -> list[str]:
+    """The fields of one csv_line row; an empty line has none."""
+    return next(csv.reader([line]), [])
 
 
 @dataclass(frozen=True)

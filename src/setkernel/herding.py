@@ -67,17 +67,21 @@ def herd(rmap: RffMap, sample: SampleSet, m: int,
     n <= D and K fits in max_cache_bytes, else from the certified float32
     screen of _scan_source, on t32 cached when its n * D * 4 bytes fit and
     recomputed otherwise. m picks read m - 1 columns, none for the last pick.
+    Duplicate cells are grouped before t32 is built, so beside a cached t32
+    the screen holds only X, O(n) vectors and RESCORE_ROWS rows of phi.
     """
     X = sample.cells
     n = X.shape[0]
     _check_m(m, n)
     if n <= GRAM_MAX_N_PER_M * m and n <= rmap.D and n * n * 8 <= max_cache_bytes:
         s0, column, pick = _gram_source(rmap, X)
-    elif n * rmap.D * 4 <= max_cache_bytes:
-        t32 = featurize_f32trig(rmap, X)
-        s0, column, pick = _scan_source(rmap, X, t32.__getitem__, t32.__matmul__)
     else:
-        s0, column, pick = _scan_source(rmap, X, *_stream_trig(rmap, X))
+        same = _same_cells(X)  # before t32 exists: np.unique's copies of X never sit beside it
+        if n * rmap.D * 4 <= max_cache_bytes:
+            t32 = featurize_f32trig(rmap, X)
+            s0, column, pick = _scan_source(rmap, same, t32.__getitem__, t32.__matmul__)
+        else:
+            s0, column, pick = _scan_source(rmap, same, *_stream_trig(rmap, X))
     scores = s0.copy()
     selected = np.empty(m, dtype=int)
     for t in range(m):
@@ -129,9 +133,10 @@ def _stream_trig(rmap, X):
     return trig, lambda v: np.concatenate([chunk(s) @ v for s in range(0, len(X), CHUNK_ROWS)])
 
 
-def _scan_source(rmap, X, trig, products):
+def _scan_source(rmap, same, trig, products):
     """Columns screened in float32, picks certified in float64.
 
+    same[j] is the first row holding cell j's bytes (_same_cells).
     trig(rows) returns the float32 sin/cos values t32[rows], from which
     phi = scale * t32 exactly, and products(v) the float32 product t32 @ v.
     A float32 dot product of length D is within
@@ -145,13 +150,13 @@ def _scan_source(rmap, X, trig, products):
     kept in float64, and the pick is the best float64 score, smallest index
     on ties: the pick the float64 loop makes, while reading half the bytes.
     """
-    n, D, scale = X.shape[0], rmap.D, rmap.scale
+    n, D, scale = len(same), rmap.D, rmap.scale
     every = np.arange(n)
     theta0 = sum(_phi_rows(trig, scale, every[s:s + RESCORE_ROWS]).sum(axis=0)
                  for s in range(0, n, RESCORE_ROWS)) / n
     s0 = _exact_scores(trig, scale, theta0, every)
     theta = theta0.copy()
-    first = _first_copies(X, trig)
+    first = _split_trig_copies(same, trig)
     gamma_d = D * 2.0 ** -24 / (1 - D * 2.0 ** -24)
 
     def pick(scores, t):
@@ -180,6 +185,7 @@ def _exact_scores(trig, scale, theta, rows):
     for s in range(0, len(rows), RESCORE_ROWS):
         phi = _phi_rows(trig, scale, rows[s:s + RESCORE_ROWS])
         out[s:s + RESCORE_ROWS] = np.einsum("ij,j->i", phi, theta)
+        del phi  # so the next block's phi is not built beside this one
     return out
 
 
@@ -192,11 +198,18 @@ def _best(trig, scale, theta, rows, first):
     return int(rows[np.argmax(_exact_scores(trig, scale, theta, groups)[where])])
 
 
-def _first_copies(X, trig):
-    """For each row, the first row holding the same cell and the same trig values."""
+def _same_cells(X):
+    """For each row, the first row holding the same cell bytes."""
     cells = np.ascontiguousarray(X).view(np.dtype((np.void, X.itemsize * X.shape[1]))).ravel()
     _, first, inverse = np.unique(cells, return_index=True, return_inverse=True)
-    first = first[inverse]
+    return first[inverse]
+
+
+def _split_trig_copies(first, trig):
+    """first, with each copy whose trig values differ from its first row's made its own first.
+
+    X @ W need not round copies in different row blocks alike. first is updated in place.
+    """
     copies = np.flatnonzero(first != np.arange(len(first)))
     for s in range(0, len(copies), RESCORE_ROWS):
         c = copies[s:s + RESCORE_ROWS]

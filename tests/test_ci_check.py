@@ -12,6 +12,10 @@ _spec.loader.exec_module(check_tier1)
 
 KEPT = '<testcase classname="tests.test_acceptance" name="test_criterion_2_herding_saturation">'
 PASSED = '<testcase classname="tests.test_cli.TestExitCodes" name="test_linalg_error_exits_4"/>'
+FAILED_KEPT = KEPT + '<failure message="x"/></testcase>'
+SKIPPED = '<skipped type="pytest.skip" message="x"/></testcase>'
+SKLEARN = ('<testcase classname="tests.test_classifier.TestSolver"'
+           ' name="test_matches_reference_solver">')
 
 
 def run(tmp_path, monkeypatch, *cases):
@@ -23,7 +27,12 @@ def run(tmp_path, monkeypatch, *cases):
 
 
 def test_only_the_kept_failure_passes(tmp_path, monkeypatch):
-    assert run(tmp_path, monkeypatch, PASSED, KEPT + '<failure message="x"/></testcase>') == 0
+    assert run(tmp_path, monkeypatch, PASSED, FAILED_KEPT) == 0
+
+
+@pytest.mark.parametrize("sklearn", [SKLEARN + SKIPPED, SKLEARN + "</testcase>"])
+def test_the_sklearn_comparison_may_skip_or_run(tmp_path, monkeypatch, sklearn):
+    assert run(tmp_path, monkeypatch, PASSED, sklearn, FAILED_KEPT) == 0
 
 
 @pytest.mark.parametrize("cases", [
@@ -34,6 +43,8 @@ def test_only_the_kept_failure_passes(tmp_path, monkeypatch):
     (KEPT + "<failure/></testcase>",
      '<testcase classname="" name="tests.test_broken"><error message="collection"/></testcase>'),
     (),
+    (PASSED.replace("/>", ">") + SKIPPED, FAILED_KEPT),  # any other skip
+    (SKLEARN.replace("test_matches", "test_other") + SKIPPED, FAILED_KEPT),
 ])
 def test_any_other_outcome_fails(tmp_path, monkeypatch, cases):
     assert run(tmp_path, monkeypatch, *cases) == 1
@@ -44,3 +55,8 @@ def test_ids_follow_pytest(monkeypatch):
     assert (check_tier1.node_id("tests.test_cli.TestExitCodes", "test_a[1]")
             == "tests/test_cli.py::TestExitCodes::test_a[1]")
     assert check_tier1.node_id("tests.test_acceptance", "test_b") == "tests/test_acceptance.py::test_b"
+
+
+def test_no_report_prints_usage(capsys):
+    assert check_tier1.main([]) == 2
+    assert capsys.readouterr().err.startswith("Usage: python3 .github/check_tier1.py")

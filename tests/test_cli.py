@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import warnings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from setkernel import LinearModel, save_model, sample_frequencies
 from setkernel.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, main
 from setkernel.config import build_config, parse_config_file
-from setkernel.data import load_sample_set
+from setkernel.data import load_sample_set, write_manifest
 from setkernel.errors import ConfigError
 
 from conftest import MODEL_V1
@@ -336,6 +337,72 @@ def data_rows(path):
             if ln and not ln.startswith("#")][1:]
 
 
+def csv_rows(path):
+    """The rows of a written CSV, parsed with csv, after its '# config' comment."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [row for row in csv.reader(fh) if not row[0].startswith("#")]
+
+
+def marker_cohort(root, header=("CD3,a", "CD4"), neg="neg", first_id="s0"):
+    """8 separable samples of 30 cells under header, the first 4 labelled neg,
+    the first with id first_id; returns the manifest path and the labels."""
+    cells = np.random.default_rng(4).normal(size=(8, 30, 2))
+    entries = []
+    for k in range(8):
+        path = root / f"s{k}.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header, *(cells[k] + 4 * (k >= 4))])
+        entries.append((first_id if k == 0 else f"s{k}", path.name, neg if k < 4 else "pos"))
+    write_manifest(entries, root / "manifest.csv")
+    return str(root / "manifest.csv"), [label for _, _, label in entries]
+
+
+class TestQuoting:
+    """Ids, labels and marker names holding commas survive every output."""
+
+    def test_comma_names_through_train_predict_interpret_stats(self, tmp_path, capsys):
+        manifest, labels = marker_cohort(tmp_path, first_id="id,neg0")
+        model = tmp_path / "model.txt"
+        assert main(["train", "--manifest", manifest, "--model", str(model),
+                     "--out", str(tmp_path / "t")] + FAST) == EXIT_OK
+        assert '\nmarker_names "CD3,a",CD4\n' in model.read_text()
+        assert main(["predict", "--manifest", manifest, "--model", str(model),
+                     "--out", str(tmp_path / "p")]) == EXIT_OK
+        predictions = csv_rows(tmp_path / "p" / "predictions.csv")
+        assert all(len(row) == 3 for row in predictions)
+        assert predictions[1][0] == "id,neg0"
+        assert [row[2] for row in predictions[1:]] == labels
+        assert main(["interpret", "--manifest", manifest, "--model", str(model),
+                     "--out", str(tmp_path / "i"), "--clusters-C", "3", "--seed", "1"]) == 0
+        for name in ("scores.csv", "frequencies.csv"):
+            rows = csv_rows(tmp_path / "i" / name)
+            assert all(len(row) == len(rows[0]) for row in rows)
+            assert rows[1][0] == "id,neg0"
+        capsys.readouterr()
+        assert main(["stats", "--manifest", manifest, "--frequencies",
+                     str(tmp_path / "i" / "frequencies.csv"), "--cluster", "0",
+                     "--out", str(tmp_path / "s")]) == EXIT_OK
+        assert "rank_sum_p" in capsys.readouterr().out
+
+    def test_plain_marker_names_keep_the_model_bytes(self, separable_dir, tmp_path):
+        model = tmp_path / "model.txt"
+        assert main(["train", "--manifest", manifest_of(separable_dir), "--model", str(model),
+                     "--out", str(tmp_path / "t")] + FAST) == EXIT_OK
+        assert "\nmarker_names f0,f1\n" in model.read_text()
+
+    @pytest.mark.parametrize("header, neg", [(("CD3\nx", "CD4"), "neg"),
+                                             (("CD3", "CD4"), "ne\ng"),
+                                             (("CD3", "CD4"), "ne\rg")])
+    def test_line_break_exits_3_before_writing(self, tmp_path, capsys, header, neg):
+        manifest, _ = marker_cohort(tmp_path, header, neg)
+        out = tmp_path / "run"
+        assert main(["train", "--manifest", manifest, "--model", str(out / "model.txt"),
+                     "--out", str(out / "t")] + FAST) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "line break" in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+
 class TestSelectionRule:
     """One rule for every command: m >= n (or m=all) keeps the cells in storage order."""
 
@@ -601,6 +668,30 @@ class TestConfigPrecedence:
                      "--folds", "4", "--runs", "1", "--seed", "1"])
         assert code == EXIT_OK
         assert "m=all" in (tmp_path / "cv" / "meta.txt").read_text()
+
+
+class TestAppliedConfig:
+    """predict and interpret record the settings they applied: the model's."""
+
+    def test_meta_and_comments_follow_the_model(self, separable_dir, tmp_path):
+        model = str(tmp_path / "model.txt")
+        assert main(["train", "--manifest", manifest_of(separable_dir), "--model", model,
+                     "--out", str(tmp_path / "t"), "--gamma", "3", "--reg-c", "2",
+                     "--subsample-method", "uniform", "--seed", "7"] + FAST[:4]) == EXIT_OK
+        assert main(["predict", "--manifest", manifest_of(separable_dir), "--model", model,
+                     "--out", str(tmp_path / "p")]) == EXIT_OK
+        assert main(["interpret", "--manifest", manifest_of(separable_dir), "--model", model,
+                     "--out", str(tmp_path / "i"), "--clusters-C", "3", "--seed", "1"]) == 0
+        applied = {"gamma": "3.0", "D": "128", "m": "20", "reg_c": "2.0",
+                   "subsample_method": "uniform"}
+        for path, extra in [(tmp_path / "p" / "meta.txt", {"seed": "7"}),
+                            (tmp_path / "i" / "meta.txt", {"seed": "1", "clusters_C": "3"})]:
+            meta = dict(ln.split("=", 1) for ln in path.read_text().splitlines())
+            assert {k: meta[k] for k in {**applied, **extra}} == {**applied, **extra}
+        for path in (tmp_path / "p" / "predictions.csv", tmp_path / "i" / "scores.csv"):
+            comment = path.read_text().splitlines()[0]
+            assert "gamma=3.0" in comment and "subsample_method=uniform" in comment
+        assert "clusters_C=3" in (tmp_path / "i" / "summary.txt").read_text()
 
 
 class TestExitCodes:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -395,7 +397,8 @@ class TestScreenedScan:
         rmap = sample_frequencies(2, 64, 1.0, 4)
         cells = np.random.default_rng(12).normal(size=(700, 2))
         t32 = featurize_f32trig(rmap, cells)
-        _, column, _ = herding._scan_source(rmap, cells, t32.__getitem__, t32.__matmul__)
+        _, column, _ = herding._scan_source(rmap, herding._same_cells(cells),
+                                            t32.__getitem__, t32.__matmul__)
         col = column(5)
         assert col.dtype == np.float64
         np.testing.assert_array_equal(
@@ -414,3 +417,19 @@ class TestScreenedScan:
         picks = herd(sample_frequencies(3, 64, 1.0, 2), make_sample(np.ones((3000, 3))), 50)
         assert used_sources == ["_scan_source"]
         assert picks.selected_indices == tuple(range(50))
+
+    def test_cached_peak_is_t32_plus_rescore_rows(self, used_sources):
+        # copies are grouped before t32 exists: beside its n * D * 4 bytes the
+        # herd holds one block of RESCORE_ROWS rows (float32 gathered, float64
+        # scaled) and O(n) vectors, not copies of the n x d cells
+        n, d, D = 20000, 30, 1000
+        sample = make_sample(np.random.default_rng(14).normal(size=(n, d)))
+        rmap = sample_frequencies(d, D, 30.0, 15)
+        tracemalloc.start()
+        try:
+            herd(rmap, sample, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert used_sources == ["_scan_source"]
+        assert peak - n * D * 4 <= herding.RESCORE_ROWS * D * 12 + 64 * n

@@ -419,7 +419,8 @@ def save_model(model: LinearModel, path) -> None:
     W is not written: (d, D, gamma, seed, generator) regenerate it bit for bit,
     so a map whose W is not its seed's draw is refused. marker_names is one
     CSV row (data.csv_line). Each field takes one line, so a label or marker
-    name holding a line break is refused before anything is written.
+    name holding a line break is refused before anything is written. The
+    solver's duality gap and convergence are written when the model has them.
     """
     rff = model.rff
     if sample_frequencies(rff.d, rff.D, rff.gamma, rff.seed).W.tobytes() != rff.W.tobytes():
@@ -455,6 +456,9 @@ def save_model(model: LinearModel, path) -> None:
     if std is not None:
         lines.append(f"standardizer_mean {_fmt_row(std.mean)}")
         lines.append(f"standardizer_std {_fmt_row(std.std)}")
+    if "solver_gap" in meta:  # absent from a model that was loaded from a file without it
+        lines.append(f"solver_gap {_fmt(meta['solver_gap'])}")
+        lines.append(f"solver_converged {str(bool(meta['solver_converged'])).lower()}")
     lines.append("END")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -491,7 +495,8 @@ def load_model(path) -> LinearModel:
     """Read a model file written by save_model; rejects unknown versions.
 
     W is regenerated from the seed. A version-1 file's stored W must equal
-    that draw bit for bit.
+    that draw bit for bit. solver_gap and solver_converged are read when the
+    file has them, as files written since they were added do.
     """
     path = Path(path)
     try:
@@ -536,6 +541,13 @@ def load_model(path) -> LinearModel:
             std_line = cur.keyed("standardizer_std", "META")
             std = np.array([float(v) for v in std_line.split()])
             meta["standardizer"] = Standardizer(mean=mean, std=std)
+            nxt = cur.next("solver_gap or END")
+        if nxt.split(" ", 1)[0] == "solver_gap":  # older files end without the solver fields
+            meta["solver_gap"] = float(nxt.split(" ", 1)[1])
+            converged = cur.keyed("solver_converged", "META")
+            if converged not in ("true", "false"):
+                raise ValueError(f"solver_converged must be true or false, got {converged!r}")
+            meta["solver_converged"] = converged == "true"
             nxt = cur.next("END")
         if nxt.strip() != "END":
             raise ModelFormatError(f"{path}: expected END, got {nxt!r}")

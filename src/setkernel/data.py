@@ -134,9 +134,14 @@ def load_sample_set(path, expected_markers: Sequence[str] | None = None,
     If expected_markers is given, columns are permuted to that order; a
     mismatch in the marker set, or a marker named twice, is an error.
     Row/column positions in error messages are 1-based and count data rows
-    (header excluded); blank lines are skipped but counted.
+    (header excluded); blank lines are skipped but counted. The sample_id
+    defaults to the file stem; one holding a carriage return is an error.
     """
     path = Path(path)
+    sample_id = path.stem if sample_id is None else sample_id
+    if "\r" in sample_id:  # Python 3.11's csv.writer would leave it unquoted
+        raise DataError(f"sample file {str(path)!r}: sample_id {sample_id!r} holds a "
+                        "carriage return")  # repr: the path may hold the CR too
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             # readline, not file iteration: fh.tell() must still mark the body's start
@@ -167,8 +172,7 @@ def load_sample_set(path, expected_markers: Sequence[str] | None = None,
         perm = [markers.index(m) for m in expected]
         cells = cells[:, perm]
         markers = expected
-    return SampleSet(cells=cells, sample_id=path.stem if sample_id is None else sample_id,
-                     marker_names=markers)
+    return SampleSet(cells=cells, sample_id=sample_id, marker_names=markers)
 
 
 def _read_cells(fh, path: Path, d: int) -> np.ndarray:
@@ -259,10 +263,10 @@ def read_manifest(path) -> Manifest:
     """Read and check a manifest CSV without reading the samples it lists.
 
     The header must be exactly sample_id,path,label; sample ids must be
-    non-empty and unique; N >= 2 samples and exactly two label strings are
-    required. The two label strings map to -1/+1 by lexicographic order
-    (smaller string -> -1). Sample paths are resolved relative to the
-    manifest's directory.
+    non-empty, unique and free of carriage returns; N >= 2 samples and
+    exactly two label strings are required. The two label strings map to
+    -1/+1 by lexicographic order (smaller string -> -1). Sample paths are
+    resolved relative to the manifest's directory.
     """
     path = Path(path)
     try:
@@ -285,6 +289,9 @@ def read_manifest(path) -> Manifest:
         entry = (row[0].strip(), row[1].strip(), row[2].strip())
         if not entry[0]:
             raise DataError(f"{path}: manifest row {r} has an empty sample_id")
+        if "\r" in entry[0]:
+            raise DataError(f"{path}: manifest row {r} has a carriage return in sample_id "
+                            f"{entry[0]!r}")
         if entry[0] in seen_ids:
             raise DataError(f"{path}: manifest row {r} repeats sample_id {entry[0]!r}")
         seen_ids.add(entry[0])

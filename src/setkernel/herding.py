@@ -59,38 +59,27 @@ def herd(rmap: RffMap, sample: SampleSet, m: int,
          max_cache_bytes: int = DEFAULT_CACHE_BYTES) -> HerdingResult:
     """Greedily select m cells whose mean feature vector tracks the full set.
 
-    Deterministic: no randomness in the loop, argmax ties break to the
-    smallest index. The scores s = phi @ theta are updated in place: the
-    step theta += theta0 - phi_i gives s += s0 - K[:, i], with K = phi phi^T
-    and phi = scale * t32, t32 being featurize_f32trig's float32 sin/cos.
-    K[:, i] comes from the float64 Gram matrix when n <= GRAM_MAX_N_PER_M * m,
-    n <= D and K fits in max_cache_bytes, else from the certified float32
-    screen of _scan_source, on t32 cached when its n * D * 4 bytes fit and
-    recomputed otherwise. m picks read m - 1 columns, none for the last pick.
-    Duplicate cells are grouped before t32 is built, so beside a cached t32
-    the screen holds only X, O(n) vectors and RESCORE_ROWS rows of phi.
+    Deterministic, ties to the smallest index. Pick t takes the best untaken
+    phi_j . theta(t), then theta += theta0 - phi_i, with theta0 the mean of
+    phi = scale * t32 (t32: featurize_f32trig's float32 sin/cos). _gram_picks
+    scores from float64 K = phi phi^T when n <= GRAM_MAX_N_PER_M * m, n <= D
+    and K fits in max_cache_bytes; else _scan_source screens each pick on t32,
+    cached when its n * D * 4 bytes fit and recomputed otherwise. Copies are
+    grouped before t32 exists, so the screen holds X, O(n) vectors,
+    RESCORE_ROWS rows and t32 if cached.
     """
     X = sample.cells
     n = X.shape[0]
     _check_m(m, n)
     if n <= GRAM_MAX_N_PER_M * m and n <= rmap.D and n * n * 8 <= max_cache_bytes:
-        s0, column, pick = _gram_source(rmap, X)
+        selected = _gram_picks(_gram_source(rmap, X), m)
     else:
         same = _same_cells(X)  # before t32 exists: np.unique's copies of X never sit beside it
         if n * rmap.D * 4 <= max_cache_bytes:
             t32 = featurize_f32trig(rmap, X)
-            s0, column, pick = _scan_source(rmap, same, t32.__getitem__, t32.__matmul__)
+            selected = _scan_source(rmap, same, t32.__getitem__, t32.__matmul__, m)
         else:
-            s0, column, pick = _scan_source(rmap, same, *_stream_trig(rmap, X))
-    scores = s0.copy()
-    selected = np.empty(m, dtype=int)
-    for t in range(m):
-        i = pick(scores, t)
-        selected[t] = i
-        if t == m - 1:
-            break  # no pick reads the column of the last one
-        scores += s0 - column(i)
-        scores[i] = -np.inf  # stays -inf: taken cells are never picked again
+            selected = _scan_source(rmap, same, *_stream_trig(rmap, X), m)
     return HerdingResult(selected_indices=tuple(selected), method="herding", m=m)
 
 
@@ -110,11 +99,21 @@ def _gram_source(rmap, X):
         del phi  # so two blocks of phi never coexist, which would raise peak RSS
     for r in range(0, n, GRAM_ROWS):
         K[r + GRAM_ROWS:, r:r + GRAM_ROWS] = K[r:r + GRAM_ROWS, r + GRAM_ROWS:].T
-    return K.mean(axis=1), lambda i: K[i], _argmax
+    return K
 
 
-def _argmax(scores, t):
-    return int(np.argmax(scores))  # first occurrence = smallest index on ties
+def _gram_picks(K, m):
+    """m picks from float64 scores s += s0 - K[i]: m - 1 rows of K, none for the last."""
+    s0 = K.mean(axis=1)
+    scores = s0.copy()
+    selected = np.empty(m, dtype=int)
+    for t in range(m):
+        i = selected[t] = np.argmax(scores)  # first occurrence = smallest index on ties
+        if t == m - 1:
+            break
+        scores += s0 - K[i]
+        scores[i] = -np.inf  # stays -inf: taken cells are never picked again
+    return selected
 
 
 def _stream_trig(rmap, X):
@@ -122,7 +121,7 @@ def _stream_trig(rmap, X):
     def chunk(s):
         return featurize_f32trig(rmap, X[s:s + CHUNK_ROWS])
 
-    def trig(rows):  # each row with its whole chunk, so rescored rows match the columns
+    def trig(rows):  # each row with its whole chunk, so rescored rows match the screen
         rows = np.asarray(rows)
         starts = rows - rows % CHUNK_ROWS
         out = np.empty((len(rows), rmap.D), np.float32)
@@ -133,42 +132,42 @@ def _stream_trig(rmap, X):
     return trig, lambda v: np.concatenate([chunk(s) @ v for s in range(0, len(X), CHUNK_ROWS)])
 
 
-def _scan_source(rmap, same, trig, products):
-    """Columns screened in float32, picks certified in float64.
+def _scan_source(rmap, same, trig, products, m):
+    """The m picks, each screened in float32 and certified in float64.
 
-    same[j] is the first row holding cell j's bytes (_same_cells).
-    trig(rows) returns the float32 sin/cos values t32[rows], from which
-    phi = scale * t32 exactly, and products(v) the float32 product t32 @ v.
-    A float32 dot product of length D is within
-    gamma_D = D u / (1 - D u), u = 2^-24, times sum_k |t_jk t_ik| <= D / 2
-    (Cauchy-Schwarz on each sin/cos pair) of the exact one. Scaled by
-    scale^2 = 2 / D in float64, a screened column entry is within gamma_D
-    plus two float64 roundings, so within 2 gamma_D, of the float64 one, and
-    after t picks the screened scores are within tol(t) ~ 2 t gamma_D of
-    phi_j . theta(t).
-    Every cell within 2 tol(t) of the top is rescored against theta(t),
-    kept in float64, and the pick is the best float64 score, smallest index
-    on ties: the pick the float64 loop makes, while reading half the bytes.
+    same[j] is the first row holding cell j's bytes (_same_cells); trig(rows)
+    returns t32[rows], phi = scale * t32, and products(v) the float32 t32 @ v.
+    Pick t screens s, tol = _screen(products, theta, scale). As |t_jk| <= 1,
+    sum_k |t_jk theta_k| <= sqrt(D) ||theta||_2, so rounding theta to float32
+    (u = 2^-24) and the float32 dot product summed in any order (gamma_D =
+    D u / (1 - D u)) keep |s_j - phi_j . theta| <= scale sqrt(D) (u + gamma_D
+    (1 + u)) ||theta||_2. The float64 scaling, rescore, norm and window add
+    under scale sqrt(D) (D + 4) 2^-51 ||theta||_2, float32 underflow under
+    scale D 2^-124. This tol holds per pick: it does not grow with t. Each
+    cell within 2 tol of the top is rescored against theta, kept in float64,
+    and the best float64 score wins, smallest index on ties, however s rounds.
     """
-    n, D, scale = len(same), rmap.D, rmap.scale
-    every = np.arange(n)
-    theta0 = sum(_phi_rows(trig, scale, every[s:s + RESCORE_ROWS]).sum(axis=0)
+    n, scale = len(same), rmap.scale
+    theta0 = sum(_phi_rows(trig, scale, np.arange(s, min(s + RESCORE_ROWS, n))).sum(axis=0)
                  for s in range(0, n, RESCORE_ROWS)) / n
-    s0 = _exact_scores(trig, scale, theta0, every)
     theta = theta0.copy()
     first = _split_trig_copies(same, trig)
-    gamma_d = D * 2.0 ** -24 / (1 - D * 2.0 ** -24)
+    selected = np.empty(m, dtype=int)
+    for t in range(m):
+        scores, tol = _screen(products, theta, scale)
+        scores[selected[:t]] = -np.inf
+        i = selected[t] = _best(trig, scale, theta,
+                                np.flatnonzero(scores >= scores.max() - 2 * tol), first)
+        theta += theta0 - _phi_rows(trig, scale, [i])[0]
+    return selected
 
-    def pick(scores, t):
-        # the second term bounds the float64 roundings in s0, theta, the updates and the rescore
-        tol = 2 * t * gamma_d + (t + 1) * (D + 2 * t + 2) * 2.0 ** -50
-        i = _best(trig, scale, theta, np.flatnonzero(scores >= scores.max() - 2 * tol), first)
-        theta[:] += theta0 - _phi_rows(trig, scale, [i])[0]
-        return i
 
-    # the float32 product, scaled in float64 (a Python float is a weak scalar,
-    # so scale * scale * (t32 @ t32[i]) would round the scaling to float32)
-    return s0, lambda i: np.multiply(products(trig([i])[0]), scale * scale, dtype=np.float64), pick
+def _screen(products, theta, scale):
+    """scale * (t32 @ float32(theta)), scaled in float64 as _phi_rows scales, and tol."""
+    D, u = len(theta), 2.0 ** -24
+    rel = u + D * u / (1 - D * u) * (1 + u) + (D + 4) * 2.0 ** -51
+    tol = scale * (np.sqrt(D) * rel * np.linalg.norm(theta) + D * 2.0 ** -124)
+    return np.multiply(products(theta.astype(np.float32)), scale, dtype=np.float64), tol
 
 
 def _phi_rows(trig, scale, rows):

@@ -296,6 +296,36 @@ class TestModelIO:
         np.testing.assert_array_equal(std1.mean, std2.mean)
         np.testing.assert_array_equal(std1.std, std2.std)
 
+    @pytest.mark.parametrize("preprocessing", ["none", "standardize"])
+    @pytest.mark.parametrize("converged", [True, False])
+    def test_solver_fields_roundtrip(self, tmp_path, rng, preprocessing, converged):
+        model = self._trained_model(rng, preprocessing=preprocessing)
+        model.train_meta["solver_converged"] = converged
+        save_model(model, tmp_path / "m.txt")
+        text = (tmp_path / "m.txt").read_text()
+        assert f"\nsolver_converged {str(converged).lower()}\nEND\n" in text
+        back = load_model(tmp_path / "m.txt").train_meta
+        assert back["solver_gap"] == model.train_meta["solver_gap"]
+        assert back["solver_converged"] is converged
+
+    def test_files_without_solver_fields_load(self, tmp_path, rng):
+        assert "solver_gap" not in load_model(MODEL_V1).train_meta
+        save_model(load_model(MODEL_V1), tmp_path / "v2.txt")
+        assert "solver_gap" not in (tmp_path / "v2.txt").read_text()
+        assert "solver_gap" not in load_model(tmp_path / "v2.txt").train_meta
+        save_model(self._trained_model(rng), tmp_path / "m.txt")
+        lines = (tmp_path / "m.txt").read_text().splitlines()
+        (tmp_path / "old.txt").write_text("\n".join(lines[:-3] + lines[-1:]) + "\n")
+        assert "solver_gap" not in load_model(tmp_path / "old.txt").train_meta
+
+    def test_bad_solver_converged_is_format_error(self, tmp_path, rng):
+        save_model(self._trained_model(rng), tmp_path / "m.txt")
+        text = (tmp_path / "m.txt").read_text()
+        (tmp_path / "bad.txt").write_text(text.replace("solver_converged true",
+                                                       "solver_converged yes"))
+        with pytest.raises(ModelFormatError, match="solver_converged must be true or false"):
+            load_model(tmp_path / "bad.txt")
+
     def test_truncated_file_names_missing_section(self, tmp_path, rng):
         model = self._trained_model(rng)
         save_model(model, tmp_path / "m.txt")

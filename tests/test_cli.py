@@ -332,6 +332,36 @@ def test_empty_sample_id_exits_3(separable_dir, tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "crossval", "predict", "interpret", "herd",
+                                     "featurize"])
+def test_carriage_return_in_sample_id_exits_3(separable_dir, tmp_path, capsys, command):
+    # Python 3.11's csv.writer leaves a lone CR unquoted: predictions.csv, read
+    # back, split the row of the quoted id "a\rb" in two
+    cells = separable_dir / "data" / "cells"
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("sample_id,path,label\n"
+                        f'"a\rb",{cells / "pos_000.csv"},pos\n'
+                        f"neg_000,{cells / 'neg_000.csv'},neg\n", newline="")
+    model = ["--model", str(tmp_path / "m.txt") if command == "train" else str(MODEL_V1)]
+    argv = [command, "--manifest", str(manifest), "--out", str(tmp_path / "o")] + FAST
+    assert main(argv + (model if command in ("train", "predict", "interpret") else [])) \
+        == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "manifest row 1 has a carriage return in sample_id 'a\\rb'" in err
+    assert len(err.strip().splitlines()) == 1 and not (tmp_path / "o").exists()
+
+
+def test_carriage_return_in_file_stem_exits_3(separable_dir, tmp_path, capsys):
+    # predict takes a positional file's stem as its sample_id
+    sample = tmp_path / "a\rb.csv"
+    sample.write_bytes((separable_dir / "data" / "cells" / "neg_000.csv").read_bytes())
+    assert main(["predict", "--model", str(MODEL_V1), "--out", str(tmp_path / "o"),
+                 str(sample)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "sample_id 'a\\rb' holds a carriage return" in err
+    assert len(err.strip().splitlines()) == 1 and not (tmp_path / "o").exists()
+
+
 def data_rows(path):
     return [ln.split(",") for ln in path.read_text().splitlines()
             if ln and not ln.startswith("#")][1:]

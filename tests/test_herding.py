@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setkernel import (
     herd,
@@ -111,7 +113,7 @@ CALLS = {"_gram_source": ["_gram_source"], "_scan_source": ["_scan_source"],
 
 @pytest.fixture
 def used_sources(monkeypatch):
-    """Names of the herding column sources called, in call order."""
+    """Names of the herding score sources called, in call order."""
     used = []
     for name in CALLS:
         source = getattr(herding, name)
@@ -121,19 +123,30 @@ def used_sources(monkeypatch):
 
 
 @pytest.fixture
-def column_calls(monkeypatch):
-    """The cells whose column K[:, i] herd asked its source for, in call order."""
+def reads(monkeypatch):
+    """What herd read, in order: the rows of K the Gram loop read, and for the
+    screen the dtype of each product's vector and of its scaled result."""
     calls = []
-    for name in ("_gram_source", "_scan_source"):
-        def counted(*a, f=getattr(herding, name)):
-            s0, column, pick = f(*a)
-            return s0, lambda i: calls.append(i) or column(i), pick
-        monkeypatch.setattr(herding, name, counted)
+
+    class RecordedK(np.ndarray):
+        def __getitem__(self, i):
+            calls.append(int(i))
+            return np.asarray(self)[i]
+
+    def screen(products, theta, scale, f=herding._screen):
+        scores, tol = f(lambda v: calls.append(v.dtype) or products(v), theta, scale)
+        calls.append(scores.dtype)
+        return scores, tol
+
+    gram = herding._gram_source
+    monkeypatch.setattr(herding, "_gram_source", lambda *a: gram(*a).view(RecordedK))
+    monkeypatch.setattr(herding, "_screen", screen)
     return calls
 
 
 class TestColumnSources:
-    """Every source of K[:, i] reproduces the oracle's picks.
+    """Every source of the scores (Gram loop, cached or recomputing screen)
+    reproduces the oracle's picks.
 
     D=400 spans two frequency blocks and n > 256 at least two row stripes of
     the Gram build. n=450 is within 8 * M but above D, so it takes the scan
@@ -200,17 +213,19 @@ class TestColumnSources:
         (600, herding.DEFAULT_CACHE_BYTES, "_scan_source"),
         (300, 1024, "_stream_trig"),
     ])
-    def test_m_picks_take_m_minus_1_columns(self, used_sources, column_calls, n, cache,
-                                            source):
+    def test_m_picks_take_m_minus_1_columns(self, used_sources, reads, n, cache, source):
+        # the Gram loop reads m - 1 rows of K, none for the last pick; the screen
+        # takes m float32 products, each scaled to float64 scores
         rmap = sample_frequencies(2, 400, 1.0, 3)
         cells = np.random.default_rng(n).normal(size=(n, 2))
         picks = herd(rmap, make_sample(cells), self.M, max_cache_bytes=cache).selected_indices
         assert used_sources == CALLS[source]
-        assert column_calls == list(picks[:-1])  # none for the last pick
+        screened = [np.float32, np.float64]
+        assert reads == (list(picks[:-1]) if source == "_gram_source" else screened * self.M)
         assert picks == oracle_herd(rmap, cells, self.M)
-        column_calls.clear()
-        herd(rmap, make_sample(cells), 1, max_cache_bytes=cache)
-        assert column_calls == []
+        reads.clear()
+        herd(rmap, make_sample(cells), 1, max_cache_bytes=cache)  # n > 8 m: the screen
+        assert reads == screened
 
 
 class TestUniformSubsample:
@@ -335,7 +350,7 @@ class TestFloat32Trig:
         # 1e-8; a Gram matrix built in float64 stays within 1e-12
         rmap = sample_frequencies(3, 400, 1.0, 6)
         cells = np.random.default_rng(9).normal(size=(500, 3)) * 1e3
-        _, column, _ = herding._gram_source(rmap, cells)
+        K = herding._gram_source(rmap, cells)
         expected = np.zeros((500, 500))
         for start in range(0, rmap.D // 2, herding.GRAM_BLOCK):  # 125 + 75 frequencies
             W = rmap.W[:, start:start + herding.GRAM_BLOCK]
@@ -343,7 +358,7 @@ class TestFloat32Trig:
                            scale=rmap.scale)
             phi = rmap.scale * featurize_f32trig(block, cells).astype(np.float64)
             expected += phi @ phi.T
-        assert np.abs(np.array([column(i) for i in range(500)]) - expected).max() <= 1e-12
+        assert np.abs(K - expected).max() <= 1e-12
 
 
 @pytest.fixture
@@ -394,15 +409,30 @@ class TestScreenedScan:
             assert set(copies) <= set(picks[:t])
 
     def test_column_is_scaled_in_float64(self):
+        # the screen's product is float32; scale * product in float32 would round
+        # the scaling, which the screen's bound does not allow for
         rmap = sample_frequencies(2, 64, 1.0, 4)
         cells = np.random.default_rng(12).normal(size=(700, 2))
         t32 = featurize_f32trig(rmap, cells)
-        _, column, _ = herding._scan_source(rmap, herding._same_cells(cells),
-                                            t32.__getitem__, t32.__matmul__)
-        col = column(5)
-        assert col.dtype == np.float64
+        theta = np.random.default_rng(13).normal(size=64)
+        scores, _ = herding._screen(t32.__matmul__, theta, rmap.scale)
+        assert scores.dtype == np.float64
         np.testing.assert_array_equal(
-            col, (t32 @ t32[5]).astype(np.float64) * (rmap.scale * rmap.scale))
+            scores, (t32 @ theta.astype(np.float32)).astype(np.float64) * rmap.scale)
+
+    def test_late_picks_rescore_few_cells(self, used_sources, rescore_sets):
+        # standardized 30-marker cells at gamma=30 have a flat score top; a screen
+        # whose tolerance grows with the pick count rescores hundreds of cells
+        # per late pick here, one bounded per pick only a few
+        gen = np.random.default_rng(16)
+        cells = 2.5 * gen.normal(size=(5, 30))[gen.integers(0, 5, 2000)]
+        cells += gen.normal(size=cells.shape)
+        cells = (cells - cells.mean(axis=0)) / cells.std(axis=0)
+        rmap = sample_frequencies(30, 2000, 30.0, 17)
+        picks = herd(rmap, make_sample(cells), 200).selected_indices
+        assert used_sources == ["_scan_source"]
+        assert picks == oracle_herd(rmap, cells, 200)
+        assert len(rescore_sets) == 200 and max(rescore_sets[100:]) <= 10
 
     @pytest.mark.parametrize("D", [2, 4])
     def test_few_frequencies_match_oracle(self, used_sources, D):
@@ -433,3 +463,39 @@ class TestScreenedScan:
             tracemalloc.stop()
         assert used_sources == ["_scan_source"]
         assert peak - n * D * 4 <= herding.RESCORE_ROWS * D * 12 + 64 * n
+
+
+class TestScreenProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), D=st.sampled_from([2, 4, 64, 2000]),
+           log_norm=st.floats(-45.0, 30.0))
+    def test_screen_bound_holds(self, seed, D, log_norm):
+        # |s_j - phi_j . theta| <= tol for float32 sin/cos rows and theta of any
+        # norm, large (no float32 overflow) down to float32 subnormals
+        gen = np.random.default_rng(seed)
+        angles = gen.uniform(-np.pi, np.pi, size=(50, D // 2)).astype(np.float32)
+        t32 = np.hstack([np.sin(angles), np.cos(angles)])
+        theta = gen.normal(size=D) * 10.0 ** log_norm
+        scale = float(np.sqrt(2.0 / D))
+        scores, tol = herding._screen(t32.__matmul__, theta, scale)
+        exact = (t32.astype(np.longdouble) @ theta.astype(np.longdouble)) * scale
+        assert (np.abs(scores - exact) <= tol).all()
+        u, norm = 2.0 ** -24, np.linalg.norm(theta)  # the bound derived in _scan_source
+        gamma_d = D * u / (1 - D * u)
+        assert tol >= scale * np.sqrt(D) * (u + gamma_d * (1 + u)) * norm
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), distinct=st.integers(1, 30),
+           n=st.integers(20, 120), m=st.integers(1, 12), chunk_rows=st.sampled_from([3, 7, 64]))
+    def test_cached_and_streamed_screens_agree(self, seed, distinct, n, m, chunk_rows):
+        # small samples with many copies of each cell, D below n so the screen runs
+        gen = np.random.default_rng(seed)
+        cells = np.round(gen.normal(size=(distinct, 2)), 1)[gen.integers(0, distinct, n)]
+        rmap = sample_frequencies(2, 16, 1.0, seed % 1000)
+        sample = make_sample(cells)
+        m = min(m, n)
+        cached = herd(rmap, sample, m).selected_indices
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(herding, "CHUNK_ROWS", chunk_rows)
+            streamed = herd(rmap, sample, m, max_cache_bytes=1024).selected_indices
+        assert cached == streamed

@@ -223,6 +223,13 @@ def cmd_predict(args) -> int:
     manifest = read_manifest(args.manifest) if args.manifest else None
     if manifest is None and not args.samples:
         raise ConfigError("predict needs --manifest or at least one sample CSV")
+    seen = set()  # a positional file's sample_id is its stem
+    for sample_id in [*(manifest.sample_ids if manifest else ()),
+                      *(Path(p).stem for p in args.samples)]:
+        if sample_id in seen:
+            raise DataError(f"predict: sample_id {sample_id!r} appears twice among the "
+                            "manifest ids and sample file stems")
+        seen.add(sample_id)
     label_names = {-1: model.train_meta.get("label_neg", "-1"),
                    +1: model.train_meta.get("label_pos", "+1")}
 

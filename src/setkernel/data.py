@@ -263,10 +263,10 @@ def read_manifest(path) -> Manifest:
     """Read and check a manifest CSV without reading the samples it lists.
 
     The header must be exactly sample_id,path,label; sample ids must be
-    non-empty, unique and free of carriage returns; N >= 2 samples and
-    exactly two label strings are required. The two label strings map to
-    -1/+1 by lexicographic order (smaller string -> -1). Sample paths are
-    resolved relative to the manifest's directory.
+    non-empty, unique and free of carriage returns and NUL bytes; N >= 2
+    samples and exactly two label strings are required. The two label
+    strings map to -1/+1 by lexicographic order (smaller string -> -1).
+    Sample paths are resolved relative to the manifest's directory.
     """
     path = Path(path)
     try:
@@ -289,9 +289,10 @@ def read_manifest(path) -> Manifest:
         entry = (row[0].strip(), row[1].strip(), row[2].strip())
         if not entry[0]:
             raise DataError(f"{path}: manifest row {r} has an empty sample_id")
-        if "\r" in entry[0]:
-            raise DataError(f"{path}: manifest row {r} has a carriage return in sample_id "
-                            f"{entry[0]!r}")
+        for char, name in (("\r", "a carriage return"), ("\0", "a NUL byte")):
+            if char in entry[0]:
+                raise DataError(f"{path}: manifest row {r} has {name} in sample_id "
+                                f"{entry[0]!r}")
         if entry[0] in seen_ids:
             raise DataError(f"{path}: manifest row {r} repeats sample_id {entry[0]!r}")
         seen_ids.add(entry[0])

@@ -64,22 +64,22 @@ def herd(rmap: RffMap, sample: SampleSet, m: int,
     phi = scale * t32 (t32: featurize_f32trig's float32 sin/cos). _gram_picks
     scores from float64 K = phi phi^T when n <= GRAM_MAX_N_PER_M * m, n <= D
     and K fits in max_cache_bytes; else _scan_source screens each pick on t32,
-    cached when its n * D * 4 bytes fit and recomputed otherwise. Copies are
-    grouped before t32 exists, so the screen holds X, O(n) vectors,
-    RESCORE_ROWS rows and t32 if cached.
+    cached when its n * D * 4 bytes fit and recomputed otherwise; it holds
+    X, O(n) vectors, RESCORE_ROWS rows and t32 if cached. Copies of a cell
+    with equal t32 rows score bit-identically, so they go in storage order.
+    Each copy near the top is rescored on its own: a sample with many copies
+    of one cell rescores them at many picks (README "Herding" has timings).
     """
     X = sample.cells
     n = X.shape[0]
     _check_m(m, n)
     if n <= GRAM_MAX_N_PER_M * m and n <= rmap.D and n * n * 8 <= max_cache_bytes:
         selected = _gram_picks(_gram_source(rmap, X), m)
+    elif n * rmap.D * 4 <= max_cache_bytes:
+        t32 = featurize_f32trig(rmap, X)
+        selected = _scan_source(rmap, n, t32.__getitem__, t32.__matmul__, m)
     else:
-        same = _same_cells(X)  # before t32 exists: np.unique's copies of X never sit beside it
-        if n * rmap.D * 4 <= max_cache_bytes:
-            t32 = featurize_f32trig(rmap, X)
-            selected = _scan_source(rmap, same, t32.__getitem__, t32.__matmul__, m)
-        else:
-            selected = _scan_source(rmap, same, *_stream_trig(rmap, X), m)
+        selected = _scan_source(rmap, n, *_stream_trig(rmap, X), m)
     return HerdingResult(selected_indices=tuple(selected), method="herding", m=m)
 
 
@@ -132,11 +132,11 @@ def _stream_trig(rmap, X):
     return trig, lambda v: np.concatenate([chunk(s) @ v for s in range(0, len(X), CHUNK_ROWS)])
 
 
-def _scan_source(rmap, same, trig, products, m):
+def _scan_source(rmap, n, trig, products, m):
     """The m picks, each screened in float32 and certified in float64.
 
-    same[j] is the first row holding cell j's bytes (_same_cells); trig(rows)
-    returns t32[rows], phi = scale * t32, and products(v) the float32 t32 @ v.
+    trig(rows) returns t32[rows] of the n rows, phi = scale * t32, and
+    products(v) the float32 t32 @ v.
     Pick t screens s, tol = _screen(products, theta, scale). As |t_jk| <= 1,
     sum_k |t_jk theta_k| <= sqrt(D) ||theta||_2, so rounding theta to float32
     (u = 2^-24) and the float32 dot product summed in any order (gamma_D =
@@ -147,17 +147,16 @@ def _scan_source(rmap, same, trig, products, m):
     cell within 2 tol of the top is rescored against theta, kept in float64,
     and the best float64 score wins, smallest index on ties, however s rounds.
     """
-    n, scale = len(same), rmap.scale
+    scale = rmap.scale
     theta0 = sum(_phi_rows(trig, scale, np.arange(s, min(s + RESCORE_ROWS, n))).sum(axis=0)
                  for s in range(0, n, RESCORE_ROWS)) / n
     theta = theta0.copy()
-    first = _split_trig_copies(same, trig)
     selected = np.empty(m, dtype=int)
     for t in range(m):
         scores, tol = _screen(products, theta, scale)
         scores[selected[:t]] = -np.inf
-        i = selected[t] = _best(trig, scale, theta,
-                                np.flatnonzero(scores >= scores.max() - 2 * tol), first)
+        rows = np.flatnonzero(scores >= scores.max() - 2 * tol)
+        i = selected[t] = rows[np.argmax(_exact_scores(trig, scale, theta, rows))]
         theta += theta0 - _phi_rows(trig, scale, [i])[0]
     return selected
 
@@ -186,35 +185,6 @@ def _exact_scores(trig, scale, theta, rows):
         out[s:s + RESCORE_ROWS] = np.einsum("ij,j->i", phi, theta)
         del phi  # so the next block's phi is not built beside this one
     return out
-
-
-def _best(trig, scale, theta, rows, first):
-    """The row of rows (ascending) with the best exact score, smallest on ties.
-
-    Copies share a score, so each group of copies is rescored once.
-    """
-    groups, where = np.unique(first[rows], return_inverse=True)
-    return int(rows[np.argmax(_exact_scores(trig, scale, theta, groups)[where])])
-
-
-def _same_cells(X):
-    """For each row, the first row holding the same cell bytes."""
-    cells = np.ascontiguousarray(X).view(np.dtype((np.void, X.itemsize * X.shape[1]))).ravel()
-    _, first, inverse = np.unique(cells, return_index=True, return_inverse=True)
-    return first[inverse]
-
-
-def _split_trig_copies(first, trig):
-    """first, with each copy whose trig values differ from its first row's made its own first.
-
-    X @ W need not round copies in different row blocks alike. first is updated in place.
-    """
-    copies = np.flatnonzero(first != np.arange(len(first)))
-    for s in range(0, len(copies), RESCORE_ROWS):
-        c = copies[s:s + RESCORE_ROWS]
-        differ = c[(trig(c) != trig(first[c])).any(axis=1)]
-        first[differ] = differ
-    return first
 
 
 def uniform_subsample(sample: SampleSet, m: int, seed: int) -> HerdingResult:

@@ -236,13 +236,20 @@ class TestStreaming:
         assert peak < 3 * self.RAW_BYTES
 
     def test_predict_writes_manifest_rows_then_files(self, wide_cohort, tmp_path):
-        files = [str(wide_cohort / "s5.csv"), str(wide_cohort / "s0.csv")]
-        assert main(["predict", "--manifest", str(wide_cohort / "manifest.csv"),
-                     "--model", str(wide_cohort / "model.txt"),
-                     "--out", str(tmp_path / "p")] + files) == EXIT_OK
+        # s5 and s0 come as files, so this manifest leaves them out: ids are unique
+        ids = [f"s{i}" for i in range(12) if i not in (0, 5)]
+        (tmp_path / "manifest.csv").write_text("sample_id,path,label\n" + "".join(
+            f"{s},{wide_cohort / s}.csv,{'ab'[int(s[1:]) % 2]}\n" for s in ids))
+        predict = ["predict", "--model", str(wide_cohort / "model.txt"), "--manifest"]
+        assert main(predict + [str(wide_cohort / "manifest.csv"),
+                               "--out", str(tmp_path / "all")]) == EXIT_OK
+        assert main(predict + [str(tmp_path / "manifest.csv"), "--out", str(tmp_path / "p"),
+                               str(wide_cohort / "s5.csv"),
+                               str(wide_cohort / "s0.csv")]) == EXIT_OK
         rows = data_rows(tmp_path / "p" / "predictions.csv")
-        assert [r[0] for r in rows] == [f"s{i}" for i in range(12)] + ["s5", "s0"]
-        assert rows[12][1:] == rows[5][1:] and rows[13][1:] == rows[0][1:]
+        everything = data_rows(tmp_path / "all" / "predictions.csv")
+        assert [r[0] for r in rows] == ids + ["s5", "s0"]
+        assert rows[10:] == [everything[5], everything[0]]
 
 
 class TestFeaturizeHerd:
@@ -313,27 +320,33 @@ class TestFeaturizeHerd:
         assert not (tmp_path / "run").exists()  # no cell file, not even inside --out
 
 
-@pytest.mark.parametrize("command", ["train", "crossval", "predict", "interpret", "herd",
-                                     "featurize"])
-def test_empty_sample_id_exits_3(separable_dir, tmp_path, capsys, command):
-    # before, every command took the file stem "neg_000" as the id, and herd
-    # wrote cells/neg_000.csv for it
+MANIFEST_COMMANDS = ["train", "crossval", "predict", "interpret", "herd", "featurize"]
+
+
+@pytest.mark.parametrize("command, sample_id, problem", [
+    *(pytest.param(c, "", "an empty sample_id", id=c) for c in MANIFEST_COMMANDS),
+    *(pytest.param(c, "a\0b", "a NUL byte in sample_id 'a\\x00b'", id=f"{c}-nul")
+      for c in MANIFEST_COMMANDS),
+])
+def test_empty_sample_id_exits_3(separable_dir, tmp_path, capsys, command, sample_id, problem):
+    # before, every command took the file stem "neg_000" as the empty id, and
+    # herd wrote cells/neg_000.csv for it; a NUL byte made herd exit 2 after
+    # writing a cell file, and the other commands wrote the NUL into their CSVs
     cells = separable_dir / "data" / "cells"
     manifest = tmp_path / "manifest.csv"
     manifest.write_text("sample_id,path,label\n"
                         f"pos_000,{cells / 'pos_000.csv'},pos\n"
-                        f",{cells / 'neg_000.csv'},neg\n")
+                        f"{sample_id},{cells / 'neg_000.csv'},neg\n")
     model = ["--model", str(tmp_path / "m.txt") if command == "train" else str(MODEL_V1)]
     argv = [command, "--manifest", str(manifest), "--out", str(tmp_path / "o")] + FAST
     assert main(argv + (model if command in ("train", "predict", "interpret") else [])) \
         == EXIT_DATA
     err = capsys.readouterr().err
-    assert "manifest row 2 has an empty sample_id" in err and len(err.strip().splitlines()) == 1
+    assert f"manifest row 2 has {problem}" in err and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("command", ["train", "crossval", "predict", "interpret", "herd",
-                                     "featurize"])
+@pytest.mark.parametrize("command", MANIFEST_COMMANDS)
 def test_carriage_return_in_sample_id_exits_3(separable_dir, tmp_path, capsys, command):
     # Python 3.11's csv.writer leaves a lone CR unquoted: predictions.csv, read
     # back, split the row of the quoted id "a\rb" in two
@@ -360,6 +373,21 @@ def test_carriage_return_in_file_stem_exits_3(separable_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "sample_id 'a\\rb' holds a carriage return" in err
     assert len(err.strip().splitlines()) == 1 and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("with_manifest", [True, False])
+def test_repeated_sample_id_in_predict_exits_3(separable_dir, tmp_path, capsys, with_manifest):
+    # manifest ids and positional stems name the rows of one predictions.csv;
+    # other/neg_000.csv does not exist, so the refusal comes before any sample is read
+    files = [str(tmp_path / "other" / "neg_000.csv"),
+             str(separable_dir / "data" / "cells" / "neg_000.csv")]
+    argv = ["predict", "--model", str(MODEL_V1), "--out", str(tmp_path / "o")]
+    if with_manifest:
+        argv += ["--manifest", manifest_of(separable_dir)]
+    assert main(argv + files) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "sample_id 'neg_000' appears twice" in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "o").exists()
 
 
 def data_rows(path):

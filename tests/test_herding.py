@@ -88,6 +88,13 @@ def f32trig_phi(rmap, cells):
     return np.multiply(featurize_f32trig(rmap, cells), rmap.scale, dtype=np.float64)
 
 
+def assert_copies_in_storage_order(cells, picks):
+    """Each pick's earlier copies (same cell values at a smaller index) were picked before it."""
+    for t, i in enumerate(picks):
+        copies = np.flatnonzero((cells[:i] == cells[i]).all(axis=1))
+        assert set(copies) <= set(picks[:t])
+
+
 def oracle_herd(rmap, cells, m):
     """Reference loop: rescan phi @ theta over every cell on each pick."""
     phi = featurize_batch(rmap, cells)
@@ -178,26 +185,30 @@ class TestColumnSources:
         (400, herding.DEFAULT_CACHE_BYTES, "_gram_source"),
         (300, herding.DEFAULT_CACHE_BYTES, "_scan_source"),
         (400, 1024, "_stream_trig"),
+        (2, herding.DEFAULT_CACHE_BYTES, "_scan_source"),
     ])
     def test_duplicate_cells_go_to_smallest_index(self, used_sources, D, cache, source):
-        # exact ties: every copy of a cell scores the same, the first copy wins
+        # exact ties: every copy of a cell scores the same, the first copy wins.
+        # At D=2 the rescored 16-byte phi rows alternate 32-byte alignment; there
+        # the float32 sin/cos can move picks off the float64 oracle's (they do
+        # for frequency seed 1), so only the storage order of copies is checked
         gen = np.random.default_rng(5)
         cells = np.round(gen.normal(size=(360, 2)), 1)
         cells[::7] = cells[0]
         rmap = sample_frequencies(2, D, 1.0, 9)
         picks = herd(rmap, make_sample(cells), self.M, max_cache_bytes=cache).selected_indices
         assert used_sources == CALLS[source]
-        assert picks == oracle_herd(rmap, cells, self.M)
-        for t, i in enumerate(picks):
-            copies = np.flatnonzero((cells[:i] == cells[i]).all(axis=1))
-            assert set(copies) <= set(picks[:t])
-        assert 0 in picks  # the group of 52 copies of cell 0 is reached
+        assert_copies_in_storage_order(cells, picks)
+        assert len(set(map(tuple, cells[list(picks)]))) < self.M  # some pick has a copy
+        if D > 2:
+            assert picks == oracle_herd(rmap, cells, self.M)
+            assert 0 in picks  # the group of 52 copies of cell 0 is reached
 
     @pytest.mark.parametrize("chunk_rows", [64, 7])
     @pytest.mark.parametrize("copies", [False, True])
     def test_stream_chunks_match_oracle(self, used_sources, monkeypatch, chunk_rows, copies):
-        # 360 cells span many chunks; with copies, the rows checked against
-        # each copy's first row, and the rows rescored, come from several chunks
+        # 360 cells span many chunks; with copies, the rows rescored for one
+        # pick come from several chunks
         monkeypatch.setattr(herding, "CHUNK_ROWS", chunk_rows)
         gen = np.random.default_rng(chunk_rows)
         cells = np.round(gen.normal(size=(360, 2)), 1)
@@ -365,10 +376,10 @@ class TestFloat32Trig:
 def rescore_sets(monkeypatch):
     """Sizes of the sets of cells the scan source rescores in float64, per pick."""
     sizes = []
-    best = herding._best
-    monkeypatch.setattr(herding, "_best",
-                        lambda trig, scale, theta, rows, first:
-                        sizes.append(len(rows)) or best(trig, scale, theta, rows, first))
+    exact = herding._exact_scores
+    monkeypatch.setattr(herding, "_exact_scores",
+                        lambda trig, scale, theta, rows:
+                        sizes.append(len(rows)) or exact(trig, scale, theta, rows))
     return sizes
 
 
@@ -404,9 +415,7 @@ class TestScreenedScan:
         assert used_sources == ["_scan_source"]
         assert picks == oracle_herd(rmap, cells, 60)
         assert min(rescore_sets) > herding.RESCORE_ROWS
-        for t, i in enumerate(picks):
-            copies = np.flatnonzero((cells[:i] == cells[i]).all(axis=1))
-            assert set(copies) <= set(picks[:t])
+        assert_copies_in_storage_order(cells, picks)
 
     def test_column_is_scaled_in_float64(self):
         # the screen's product is float32; scale * product in float32 would round
@@ -449,9 +458,9 @@ class TestScreenedScan:
         assert picks.selected_indices == tuple(range(50))
 
     def test_cached_peak_is_t32_plus_rescore_rows(self, used_sources):
-        # copies are grouped before t32 exists: beside its n * D * 4 bytes the
-        # herd holds one block of RESCORE_ROWS rows (float32 gathered, float64
-        # scaled) and O(n) vectors, not copies of the n x d cells
+        # beside t32's n * D * 4 bytes the herd holds one block of RESCORE_ROWS
+        # rows (float32 gathered, float64 scaled) and O(n) vectors, not copies
+        # of the n x d cells
         n, d, D = 20000, 30, 1000
         sample = make_sample(np.random.default_rng(14).normal(size=(n, d)))
         rmap = sample_frequencies(d, D, 30.0, 15)
@@ -499,3 +508,4 @@ class TestScreenProperties:
             patch.setattr(herding, "CHUNK_ROWS", chunk_rows)
             streamed = herd(rmap, sample, m, max_cache_bytes=1024).selected_indices
         assert cached == streamed
+        assert_copies_in_storage_order(cells, cached)

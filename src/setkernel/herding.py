@@ -16,16 +16,18 @@ from .data import SampleSet
 # featurize_batch stays bound here because perfbench/trace_cli.py wraps this name.
 from .rff import RffMap, featurize_batch, featurize_f32trig, philox_rng  # noqa: F401
 
-DEFAULT_CACHE_BYTES = 2 << 30  # cache trig values or K up to 2 GiB, else recompute per pick
+# K, or as many rows of the screen's trig values as fit, is held in up to 2 GiB;
+# trig rows past that are recomputed at each pick
+DEFAULT_CACHE_BYTES = 2 << 30
 # K comes from the Gram matrix only for n <= GRAM_MAX_N_PER_M * m, where one
-# n x n x D product costs less than m scans of phi, and for n <= D, where K
-# (n^2 doubles) is no larger than phi.
-GRAM_MAX_N_PER_M = 8
+# n x n x D product costs less than m screened picks (README "Herding" has the
+# measured crossover), and for n <= D, where K (n^2 doubles) is no larger than phi.
+GRAM_MAX_N_PER_M = 6
 # K is summed over blocks of GRAM_BLOCK frequencies, GRAM_ROWS rows of its upper
 # triangle at a time, so no n x D phi or second n x n array is ever held.
 GRAM_BLOCK = 125
 GRAM_ROWS = 256
-CHUNK_ROWS = 256  # trig rows recomputed at a time when they are not cached
+CHUNK_ROWS = 256  # uncached trig rows recomputed at a time for a pick's product
 RESCORE_ROWS = 256  # float64 phi rows rebuilt at a time to rescore screened picks
 
 
@@ -63,10 +65,12 @@ def herd(rmap: RffMap, sample: SampleSet, m: int,
     phi_j . theta(t), then theta += theta0 - phi_i, with theta0 the mean of
     phi = scale * t32 (t32: featurize_f32trig's float32 sin/cos). _gram_picks
     scores from float64 K = phi phi^T when n <= GRAM_MAX_N_PER_M * m, n <= D
-    and K fits in max_cache_bytes; else _scan_source screens each pick on t32,
-    cached when its n * D * 4 bytes fit and recomputed otherwise; it holds
-    X, O(n) vectors, RESCORE_ROWS rows and t32 if cached. Copies of a cell
-    with equal t32 rows score bit-identically, so they go in storage order.
+    and K fits in max_cache_bytes; else _scan_source screens each pick on t32
+    from _trig_source, which caches the rows of t32 that fit in
+    max_cache_bytes and recomputes the rest at each pick. The screen holds X,
+    O(n) vectors, RESCORE_ROWS rows and the cached rows: all of
+    max_cache_bytes once n * D * 4 bytes exceed it. Copies of a cell have
+    equal t32 rows and score bit-identically, so they go in storage order.
     Each copy near the top is rescored on its own: a sample with many copies
     of one cell rescores them at many picks (README "Herding" has timings).
     """
@@ -75,11 +79,8 @@ def herd(rmap: RffMap, sample: SampleSet, m: int,
     _check_m(m, n)
     if n <= GRAM_MAX_N_PER_M * m and n <= rmap.D and n * n * 8 <= max_cache_bytes:
         selected = _gram_picks(_gram_source(rmap, X), m)
-    elif n * rmap.D * 4 <= max_cache_bytes:
-        t32 = featurize_f32trig(rmap, X)
-        selected = _scan_source(rmap, n, t32.__getitem__, t32.__matmul__, m)
     else:
-        selected = _scan_source(rmap, n, *_stream_trig(rmap, X), m)
+        selected = _scan_source(rmap, n, *_trig_source(rmap, X, max_cache_bytes), m)
     return HerdingResult(selected_indices=tuple(selected), method="herding", m=m)
 
 
@@ -116,27 +117,36 @@ def _gram_picks(K, m):
     return selected
 
 
-def _stream_trig(rmap, X):
-    """_scan_source's trig rows and products, recomputed CHUNK_ROWS rows at a time."""
-    def chunk(s):
-        return featurize_f32trig(rmap, X[s:s + CHUNK_ROWS])
+def _trig_source(rmap, X, max_cache_bytes):
+    """_scan_source's trig rows and products: t32 cached for the rows that fit.
 
-    def trig(rows):  # each row with its whole chunk, so rescored rows match the screen
+    The first max_cache_bytes // (4 D) rows of t32 are held; each product
+    recomputes the rows after them CHUNK_ROWS at a time, and trig(rows)
+    featurizes just the uncached rows asked for. featurize_f32trig gives a
+    row the same bits in any block, so a recomputed row is the one screened.
+    """
+    k = min(len(X), max_cache_bytes // (4 * rmap.D))
+    t32 = featurize_f32trig(rmap, X[:k])
+    if k == len(X):
+        return t32.__getitem__, t32.__matmul__
+
+    def trig(rows):
         rows = np.asarray(rows)
-        starts = rows - rows % CHUNK_ROWS
         out = np.empty((len(rows), rmap.D), np.float32)
-        for s in np.unique(starts):
-            out[starts == s] = chunk(s)[rows[starts == s] - s]
+        out[rows < k] = t32[rows[rows < k]]
+        out[rows >= k] = featurize_f32trig(rmap, X[rows[rows >= k]])
         return out
 
-    return trig, lambda v: np.concatenate([chunk(s) @ v for s in range(0, len(X), CHUNK_ROWS)])
+    return trig, lambda v: np.concatenate(
+        [t32 @ v] + [featurize_f32trig(rmap, X[s:s + CHUNK_ROWS]) @ v
+                     for s in range(k, len(X), CHUNK_ROWS)])
 
 
 def _scan_source(rmap, n, trig, products, m):
     """The m picks, each screened in float32 and certified in float64.
 
     trig(rows) returns t32[rows] of the n rows, phi = scale * t32, and
-    products(v) the float32 t32 @ v.
+    products(v) the float32 t32 @ v, both from _trig_source.
     Pick t screens s, tol = _screen(products, theta, scale). As |t_jk| <= 1,
     sum_k |t_jk theta_k| <= sqrt(D) ||theta||_2, so rounding theta to float32
     (u = 2^-24) and the float32 dot product summed in any order (gamma_D =

@@ -66,9 +66,10 @@ def cell_scores(model: LinearModel, X: np.ndarray) -> np.ndarray:
     """Scores phi(x).beta + bias for each row of X.
 
     Rows are featurized and scored SCORE_ROWS at a time, so no n x D phi is
-    held; the last block also takes the leftover rows, because a lone row
-    goes through BLAS's matrix-vector path, which rounds X @ W differently.
-    The scores equal featurize_batch(X) @ beta + bias bit for bit when
+    held; the last block also takes the leftover rows. A row's features are
+    the same in any block, but a lone row's phi @ beta is a dot product,
+    which rounds differently from a block's matrix-vector product (931 of
+    1000 lone-row scores differ from their block's at D=2000). The scores equal featurize_batch(X) @ beta + bias bit for bit when
     n < 2 * SCORE_ROWS, or when a threaded BLAS splits that one-shot product
     at multiples of four rows (n a multiple of 8 on two threads); elsewhere
     a few can differ in the last bit.

@@ -89,17 +89,34 @@ def _as_cells(rmap: RffMap, X: np.ndarray) -> np.ndarray:
 
 
 def _phases(X: np.ndarray, W: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """X @ W, raising NumericalError instead of warning when it is not finite."""
+    """X @ W, raising NumericalError instead of warning when it is not finite.
+
+    BLAS picks its kernel, and with it how each row's sum is rounded, from
+    the shape of the product: a lone row goes through GEMV, a few rows may
+    take a small-matrix kernel. So every product here takes exactly
+    TRIG_CHUNK // (D/2) rows, the last block padded, and a row's phases are
+    bit-identical whichever rows it comes with. out, if given, holds len(X)
+    rows rounded up to that block.
+    """
+    rows, n = max(1, TRIG_CHUNK // W.shape[1]), len(X)
+    Z = np.empty(((n + rows - 1) // rows * rows, W.shape[1])) if out is None else out
+    block = np.zeros((rows, X.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
-        Z = np.matmul(X, W, out=out)
-    if not np.isfinite(Z).all():
+        for r in range(0, n, rows):
+            block[:min(rows, n - r)] = X[r:r + rows]
+            np.matmul(block, W, out=Z[r:r + rows])
+    if not np.isfinite(Z[:n]).all():
         raise NumericalError("X @ W overflows float64: a cell's values are too large "
                              "for the feature map")
-    return Z
+    return Z[:n]
 
 
 def featurize_batch(rmap: RffMap, X: np.ndarray) -> np.ndarray:
-    """Feature map for an (n, d) matrix of cells; returns (n, D)."""
+    """Feature map for an (n, d) matrix of cells; returns (n, D).
+
+    Each row is bit-identical to that row featurized alone or in any other
+    block of rows (see _phases).
+    """
     X = _as_cells(rmap, X)
     Z = _phases(X, rmap.W)
     out = np.empty((X.shape[0], rmap.D))
@@ -119,18 +136,18 @@ def featurize_f32trig(rmap: RffMap, X: np.ndarray) -> np.ndarray:
     float64, is the feature map: its entries differ from featurize_batch by
     at most about 1.6e-7 * scale (5e-9 at D=2000). Rows go through the trig
     TRIG_CHUNK elements at a time in reused buffers, so apart from the
-    result no temporary grows with n.
+    result no temporary grows with n. Like featurize_batch, it gives a row
+    the same bits alone, in any subset, order or block of rows.
     """
     X = _as_cells(rmap, X)
     n, half = X.shape[0], rmap.D // 2
     out = np.empty((n, rmap.D), np.float32)
-    rows = max(1, min(n, TRIG_CHUNK // half))
+    rows = max(1, TRIG_CHUNK // half)  # as _phases blocks them
     z, turns = np.empty((rows, half)), np.empty((rows, half))
     z32 = np.empty((rows, half), np.float32)
     for r in range(0, n, rows):
         c = min(rows, n - r)
-        zc, tc, z32c = z[:c], turns[:c], z32[:c]
-        _phases(X[r:r + c], rmap.W, out=zc)
+        zc, tc, z32c = _phases(X[r:r + c], rmap.W, out=z), turns[:c], z32[:c]
         np.multiply(zc, 1.0 / TWO_PI, out=tc)
         np.rint(tc, out=tc)
         tc *= TWO_PI

@@ -866,7 +866,7 @@ def overflow_dir(tmp_path_factory):
 class TestOverflowingFeatures:
     """A cell too large for X @ W to be finite exits 4 with one line naming its
     sample, emits no warning and writes no result file. With 20 cells and m=2
-    herding takes its scan source (n > 8 m)."""
+    herding takes its scan source (n > 6 m)."""
 
     SCAN = ["--m", "2", "--D", "64", "--seed", "1"]
 

@@ -51,11 +51,14 @@ class TestHerd:
         s = make_sample(rng.normal(size=(50, 2)))
         assert herd(small_map, s, 20) == herd(small_map, s, 20)
 
-    def test_chunked_path_matches_cached(self, small_map, rng, used_sources):
+    def test_chunked_path_matches_cached(self, small_map, rng, used_sources, featurized):
         s = make_sample(rng.normal(size=(100, 2)))
         cached = herd(small_map, s, 30)
-        chunked = herd(small_map, s, 30, max_cache_bytes=1024)
-        assert used_sources == ["_scan_source", "_stream_trig", "_scan_source"]
+        assert_cached_rows(s.cells, featurized, 100, 30)
+        featurized.clear()
+        chunked = herd(small_map, s, 30, max_cache_bytes=1024)  # 4 rows at D=64
+        assert_cached_rows(s.cells, featurized, 4, 30)
+        assert used_sources == ["_scan_source", "_scan_source"]
         assert cached.selected_indices == chunked.selected_indices
 
     @pytest.mark.parametrize("m", [0, -1, 51])
@@ -112,21 +115,44 @@ def oracle_herd(rmap, cells, m):
     return tuple(picks)
 
 
-# what used_sources records for a herd through each source: the stream
-# source feeds recomputed trig values to the scan source's screen
-CALLS = {"_gram_source": ["_gram_source"], "_scan_source": ["_scan_source"],
-         "_stream_trig": ["_stream_trig", "_scan_source"]}
-
-
 @pytest.fixture
 def used_sources(monkeypatch):
     """Names of the herding score sources called, in call order."""
     used = []
-    for name in CALLS:
+    for name in ("_gram_source", "_scan_source"):
         source = getattr(herding, name)
         monkeypatch.setattr(herding, name,
                             lambda *a, f=source, tag=name: used.append(tag) or f(*a))
     return used
+
+
+@pytest.fixture
+def featurized(monkeypatch):
+    """The cells of each featurize_f32trig call herding made, in call order."""
+    calls = []
+    f = herding.featurize_f32trig
+    monkeypatch.setattr(herding, "featurize_f32trig",
+                        lambda rmap, X: calls.append(np.array(X)) or f(rmap, X))
+    return calls
+
+
+def assert_cached_rows(cells, featurized, k, m):
+    """An m-pick screen cached t32 of cells[:k] and recomputed only cells[k:].
+
+    Its first featurization is the cache. Each later one, a pick's product
+    or rows it rescores, holds only uncached cells (none when k = n), and
+    each of the m products recomputes all n - k of them.
+    """
+    assert np.array_equal(featurized[0], cells[:k])
+    uncached = {row.tobytes() for row in cells[k:]}
+    recomputed = [row for X in featurized[1:] for row in X]
+    assert all(row.tobytes() in uncached for row in recomputed)
+    assert len(recomputed) >= m * (len(cells) - k)
+
+
+def rows_cached(cells, D, cache):
+    """The rows of t32 that max_cache_bytes=cache holds: floor(cache / (4 D)) at most."""
+    return min(len(cells), cache // (4 * D))
 
 
 @pytest.fixture
@@ -156,16 +182,16 @@ class TestColumnSources:
     reproduces the oracle's picks.
 
     D=400 spans two frequency blocks and n > 256 at least two row stripes of
-    the Gram build. n=450 is within 8 * M but above D, so it takes the scan
-    source. max_cache_bytes=1024 holds no trig values, so the scan source
-    screens values recomputed by _stream_trig.
+    the Gram build. n=450 is within 6 * M but above D, so it takes the scan
+    source. max_cache_bytes=1024 holds no trig row at D >= 300, so the scan
+    source screens values recomputed at every pick.
     """
 
-    M = 60  # 8 * M = 480
+    M = 80  # 6 * M = 480
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("n", [350, 400, 450, 481, 700])
-    def test_sources_match_oracle(self, used_sources, seed, n):
+    def test_sources_match_oracle(self, used_sources, featurized, seed, n):
         rmap = sample_frequencies(2, 400, 1.0, 40 + seed)
         gen = np.random.default_rng(seed)
         comp = gen.random(n) < 0.3
@@ -176,18 +202,22 @@ class TestColumnSources:
         gram = n <= herding.GRAM_MAX_N_PER_M * self.M and n <= rmap.D
         for cache, source in [(herding.DEFAULT_CACHE_BYTES,
                                "_gram_source" if gram else "_scan_source"),
-                              (1024, "_stream_trig")]:
+                              (1024, "_scan_source")]:
             used_sources.clear()
+            featurized.clear()
             assert herd(rmap, s, self.M, max_cache_bytes=cache).selected_indices == expected
-            assert used_sources == CALLS[source]
+            assert used_sources == [source]
+            if source == "_scan_source":
+                assert_cached_rows(cells, featurized, rows_cached(cells, 400, cache), self.M)
 
     @pytest.mark.parametrize("D, cache, source", [
         (400, herding.DEFAULT_CACHE_BYTES, "_gram_source"),
         (300, herding.DEFAULT_CACHE_BYTES, "_scan_source"),
-        (400, 1024, "_stream_trig"),
+        (400, 1024, "_scan_source"),  # nothing cached
         (2, herding.DEFAULT_CACHE_BYTES, "_scan_source"),
     ])
-    def test_duplicate_cells_go_to_smallest_index(self, used_sources, D, cache, source):
+    def test_duplicate_cells_go_to_smallest_index(self, used_sources, featurized, D, cache,
+                                                  source):
         # exact ties: every copy of a cell scores the same, the first copy wins.
         # At D=2 the rescored 16-byte phi rows alternate 32-byte alignment; there
         # the float32 sin/cos can move picks off the float64 oracle's (they do
@@ -197,7 +227,9 @@ class TestColumnSources:
         cells[::7] = cells[0]
         rmap = sample_frequencies(2, D, 1.0, 9)
         picks = herd(rmap, make_sample(cells), self.M, max_cache_bytes=cache).selected_indices
-        assert used_sources == CALLS[source]
+        assert used_sources == [source]
+        if source == "_scan_source":
+            assert_cached_rows(cells, featurized, rows_cached(cells, D, cache), self.M)
         assert_copies_in_storage_order(cells, picks)
         assert len(set(map(tuple, cells[list(picks)]))) < self.M  # some pick has a copy
         if D > 2:
@@ -206,7 +238,8 @@ class TestColumnSources:
 
     @pytest.mark.parametrize("chunk_rows", [64, 7])
     @pytest.mark.parametrize("copies", [False, True])
-    def test_stream_chunks_match_oracle(self, used_sources, monkeypatch, chunk_rows, copies):
+    def test_stream_chunks_match_oracle(self, used_sources, featurized, monkeypatch,
+                                        chunk_rows, copies):
         # 360 cells span many chunks; with copies, the rows rescored for one
         # pick come from several chunks
         monkeypatch.setattr(herding, "CHUNK_ROWS", chunk_rows)
@@ -216,26 +249,30 @@ class TestColumnSources:
             cells[::7] = cells[100]
         rmap = sample_frequencies(2, 400, 1.0, 9)
         picks = herd(rmap, make_sample(cells), self.M, max_cache_bytes=1024).selected_indices
-        assert used_sources == CALLS["_stream_trig"]
+        assert used_sources == ["_scan_source"]
+        assert_cached_rows(cells, featurized, 0, self.M)
         assert picks == oracle_herd(rmap, cells, self.M)
 
     @pytest.mark.parametrize("n, cache, source", [
         (300, herding.DEFAULT_CACHE_BYTES, "_gram_source"),
         (600, herding.DEFAULT_CACHE_BYTES, "_scan_source"),
-        (300, 1024, "_stream_trig"),
+        (300, 1024, "_scan_source"),  # nothing cached
     ])
-    def test_m_picks_take_m_minus_1_columns(self, used_sources, reads, n, cache, source):
+    def test_m_picks_take_m_minus_1_columns(self, used_sources, reads, featurized, n, cache,
+                                            source):
         # the Gram loop reads m - 1 rows of K, none for the last pick; the screen
         # takes m float32 products, each scaled to float64 scores
         rmap = sample_frequencies(2, 400, 1.0, 3)
         cells = np.random.default_rng(n).normal(size=(n, 2))
         picks = herd(rmap, make_sample(cells), self.M, max_cache_bytes=cache).selected_indices
-        assert used_sources == CALLS[source]
+        assert used_sources == [source]
+        if source == "_scan_source":
+            assert_cached_rows(cells, featurized, rows_cached(cells, 400, cache), self.M)
         screened = [np.float32, np.float64]
         assert reads == (list(picks[:-1]) if source == "_gram_source" else screened * self.M)
         assert picks == oracle_herd(rmap, cells, self.M)
         reads.clear()
-        herd(rmap, make_sample(cells), 1, max_cache_bytes=cache)  # n > 8 m: the screen
+        herd(rmap, make_sample(cells), 1, max_cache_bytes=cache)  # n > 6 m: the screen
         assert reads == screened
 
 
@@ -335,26 +372,28 @@ class TestFloat32Trig:
     @pytest.mark.parametrize("D, cache, source", [
         (400, herding.DEFAULT_CACHE_BYTES, "_gram_source"),
         (300, herding.DEFAULT_CACHE_BYTES, "_scan_source"),
-        (400, 1024, "_stream_trig"),
+        (400, 1024, "_scan_source"),  # nothing cached
     ])
-    def test_raw_intensities_match_oracle(self, used_sources, D, cache, source):
+    def test_raw_intensities_match_oracle(self, used_sources, featurized, D, cache, source):
         # cells ~1e4 with gamma=100: sin/cos arguments reach thousands of radians
         gen = np.random.default_rng(8)
         cells = np.abs(gen.normal(loc=1e4, scale=2e3, size=(360, 3)))
         rmap = sample_frequencies(3, D, 100.0, 17)
         picks = herd(rmap, make_sample(cells), 60, max_cache_bytes=cache).selected_indices
-        assert used_sources == CALLS[source]
+        assert used_sources == [source]
+        if source == "_scan_source":
+            assert_cached_rows(cells, featurized, rows_cached(cells, D, cache), 60)
         assert picks == oracle_herd(rmap, cells, 60)
 
     def test_criterion_2_sample_10_near_tie(self, used_sources):
         # the float64 scores of the top two cells differ by 9.1e-8 at pick 120;
-        # a float32 Gram matrix flips that pick
+        # a float32 Gram matrix flips that pick. n = 2000 <= 6 * 334 takes the Gram loop
         spec = benchmark_spec(seed=0, sets_per_class=1, cells_per_set=2000)
         sample = _draw_sample(spec, spec.weights_neg, derive_seed(10, "accept-bench"), "s10")
         rmap = sample_frequencies(2, 2000, 1.0, derive_seed(10, "accept-rff"))
-        picks = herd(rmap, sample, 256).selected_indices
+        picks = herd(rmap, sample, 334).selected_indices
         assert used_sources == ["_gram_source"]
-        assert picks == oracle_herd(rmap, sample.cells, 256)
+        assert picks == oracle_herd(rmap, sample.cells, 334)
 
     def test_gram_source_scales_in_float64(self):
         # phi = scale * t32 rounded to float32 would move K's entries by about
@@ -393,7 +432,7 @@ class TestScreenedScan:
     @pytest.mark.parametrize("rescore_rows", [herding.RESCORE_ROWS, 7])
     def test_criterion_2_sample_10_near_tie(self, used_sources, rescore_sets, monkeypatch,
                                             rescore_rows):
-        # n = 2000 > 8 * 249 takes the scan source; the float64 scores of the
+        # n = 2000 > 6 * 249 takes the scan source; the float64 scores of the
         # top two cells differ by 9.1e-8 at pick 120, which a float32 screen
         # without the float64 check flips
         monkeypatch.setattr(herding, "RESCORE_ROWS", rescore_rows)
@@ -474,6 +513,37 @@ class TestScreenedScan:
         assert peak - n * D * 4 <= herding.RESCORE_ROWS * D * 12 + 64 * n
 
 
+class TestPartialCache:
+    """A budget below n * D * 4 bytes caches t32 of the first rows that fit and
+    recomputes the rest at each pick; the picks stay the fully cached herd's.
+
+    n = 360 > D = 300 takes the screen. Copies of one cell sit on both sides
+    of every boundary k tested but 0, so rows rescored for one pick come
+    from the cache and from recomputation.
+    """
+
+    N, D, M = 360, 300, 60
+
+    @pytest.mark.parametrize("chunk_rows", [herding.CHUNK_ROWS, 5])
+    @pytest.mark.parametrize("k", [0, 1, 37, N - 1])
+    def test_picks_match_cached_herd(self, used_sources, featurized, monkeypatch, k,
+                                     chunk_rows):
+        monkeypatch.setattr(herding, "CHUNK_ROWS", chunk_rows)
+        cells = np.round(np.random.default_rng(5).normal(size=(self.N, 2)), 1)
+        cells[::7] = cells[[1, 36, 37, 358, 359]] = cells[0]  # 0, 1 | 36, 37 | 358, 359
+        rmap = sample_frequencies(2, self.D, 1.0, 9)
+        sample = make_sample(cells)
+        cached = herd(rmap, sample, self.M).selected_indices
+        featurized.clear()
+        budget = (k + 1) * 4 * self.D - 1  # one byte short of k + 1 rows
+        picks = herd(rmap, sample, self.M, max_cache_bytes=budget).selected_indices
+        assert used_sources == ["_scan_source", "_scan_source"]
+        assert_cached_rows(cells, featurized, k, self.M)
+        assert picks == cached == oracle_herd(rmap, cells, self.M)
+        assert_copies_in_storage_order(cells, picks)
+        assert np.count_nonzero((cells[list(picks)] == cells[0]).all(axis=1)) > 1
+
+
 class TestScreenProperties:
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), D=st.sampled_from([2, 4, 64, 2000]),
@@ -495,9 +565,12 @@ class TestScreenProperties:
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), distinct=st.integers(1, 30),
-           n=st.integers(20, 120), m=st.integers(1, 12), chunk_rows=st.sampled_from([3, 7, 64]))
-    def test_cached_and_streamed_screens_agree(self, seed, distinct, n, m, chunk_rows):
-        # small samples with many copies of each cell, D below n so the screen runs
+           n=st.integers(20, 120), m=st.integers(1, 12), chunk_rows=st.sampled_from([3, 7, 64]),
+           cache_rows=st.integers(0, 120))
+    def test_cached_and_streamed_screens_agree(self, seed, distinct, n, m, chunk_rows,
+                                               cache_rows):
+        # small samples with many copies of each cell, D below n so the screen
+        # runs; the budget caches cache_rows rows of t32, all of them from n on
         gen = np.random.default_rng(seed)
         cells = np.round(gen.normal(size=(distinct, 2)), 1)[gen.integers(0, distinct, n)]
         rmap = sample_frequencies(2, 16, 1.0, seed % 1000)
@@ -506,6 +579,6 @@ class TestScreenProperties:
         cached = herd(rmap, sample, m).selected_indices
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(herding, "CHUNK_ROWS", chunk_rows)
-            streamed = herd(rmap, sample, m, max_cache_bytes=1024).selected_indices
+            streamed = herd(rmap, sample, m, max_cache_bytes=cache_rows * 4 * 16).selected_indices
         assert cached == streamed
         assert_copies_in_storage_order(cells, cached)

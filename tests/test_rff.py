@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setkernel import (
     featurize,
@@ -73,11 +75,11 @@ class TestFeaturize:
             assert abs(phi @ phi - 1.0) <= 1e-12
 
     def test_batch_matches_single(self, small_map, rng):
-        # gemm vs gemv rounding differs, so agreement is near-exact, not bitwise
+        # a lone cell takes the same GEMM shape as a batch, so agreement is bitwise
         X = rng.normal(size=(7, 2))
         batch = featurize_batch(small_map, X)
         for i in range(7):
-            np.testing.assert_allclose(batch[i], featurize(small_map, X[i]), atol=1e-14)
+            np.testing.assert_array_equal(batch[i], featurize(small_map, X[i]))
 
     def test_dimension_mismatch(self, small_map):
         with pytest.raises(ValueError, match="map expects"):
@@ -115,6 +117,30 @@ class TestFeaturize:
             a = featurize(m, x) @ featurize(m, x2)
             b = featurize(m, x + t) @ featurize(m, x2 + t)
             assert abs(a - b) <= 1e-12
+
+
+class TestRowStability:
+    """A row's features do not depend on the rows featurized with it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.sampled_from([1, 2, 3, 30, 31]),
+           D=st.sampled_from([2, 4, 250, 2000]), n=st.integers(1, 600),
+           log_scale=st.floats(-3.0, 5.0))
+    def test_rows_are_bit_identical_in_any_block(self, seed, d, D, n, log_scale):
+        # cells up to raw intensities: a lone row, a subset in any order and a
+        # split into blocks give every row the bits of one call on all rows
+        gen = np.random.default_rng(seed)
+        rmap = sample_frequencies(d, D, 1.0, seed % 1000)
+        X = gen.normal(size=(n, d)) * 10.0 ** log_scale
+        subset = gen.permutation(n)[:gen.integers(1, n + 1)]
+        cuts = np.sort(gen.integers(0, n + 1, size=gen.integers(0, 6)))
+        for featurizer in (featurize_batch, featurize_f32trig):
+            full = featurizer(rmap, X)
+            for i in gen.choice(n, size=min(n, 5), replace=False):
+                np.testing.assert_array_equal(featurizer(rmap, X[i]), full[i:i + 1])
+            np.testing.assert_array_equal(featurizer(rmap, X[subset]), full[subset])
+            blocks = [featurizer(rmap, X[a:b]) for a, b in zip([0, *cuts], [*cuts, n])]
+            np.testing.assert_array_equal(np.vstack(blocks), full)
 
 
 class TestKernelExact:

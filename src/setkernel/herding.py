@@ -16,19 +16,19 @@ from .data import SampleSet
 # featurize_batch stays bound here because perfbench/trace_cli.py wraps this name.
 from .rff import RffMap, featurize_batch, featurize_f32trig, philox_rng  # noqa: F401
 
-# K, or as many rows of the screen's trig values as fit, is held in up to 2 GiB;
-# trig rows past that are recomputed at each pick
+# t32, or as many of its rows as fit, and K32 when it is used, are held in up to
+# 2 GiB; trig rows past that are recomputed at each pick
 DEFAULT_CACHE_BYTES = 2 << 30
-# K comes from the Gram matrix only for n <= GRAM_MAX_N_PER_M * m, where one
-# n x n x D product costs less than m screened picks (README "Herding" has the
-# measured crossover), and for n <= D, where K (n^2 doubles) is no larger than phi.
-GRAM_MAX_N_PER_M = 6
-# K is summed over blocks of GRAM_BLOCK frequencies, GRAM_ROWS rows of its upper
-# triangle at a time, so no n x D phi or second n x n array is ever held.
-GRAM_BLOCK = 125
-GRAM_ROWS = 256
+# K32 = t32 t32^T scores the picks between screen products only for
+# n <= GRAM_MAX_N_PER_M * m, where building it costs less than the screen products
+# it saves (README "Herding" has the measured crossover), and for n <= D, where
+# K32 (n^2 floats) is no larger than t32.
+GRAM_MAX_N_PER_M = 12
+GRAM_TILE = 256  # K32's upper triangle is computed, and mirrored, in square tiles
+GRAM_REFRESH = 16  # picks per screen product with K32; each screen resets tol
 CHUNK_ROWS = 256  # uncached trig rows recomputed at a time for a pick's product
-RESCORE_ROWS = 256  # float64 phi rows rebuilt at a time to rescore screened picks
+THETA0_ROWS = 256  # float64 phi rows summed at a time into theta0, whose bits this sets
+RESCORE_ROWS = 16  # float64 phi rows rebuilt at a time to rescore screened picks
 
 
 @dataclass(frozen=True)
@@ -63,62 +63,43 @@ def herd(rmap: RffMap, sample: SampleSet, m: int,
 
     Deterministic, ties to the smallest index. Pick t takes the best untaken
     phi_j . theta(t), then theta += theta0 - phi_i, with theta0 the mean of
-    phi = scale * t32 (t32: featurize_f32trig's float32 sin/cos). _gram_picks
-    scores from float64 K = phi phi^T when n <= GRAM_MAX_N_PER_M * m, n <= D
-    and K fits in max_cache_bytes; else _scan_source screens each pick on t32
-    from _trig_source, which caches the rows of t32 that fit in
-    max_cache_bytes and recomputes the rest at each pick. The screen holds X,
-    O(n) vectors, RESCORE_ROWS rows and the cached rows: all of
-    max_cache_bytes once n * D * 4 bytes exceed it. Copies of a cell have
-    equal t32 rows and score bit-identically, so they go in storage order.
-    Each copy near the top is rescored on its own: a sample with many copies
-    of one cell rescores them at many picks (README "Herding" has timings).
+    phi = scale * t32 (t32: featurize_f32trig's float32 sin/cos). Every pick
+    is certified by _scan_source. Its float32 scores come from a screen
+    product per pick or, when n <= GRAM_MAX_N_PER_M * m, n <= D and t32 and
+    K32 = t32 t32^T fit in max_cache_bytes as n (n + D) * 4 bytes, from rows
+    of K32 between screens. _trig_source caches the rows of t32 that fit in
+    max_cache_bytes and recomputes the rest at each pick. Copies of a cell
+    have equal t32 rows and score bit-identically, so they go in storage
+    order; each copy near the top is rescored on its own (README "Herding"
+    has memory and timings).
     """
     X = sample.cells
     n = X.shape[0]
     _check_m(m, n)
-    if n <= GRAM_MAX_N_PER_M * m and n <= rmap.D and n * n * 8 <= max_cache_bytes:
-        selected = _gram_picks(_gram_source(rmap, X), m)
-    else:
-        selected = _scan_source(rmap, n, *_trig_source(rmap, X, max_cache_bytes), m)
+    t32, trig, products = _trig_source(rmap, X, max_cache_bytes)
+    gram = n <= GRAM_MAX_N_PER_M * m and n <= rmap.D and n * (n + rmap.D) * 4 <= max_cache_bytes
+    selected = _scan_source(rmap, n, trig, products, m, t32 if gram else None)
     return HerdingResult(selected_indices=tuple(selected), method="herding", m=m)
 
 
-def _gram_source(rmap, X):
-    """K = phi phi^T, its upper triangle summed block by block, then mirrored."""
-    n = X.shape[0]
-    K = np.zeros((n, n))
-    for start in range(0, rmap.W.shape[1], GRAM_BLOCK):
-        W = rmap.W[:, start:start + GRAM_BLOCK]
-        block = RffMap(W=W, gamma=rmap.gamma, D=2 * W.shape[1], seed=rmap.seed,
-                       scale=rmap.scale)
-        phi = np.empty((n, block.D))
-        for r in reversed(range(0, n, GRAM_ROWS)):  # so phi[r:] is filled when read
-            np.multiply(featurize_f32trig(block, X[r:r + GRAM_ROWS]), rmap.scale,
-                        out=phi[r:r + GRAM_ROWS], dtype=np.float64)  # as _phi_rows scales
-            K[r:r + GRAM_ROWS, r:] += phi[r:r + GRAM_ROWS] @ phi[r:].T
-        del phi  # so two blocks of phi never coexist, which would raise peak RSS
-    for r in range(0, n, GRAM_ROWS):
-        K[r + GRAM_ROWS:, r:r + GRAM_ROWS] = K[r:r + GRAM_ROWS, r + GRAM_ROWS:].T
-    return K
+def _gram32(t32):
+    """K32 = t32 t32^T in float32, its upper triangle one GEMM per tile, mirrored.
 
-
-def _gram_picks(K, m):
-    """m picks from float64 scores s += s0 - K[i]: m - 1 rows of K, none for the last."""
-    s0 = K.mean(axis=1)
-    scores = s0.copy()
-    selected = np.empty(m, dtype=int)
-    for t in range(m):
-        i = selected[t] = np.argmax(scores)  # first occurrence = smallest index on ties
-        if t == m - 1:
-            break
-        scores += s0 - K[i]
-        scores[i] = -np.inf  # stays -inf: taken cells are never picked again
-    return selected
+    GEMMs GRAM_TILE columns wide pack less into BLAS buffers than wider ones,
+    and t32 @ t32.T would go to SYRK, whose buffers take more still.
+    """
+    n, b = len(t32), GRAM_TILE
+    K32 = np.empty((n, n), np.float32)
+    for r in range(0, n, b):
+        for c in range(r, n, b):
+            np.matmul(t32[r:r + b], t32[c:c + b].T, out=K32[r:r + b, c:c + b])
+            if c > r:
+                K32[c:c + b, r:r + b] = K32[r:r + b, c:c + b].T
+    return K32
 
 
 def _trig_source(rmap, X, max_cache_bytes):
-    """_scan_source's trig rows and products: t32 cached for the rows that fit.
+    """_scan_source's trig rows and products, and t32 of the rows that fit.
 
     The first max_cache_bytes // (4 D) rows of t32 are held; each product
     recomputes the rows after them CHUNK_ROWS at a time, and trig(rows)
@@ -128,46 +109,66 @@ def _trig_source(rmap, X, max_cache_bytes):
     k = min(len(X), max_cache_bytes // (4 * rmap.D))
     t32 = featurize_f32trig(rmap, X[:k])
     if k == len(X):
-        return t32.__getitem__, t32.__matmul__
+        return t32, t32.__getitem__, t32.__matmul__
 
     def trig(rows):
-        rows = np.asarray(rows)
+        rows = np.arange(*rows.indices(len(X))) if isinstance(rows, slice) else np.asarray(rows)
         out = np.empty((len(rows), rmap.D), np.float32)
         out[rows < k] = t32[rows[rows < k]]
         out[rows >= k] = featurize_f32trig(rmap, X[rows[rows >= k]])
         return out
 
-    return trig, lambda v: np.concatenate(
+    return t32, trig, lambda v: np.concatenate(
         [t32 @ v] + [featurize_f32trig(rmap, X[s:s + CHUNK_ROWS]) @ v
                      for s in range(k, len(X), CHUNK_ROWS)])
 
 
-def _scan_source(rmap, n, trig, products, m):
+def _scan_source(rmap, n, trig, products, m, t32=None):
     """The m picks, each screened in float32 and certified in float64.
 
-    trig(rows) returns t32[rows] of the n rows, phi = scale * t32, and
-    products(v) the float32 t32 @ v, both from _trig_source.
-    Pick t screens s, tol = _screen(products, theta, scale). As |t_jk| <= 1,
+    trig(rows) returns t32[rows] of the n rows (rows may be a slice), phi =
+    scale * t32, and products(v) the float32 t32 @ v, both from _trig_source.
+    A screen gives s, tol = _screen(products, theta, scale). As |t_jk| <= 1,
     sum_k |t_jk theta_k| <= sqrt(D) ||theta||_2, so rounding theta to float32
     (u = 2^-24) and the float32 dot product summed in any order (gamma_D =
     D u / (1 - D u)) keep |s_j - phi_j . theta| <= scale sqrt(D) (u + gamma_D
     (1 + u)) ||theta||_2. The float64 scaling, rescore, norm and window add
     under scale sqrt(D) (D + 4) 2^-51 ||theta||_2, float32 underflow under
-    scale D 2^-124. This tol holds per pick: it does not grow with t. Each
-    cell within 2 tol of the top is rescored against theta, kept in float64,
-    and the best float64 score wins, smallest index on ties, however s rounds.
+    scale D 2^-124. This tol holds per pick: it does not grow with t.
+    Given t32 (all n rows), K32 = _gram32(t32), built once theta0's blocks are
+    freed, replaces the screens between every GRAM_REFRESH-th pick: s += s0 -
+    scale^2 K32[i] in float64, with s0, tol0 the first screen's. Summed in any
+    order, |K32_ij - t_i . t_j| <= gamma_D D, so tol grows per step by tol0 +
+    e_K, e_K = scale^2 D gamma_D, plus e_F = S (S (D + 6) + ||theta||_2) 2^-49
+    (S = scale sqrt(D)) for the float64 roundings of the step, of phi and of
+    the theta recurrence, the rescore terms' growth with ||theta|| and
+    underflow in K32, times 1 + 2^-50 for the rounding of s by its own error
+    and of tol (README "Herding" derives each term). Each cell within 2 tol
+    of the top is rescored against theta, kept in float64, and the best
+    float64 score wins, smallest index on ties, however s rounds.
     """
     scale = rmap.scale
-    theta0 = sum(_phi_rows(trig, scale, np.arange(s, min(s + RESCORE_ROWS, n))).sum(axis=0)
-                 for s in range(0, n, RESCORE_ROWS)) / n
+    theta0 = sum(_phi_rows(trig, scale, slice(s, s + THETA0_ROWS)).sum(axis=0)
+                 for s in range(0, n, THETA0_ROWS)) / n  # slices: cached rows are not copied
     theta = theta0.copy()
+    K32 = None if t32 is None else _gram32(t32)
+    D, u = rmap.D, 2.0 ** -24
+    S = scale * np.sqrt(D)
+    step = S * S * (D * u / (1 - D * u) + (D + 6) * 2.0 ** -49)  # e_K and e_F's S^2 terms
     selected = np.empty(m, dtype=int)
     for t in range(m):
-        scores, tol = _screen(products, theta, scale)
+        if K32 is None or t % GRAM_REFRESH == 0:
+            scores, tol = _screen(products, theta, scale)
+            if t == 0:
+                s0, tol0 = scores.copy(), tol
+        else:
+            scores += s0 - np.multiply(K32[i], scale * scale, dtype=np.float64)
+            tol = (tol + tol0 + step + S * np.linalg.norm(theta) * 2.0 ** -49) * (1 + 2.0 ** -50)
         scores[selected[:t]] = -np.inf
         rows = np.flatnonzero(scores >= scores.max() - 2 * tol)
-        i = selected[t] = rows[np.argmax(_exact_scores(trig, scale, theta, rows))]
-        theta += theta0 - _phi_rows(trig, scale, [i])[0]
+        exact, phi_i = _exact_scores(trig, scale, theta, rows)
+        i = selected[t] = rows[np.argmax(exact)]
+        theta += theta0 - phi_i
     return selected
 
 
@@ -184,17 +185,21 @@ def _phi_rows(trig, scale, rows):
 
 
 def _exact_scores(trig, scale, theta, rows):
-    """phi[rows] @ theta in float64, RESCORE_ROWS rows at a time.
+    """phi[rows] @ theta in float64, RESCORE_ROWS rows at a time, and the phi
+    row of their argmax (the first on ties), which herding steps theta by.
 
     A row-wise einsum gives identical rows bit-identical scores wherever
     they sit, which a BLAS GEMV on gathered rows does not.
     """
-    out = np.empty(len(rows))
+    out, best = np.empty(len(rows)), None
     for s in range(0, len(rows), RESCORE_ROWS):
         phi = _phi_rows(trig, scale, rows[s:s + RESCORE_ROWS])
         out[s:s + RESCORE_ROWS] = np.einsum("ij,j->i", phi, theta)
+        k = s + np.argmax(out[s:s + RESCORE_ROWS])
+        if best is None or out[k] > out[top]:  # an earlier block keeps a tie
+            top, best = k, phi[k - s].copy()  # a copy, so this block is freed
         del phi  # so the next block's phi is not built beside this one
-    return out
+    return out, best
 
 
 def uniform_subsample(sample: SampleSet, m: int, seed: int) -> HerdingResult:

@@ -16,7 +16,7 @@ from setkernel import herding
 from setkernel.config import derive_seed
 from setkernel.embedding import embed_matrix
 from setkernel.herding import HerdingResult
-from setkernel.rff import RffMap, featurize_batch, featurize_f32trig
+from setkernel.rff import featurize_batch, featurize_f32trig
 from setkernel.synth import _draw_sample, benchmark_spec
 
 from conftest import make_sample
@@ -117,13 +117,20 @@ def oracle_herd(rmap, cells, m):
 
 @pytest.fixture
 def used_sources(monkeypatch):
-    """Names of the herding score sources called, in call order."""
+    """The score source of each herd, in call order: "_gram32" when _scan_source
+    stepped its scores by rows of _gram32's K32 between screens, "_scan_source"
+    when it screened every pick."""
     used = []
-    for name in ("_gram_source", "_scan_source"):
-        source = getattr(herding, name)
-        monkeypatch.setattr(herding, name,
-                            lambda *a, f=source, tag=name: used.append(tag) or f(*a))
+    scan = herding._scan_source
+    monkeypatch.setattr(herding, "_scan_source", lambda *a: used.append(
+        "_scan_source" if a[-1] is None else "_gram32") or scan(*a))
     return used
+
+
+@pytest.fixture
+def screen_only(monkeypatch):
+    """Herds take the per-pick screen at any n, as they do above GRAM_MAX_N_PER_M * m."""
+    monkeypatch.setattr(herding, "GRAM_MAX_N_PER_M", 0)
 
 
 @pytest.fixture
@@ -157,8 +164,8 @@ def rows_cached(cells, D, cache):
 
 @pytest.fixture
 def reads(monkeypatch):
-    """What herd read, in order: the rows of K the Gram loop read, and for the
-    screen the dtype of each product's vector and of its scaled result."""
+    """What herd read, in order: the rows of K32 it read, and for each screen
+    the dtype of the product's vector and of its scaled result."""
     calls = []
 
     class RecordedK(np.ndarray):
@@ -171,47 +178,47 @@ def reads(monkeypatch):
         calls.append(scores.dtype)
         return scores, tol
 
-    gram = herding._gram_source
-    monkeypatch.setattr(herding, "_gram_source", lambda *a: gram(*a).view(RecordedK))
+    gram32 = herding._gram32
+    monkeypatch.setattr(herding, "_gram32", lambda t32: gram32(t32).view(RecordedK))
     monkeypatch.setattr(herding, "_screen", screen)
     return calls
 
 
 class TestColumnSources:
-    """Every source of the scores (Gram loop, cached or recomputing screen)
-    reproduces the oracle's picks.
+    """Every score source (K32 between screens, cached or recomputing
+    per-pick screen) reproduces the oracle's picks.
 
-    D=400 spans two frequency blocks and n > 256 at least two row stripes of
-    the Gram build. n=450 is within 6 * M but above D, so it takes the scan
-    source. max_cache_bytes=1024 holds no trig row at D >= 300, so the scan
-    source screens values recomputed at every pick.
+    n > 256 spans at least two row blocks of K32's upper triangle. In
+    test_sources_match_oracle n = 350 and 400 take K32; n = 450 and 481 are
+    above GRAM_MAX_N_PER_M * m but within D, and n = 700 is above D, so they
+    take the per-pick screen. max_cache_bytes=1024 holds no trig row at
+    D >= 300, so the screen's values are recomputed at every pick.
     """
 
-    M = 80  # 6 * M = 480
+    M = 80
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("n", [350, 400, 450, 481, 700])
     def test_sources_match_oracle(self, used_sources, featurized, seed, n):
-        rmap = sample_frequencies(2, 400, 1.0, 40 + seed)
+        m = 440 // herding.GRAM_MAX_N_PER_M  # GRAM_MAX_N_PER_M * m is in [400, 450)
+        rmap = sample_frequencies(2, 600, 1.0, 40 + seed)
         gen = np.random.default_rng(seed)
         comp = gen.random(n) < 0.3
         cells = np.where(comp[:, None], gen.normal(size=(n, 2)),
                          gen.normal(loc=(4.0, 0.0), size=(n, 2)))
         s = make_sample(cells)
-        expected = oracle_herd(rmap, cells, self.M)
-        gram = n <= herding.GRAM_MAX_N_PER_M * self.M and n <= rmap.D
+        expected = oracle_herd(rmap, cells, m)
         for cache, source in [(herding.DEFAULT_CACHE_BYTES,
-                               "_gram_source" if gram else "_scan_source"),
+                               "_gram32" if n <= 400 else "_scan_source"),
                               (1024, "_scan_source")]:
             used_sources.clear()
             featurized.clear()
-            assert herd(rmap, s, self.M, max_cache_bytes=cache).selected_indices == expected
+            assert herd(rmap, s, m, max_cache_bytes=cache).selected_indices == expected
             assert used_sources == [source]
-            if source == "_scan_source":
-                assert_cached_rows(cells, featurized, rows_cached(cells, 400, cache), self.M)
+            assert_cached_rows(cells, featurized, rows_cached(cells, 600, cache), m)
 
     @pytest.mark.parametrize("D, cache, source", [
-        (400, herding.DEFAULT_CACHE_BYTES, "_gram_source"),
+        (400, herding.DEFAULT_CACHE_BYTES, "_gram32"),
         (300, herding.DEFAULT_CACHE_BYTES, "_scan_source"),
         (400, 1024, "_scan_source"),  # nothing cached
         (2, herding.DEFAULT_CACHE_BYTES, "_scan_source"),
@@ -228,8 +235,7 @@ class TestColumnSources:
         rmap = sample_frequencies(2, D, 1.0, 9)
         picks = herd(rmap, make_sample(cells), self.M, max_cache_bytes=cache).selected_indices
         assert used_sources == [source]
-        if source == "_scan_source":
-            assert_cached_rows(cells, featurized, rows_cached(cells, D, cache), self.M)
+        assert_cached_rows(cells, featurized, rows_cached(cells, D, cache), self.M)
         assert_copies_in_storage_order(cells, picks)
         assert len(set(map(tuple, cells[list(picks)]))) < self.M  # some pick has a copy
         if D > 2:
@@ -254,26 +260,54 @@ class TestColumnSources:
         assert picks == oracle_herd(rmap, cells, self.M)
 
     @pytest.mark.parametrize("n, cache, source", [
-        (300, herding.DEFAULT_CACHE_BYTES, "_gram_source"),
+        (300, herding.DEFAULT_CACHE_BYTES, "_gram32"),
         (600, herding.DEFAULT_CACHE_BYTES, "_scan_source"),
         (300, 1024, "_scan_source"),  # nothing cached
     ])
-    def test_m_picks_take_m_minus_1_columns(self, used_sources, reads, featurized, n, cache,
-                                            source):
-        # the Gram loop reads m - 1 rows of K, none for the last pick; the screen
-        # takes m float32 products, each scaled to float64 scores
+    def test_reads_per_source(self, used_sources, reads, featurized, n, cache, source):
+        # with K32, picks 0, B, 2B, ... take a screen product and each other pick
+        # reads the row of K32 of the pick before it: ceil(m / B) products and
+        # m - ceil(m / B) rows. The per-pick screen takes m products. Each
+        # product is float32, scaled to float64 scores
         rmap = sample_frequencies(2, 400, 1.0, 3)
         cells = np.random.default_rng(n).normal(size=(n, 2))
         picks = herd(rmap, make_sample(cells), self.M, max_cache_bytes=cache).selected_indices
         assert used_sources == [source]
-        if source == "_scan_source":
-            assert_cached_rows(cells, featurized, rows_cached(cells, 400, cache), self.M)
+        assert_cached_rows(cells, featurized, rows_cached(cells, 400, cache), self.M)
         screened = [np.float32, np.float64]
-        assert reads == (list(picks[:-1]) if source == "_gram_source" else screened * self.M)
+        refresh = herding.GRAM_REFRESH if source == "_gram32" else 1
+        assert reads == [r for t in range(self.M)
+                         for r in (screened if t % refresh == 0 else [picks[t - 1]])]
+        assert reads.count(np.float32) == -(-self.M // refresh)
         assert picks == oracle_herd(rmap, cells, self.M)
         reads.clear()
-        herd(rmap, make_sample(cells), 1, max_cache_bytes=cache)  # n > 6 m: the screen
+        herd(rmap, make_sample(cells), 1, max_cache_bytes=cache)  # n > 12 m: the screen
         assert reads == screened
+
+    @pytest.mark.parametrize("fixture", ["d2", "d30", "copies"])
+    def test_gram_and_screen_agree(self, used_sources, monkeypatch, fixture):
+        # the same picks from K32 between screens as from a screen at every
+        # pick, forced through the size constant; copies tie exactly in the
+        # float64 rescore, whichever source put them in the window
+        gen = np.random.default_rng(19)
+        if fixture == "d2":
+            cells, rmap = gen.normal(size=(1000, 2)), sample_frequencies(2, 1000, 1.0, 20)
+        elif fixture == "d30":
+            cells = 2.5 * gen.normal(size=(5, 30))[gen.integers(0, 5, 500)]
+            cells += gen.normal(size=cells.shape)
+            rmap = sample_frequencies(30, 2000, 30.0, 21)
+        else:  # 60 distinct cells x 10 copies
+            cells = np.tile(np.round(gen.normal(size=(60, 2)), 2), (10, 1))
+            rmap = sample_frequencies(2, 600, 1.0, 22)
+        sample = make_sample(cells)
+        m = 100
+        picks = herd(rmap, sample, m).selected_indices
+        monkeypatch.setattr(herding, "GRAM_MAX_N_PER_M", 0)
+        assert herd(rmap, sample, m).selected_indices == picks
+        assert used_sources == ["_gram32", "_scan_source"]
+        assert_copies_in_storage_order(cells, picks)
+        if fixture == "copies":
+            assert len(set(map(tuple, cells[list(picks)]))) < m  # some pick has a copy
 
 
 class TestUniformSubsample:
@@ -370,7 +404,7 @@ class TestFloat32Trig:
             featurize_f32trig(small_map, np.zeros((4, 3)))
 
     @pytest.mark.parametrize("D, cache, source", [
-        (400, herding.DEFAULT_CACHE_BYTES, "_gram_source"),
+        (400, herding.DEFAULT_CACHE_BYTES, "_gram32"),
         (300, herding.DEFAULT_CACHE_BYTES, "_scan_source"),
         (400, 1024, "_scan_source"),  # nothing cached
     ])
@@ -381,34 +415,20 @@ class TestFloat32Trig:
         rmap = sample_frequencies(3, D, 100.0, 17)
         picks = herd(rmap, make_sample(cells), 60, max_cache_bytes=cache).selected_indices
         assert used_sources == [source]
-        if source == "_scan_source":
-            assert_cached_rows(cells, featurized, rows_cached(cells, D, cache), 60)
+        assert_cached_rows(cells, featurized, rows_cached(cells, D, cache), 60)
         assert picks == oracle_herd(rmap, cells, 60)
 
-    def test_criterion_2_sample_10_near_tie(self, used_sources):
-        # the float64 scores of the top two cells differ by 9.1e-8 at pick 120;
-        # a float32 Gram matrix flips that pick. n = 2000 <= 6 * 334 takes the Gram loop
+    def test_criterion_2_sample_10_near_tie(self, used_sources, rescore_sets):
+        # the float64 scores of the top two cells differ by 9.1e-8 at pick 120,
+        # which scores stepped by a float32 Gram matrix without the float64
+        # check flip. n = 2000 <= 12 * 334 takes K32
         spec = benchmark_spec(seed=0, sets_per_class=1, cells_per_set=2000)
         sample = _draw_sample(spec, spec.weights_neg, derive_seed(10, "accept-bench"), "s10")
         rmap = sample_frequencies(2, 2000, 1.0, derive_seed(10, "accept-rff"))
         picks = herd(rmap, sample, 334).selected_indices
-        assert used_sources == ["_gram_source"]
+        assert used_sources == ["_gram32"]
         assert picks == oracle_herd(rmap, sample.cells, 334)
-
-    def test_gram_source_scales_in_float64(self):
-        # phi = scale * t32 rounded to float32 would move K's entries by about
-        # 1e-8; a Gram matrix built in float64 stays within 1e-12
-        rmap = sample_frequencies(3, 400, 1.0, 6)
-        cells = np.random.default_rng(9).normal(size=(500, 3)) * 1e3
-        K = herding._gram_source(rmap, cells)
-        expected = np.zeros((500, 500))
-        for start in range(0, rmap.D // 2, herding.GRAM_BLOCK):  # 125 + 75 frequencies
-            W = rmap.W[:, start:start + herding.GRAM_BLOCK]
-            block = RffMap(W=W, gamma=rmap.gamma, D=2 * W.shape[1], seed=rmap.seed,
-                           scale=rmap.scale)
-            phi = rmap.scale * featurize_f32trig(block, cells).astype(np.float64)
-            expected += phi @ phi.T
-        assert np.abs(K - expected).max() <= 1e-12
+        assert len(rescore_sets) == 334 and max(rescore_sets) > 1
 
 
 @pytest.fixture
@@ -429,12 +449,11 @@ class TestScreenedScan:
     ties between copies of a cell going to the smallest index.
     """
 
-    @pytest.mark.parametrize("rescore_rows", [herding.RESCORE_ROWS, 7])
+    @pytest.mark.parametrize("rescore_rows", [256, 7])  # every window in one block; many
     def test_criterion_2_sample_10_near_tie(self, used_sources, rescore_sets, monkeypatch,
-                                            rescore_rows):
-        # n = 2000 > 6 * 249 takes the scan source; the float64 scores of the
-        # top two cells differ by 9.1e-8 at pick 120, which a float32 screen
-        # without the float64 check flips
+                                            screen_only, rescore_rows):
+        # the float64 scores of the top two cells differ by 9.1e-8 at pick 120,
+        # which a float32 screen without the float64 check flips
         monkeypatch.setattr(herding, "RESCORE_ROWS", rescore_rows)
         spec = benchmark_spec(seed=0, sets_per_class=1, cells_per_set=2000)
         sample = _draw_sample(spec, spec.weights_neg, derive_seed(10, "accept-bench"), "s10")
@@ -468,7 +487,7 @@ class TestScreenedScan:
         np.testing.assert_array_equal(
             scores, (t32 @ theta.astype(np.float32)).astype(np.float64) * rmap.scale)
 
-    def test_late_picks_rescore_few_cells(self, used_sources, rescore_sets):
+    def test_late_picks_rescore_few_cells(self, used_sources, rescore_sets, screen_only):
         # standardized 30-marker cells at gamma=30 have a flat score top; a screen
         # whose tolerance grows with the pick count rescores hundreds of cells
         # per late pick here, one bounded per pick only a few
@@ -496,10 +515,24 @@ class TestScreenedScan:
         assert used_sources == ["_scan_source"]
         assert picks.selected_indices == tuple(range(50))
 
+    def test_picked_row_is_not_rebuilt(self, rescore_sets, monkeypatch):
+        # theta steps by the picked phi row that the float64 rescore built, so
+        # phi rows are built only for theta0 and for the rescored windows
+        built = []
+        phi_rows = herding._phi_rows
+        monkeypatch.setattr(herding, "_phi_rows",
+                            lambda *a: built.append(len(phi := phi_rows(*a))) or phi)
+        monkeypatch.setattr(herding, "RESCORE_ROWS", 2)
+        cells = np.random.default_rng(18).normal(size=(300, 2))
+        herd(sample_frequencies(2, 400, 1.0, 3), make_sample(cells), 80)
+        blocks = [min(2, k - s) for k in rescore_sets for s in range(0, k, 2)]
+        assert built == [256, 44] + blocks and max(rescore_sets) > 2
+
     def test_cached_peak_is_t32_plus_rescore_rows(self, used_sources):
-        # beside t32's n * D * 4 bytes the herd holds one block of RESCORE_ROWS
-        # rows (float32 gathered, float64 scaled) and O(n) vectors, not copies
-        # of the n x d cells
+        # beside t32's n * D * 4 bytes the herd holds one block of float64 phi
+        # rows, THETA0_ROWS for theta0 or RESCORE_ROWS (float32 gathered,
+        # float64 scaled) to rescore, and O(n) vectors, not copies of the
+        # n x d cells
         n, d, D = 20000, 30, 1000
         sample = make_sample(np.random.default_rng(14).normal(size=(n, d)))
         rmap = sample_frequencies(d, D, 30.0, 15)
@@ -510,7 +543,8 @@ class TestScreenedScan:
         finally:
             tracemalloc.stop()
         assert used_sources == ["_scan_source"]
-        assert peak - n * D * 4 <= herding.RESCORE_ROWS * D * 12 + 64 * n
+        block = max(herding.THETA0_ROWS * D * 8, herding.RESCORE_ROWS * D * 12)
+        assert peak - n * D * 4 <= block + 64 * n
 
 
 class TestPartialCache:
@@ -562,6 +596,47 @@ class TestScreenProperties:
         u, norm = 2.0 ** -24, np.linalg.norm(theta)  # the bound derived in _scan_source
         gamma_d = D * u / (1 - D * u)
         assert tol >= scale * np.sqrt(D) * (u + gamma_d * (1 + u)) * norm
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(["d2", "raw", "d30"]),
+           D=st.sampled_from([8, 64, 256]), n=st.integers(2, 60), m=st.integers(1, 40),
+           tile=st.sampled_from([5, 16, 256]))
+    def test_gram_bound_holds(self, seed, kind, D, n, m, tile):
+        # |scale^2 K32 - phi phi^T| <= e_K = scale^2 D gamma_D entrywise, the
+        # mirrored tiles included, and with K32 stepping the scores between
+        # screens, every pick's window holds the float64 argmax over the
+        # untaken cells
+        gen = np.random.default_rng(seed)
+        n = min(n, D)
+        m = min(m, n)
+        if kind == "d2":
+            cells, gamma = gen.normal(size=(n, 2)), 1.0
+        elif kind == "raw":  # raw intensities: sin/cos arguments of thousands of radians
+            cells, gamma = np.abs(gen.normal(loc=1e4, scale=2e3, size=(n, 3))), 100.0
+        else:
+            cells = 2.5 * gen.normal(size=(3, 30))[gen.integers(0, 3, n)]
+            cells, gamma = cells + gen.normal(size=cells.shape), 30.0
+        rmap = sample_frequencies(cells.shape[1], D, gamma, seed % 1000)
+        t32, phi = featurize_f32trig(rmap, cells), f32trig_phi(rmap, cells)
+        u = 2.0 ** -24
+        e_k = rmap.scale ** 2 * D * (D * u / (1 - D * u))
+        windows, grams = [], []
+        exact, gram32 = herding._exact_scores, herding._gram32
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(herding, "GRAM_TILE", tile)
+            K = np.multiply(gram32(t32), rmap.scale ** 2, dtype=np.float64)
+            assert (np.abs(K - phi @ phi.T) <= e_k).all()
+            patch.setattr(herding, "GRAM_MAX_N_PER_M", n)  # K32 at any m
+            patch.setattr(herding, "_gram32", lambda t: grams.append(len(t)) or gram32(t))
+            patch.setattr(herding, "_exact_scores", lambda trig, scale, theta, rows:
+                          windows.append((theta.copy(), rows)) or exact(trig, scale, theta, rows))
+            picks = herd(rmap, make_sample(cells), m).selected_indices
+        assert grams == [n] and len(windows) == m
+        for t, (theta, rows) in enumerate(windows):
+            scores = exact(t32.__getitem__, rmap.scale, theta, np.arange(n))[0]
+            scores[list(picks[:t])] = -np.inf
+            best = int(np.argmax(scores))  # the smallest index on ties
+            assert best in rows and picks[t] == best
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), distinct=st.integers(1, 30),

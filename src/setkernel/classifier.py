@@ -21,7 +21,7 @@ import numpy as np
 
 from . import data as dat
 from .config import PipelineConfig, derive_seed
-from .data import FLOAT_FMT, LabeledDataset, SampleSet, Standardizer
+from .data import LabeledDataset, SampleSet, Standardizer, fmt_float
 from .embedding import MeanEmbedding, embed_matrix, naive_mean
 from .errors import ConfigError, DataError, ModelFormatError, NumericalError
 from .herding import herd, uniform_subsample
@@ -32,11 +32,22 @@ MODEL_VERSION = 2  # version 1 also stored W; it is still read
 # load_model regenerates W (d x D/2 float64) only up to 1 GiB, so a corrupted d
 # cannot make it allocate without bound.
 MAX_W_VALUES = 1 << 27
+# The pipeline settings a model records, as PipelineConfig.as_dict spells
+# them, in the order its META section lists them.
+MODEL_SETTINGS = ("preprocessing", "m", "subsample_method", "seed")
+# The META strings of a model whose train_meta leaves them out.
+META_DEFAULTS = {"label_neg": "-1", "label_pos": "+1", "preprocessing": "none", "m": "all",
+                 "subsample_method": "herding", "seed": "0", "marker_names": ""}
 
 
 @dataclass(frozen=True)
 class LinearModel:
-    """Trained weights (beta, bias) tied to the feature map that made them."""
+    """Trained weights (beta, bias) tied to the feature map that made them.
+
+    train_meta holds the META strings (every META_DEFAULTS key, filled in
+    where the caller left one out), plus the fitted standardizer and the
+    solver's gap and convergence when the model has them.
+    """
 
     beta: np.ndarray
     bias: float
@@ -53,6 +64,7 @@ class LinearModel:
         beta = beta.copy()
         beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "train_meta", {**META_DEFAULTS, **self.train_meta})
 
 
 @dataclass(frozen=True)
@@ -248,58 +260,55 @@ def stratified_folds(labels: Sequence[int], folds: int, seed: int) -> list[np.nd
 class Pipeline:
     """The fitted preprocess -> select -> embed chain every command runs.
 
-    prepare applies the preprocessing (arcsinh with a cofactor, or a fitted
-    Standardizer); select keeps m cells per sample by herding or seeded
-    uniform draws; embed turns raw samples into feature rows: the mean
-    random-feature vector (rff) or the per-marker mean (naive) of the
-    selected cells. A sample with no more than m cells, or any sample when
-    m is None, keeps all its cells in storage order.
+    cfg is the effective PipelineConfig; rff and standardizer are what was
+    fitted under it. prepare applies cfg.preprocessing (arcsinh with a
+    cofactor, or the standardizer); select keeps cfg.m cells per sample by
+    herding or by uniform draws, sample s seeded by
+    derive_seed(cfg.seed, "uniform:s"); embed turns raw samples into feature
+    rows: the mean random-feature vector (cfg.features "rff") or the
+    per-marker mean ("naive") of the selected cells. A sample with no more
+    than m cells, or any sample when m is None, keeps all its cells in
+    storage order.
     """
 
+    cfg: PipelineConfig
     rff: RffMap
-    m: int | None
-    subsample_method: str
-    seed: int  # uniform draws for sample s use derive_seed(seed, "uniform:s")
-    features: str = "rff"
-    cofactor: float | None = None
     standardizer: Standardizer | None = None
 
     @classmethod
-    def fit(cls, cfg: PipelineConfig, samples: Sequence[SampleSet], seed: int) -> "Pipeline":
-        """Frequencies drawn from seed; a standardizer fits on samples' pooled cells."""
+    def fit(cls, cfg: PipelineConfig, samples: Sequence[SampleSet]) -> "Pipeline":
+        """Frequencies drawn from cfg.seed; a standardizer fits on samples' pooled cells."""
         std = dat.fit_standardizer(samples) if cfg.preprocessing == "standardize" else None
-        rmap = sample_frequencies(samples[0].d, cfg.D, cfg.gamma, derive_seed(seed, "rff"))
-        return cls(rff=rmap, m=cfg.m, subsample_method=cfg.subsample_method, seed=seed,
-                   features=cfg.features, cofactor=cfg.arcsinh_cofactor(), standardizer=std)
+        rmap = sample_frequencies(samples[0].d, cfg.D, cfg.gamma, derive_seed(cfg.seed, "rff"))
+        return cls(cfg, rmap, std)
 
     @classmethod
     def from_model(cls, model: LinearModel) -> "Pipeline":
         """The pipeline a trained model was fitted with."""
-        cfg = model_config(model)
-        return cls(rff=model.rff, m=cfg.m, subsample_method=cfg.subsample_method,
-                   seed=cfg.seed, cofactor=cfg.arcsinh_cofactor(),
-                   standardizer=model.train_meta.get("standardizer"))
+        return cls(model_config(model), model.rff, model.train_meta.get("standardizer"))
 
     def prepare(self, sample: SampleSet) -> SampleSet:
         """The sample after the fitted preprocessing."""
         if sample.d != self.rff.d:
             raise ValueError(f"sample has d={sample.d}, model expects d={self.rff.d}")
-        if self.cofactor is not None:
-            sample = dat.arcsinh_transform(sample, self.cofactor)
+        cofactor = self.cfg.arcsinh_cofactor()
+        if cofactor is not None:
+            sample = dat.arcsinh_transform(sample, cofactor)
         if self.standardizer is not None:
             sample = dat.apply_standardizer(self.standardizer, sample)
         return sample
 
     def select(self, sample: SampleSet) -> np.ndarray:
         """Row indices of the kept cells of a prepared sample, in selection order."""
-        if self.m is None or self.m >= sample.n:
+        m = self.cfg.m
+        if m is None or m >= sample.n:
             return np.arange(sample.n)
-        if self.subsample_method == "uniform":
-            res = uniform_subsample(sample, self.m,
-                                    derive_seed(self.seed, f"uniform:{sample.sample_id}"))
+        if self.cfg.subsample_method == "uniform":
+            res = uniform_subsample(sample, m,
+                                    derive_seed(self.cfg.seed, f"uniform:{sample.sample_id}"))
         else:
             with _naming(sample):
-                res = herd(self.rff, sample, self.m)
+                res = herd(self.rff, sample, m)
         return np.asarray(res.selected_indices)
 
     def embed(self, samples: Sequence[SampleSet]) -> np.ndarray:
@@ -308,7 +317,7 @@ class Pipeline:
         def one(sample: SampleSet) -> np.ndarray:
             prepared = self.prepare(sample)
             kept = replace(prepared, cells=prepared.cells[self.select(prepared)])
-            if self.features == "naive":
+            if self.cfg.features == "naive":
                 return naive_mean(kept)
             with _naming(sample):
                 return embed_matrix(self.rff, kept.cells)
@@ -347,7 +356,7 @@ def cross_validate(dataset: LabeledDataset, cfg: PipelineConfig) -> CvReport:
             if feats is None or per_fold_fit:
                 fit_on = ([dataset.samples[i] for i in train_idx] if per_fold_fit
                           else dataset.samples)
-                feats = Pipeline.fit(cfg, fit_on, run_seed).embed(dataset.samples)
+                feats = Pipeline.fit(replace(cfg, seed=run_seed), fit_on).embed(dataset.samples)
             res = solve_hinge(feats[train_idx], y[train_idx], reg_c=cfg.reg_c)
             scores = feats[test_idx] @ res.w + res.bias
             pred = np.where(scores < 0, -1, +1)
@@ -365,16 +374,14 @@ def fit_pipeline(dataset: LabeledDataset, cfg: PipelineConfig) -> LinearModel:
     cfg.validate()
     if cfg.features != "rff":
         raise ConfigError("only features=rff models can be trained and saved")
-    pipe = Pipeline.fit(cfg, dataset.samples, cfg.seed)
+    pipe = Pipeline.fit(cfg, dataset.samples)
     feats = pipe.embed(dataset.samples)
     res = solve_hinge(feats, np.asarray(dataset.labels, dtype=float), reg_c=cfg.reg_c)
+    settings = cfg.as_dict()
     meta = {
         "label_neg": dataset.label_names[-1],
         "label_pos": dataset.label_names[+1],
-        "preprocessing": cfg.preprocessing,
-        "m": "all" if cfg.m is None else str(cfg.m),
-        "subsample_method": cfg.subsample_method,
-        "seed": str(cfg.seed),
+        **{k: settings[k] for k in MODEL_SETTINGS},
         "marker_names": dat.csv_line(dataset.marker_names),
         "solver_gap": res.gap,
         "solver_converged": res.converged,
@@ -388,15 +395,14 @@ def fit_pipeline(dataset: LabeledDataset, cfg: PipelineConfig) -> LinearModel:
 def model_config(model: LinearModel) -> PipelineConfig:
     """Pipeline settings a saved model applies at predict time."""
     meta = model.train_meta
-    m = meta.get("m", "all")
     return PipelineConfig(
         gamma=model.rff.gamma,
         D=model.rff.D,
-        m=None if m == "all" else int(m),
+        m=None if meta["m"] == "all" else int(meta["m"]),
         reg_c=model.reg_c,
-        seed=int(meta.get("seed", "0")),
-        subsample_method=meta.get("subsample_method", "herding"),
-        preprocessing=meta.get("preprocessing", "none"),
+        seed=int(meta["seed"]),
+        subsample_method=meta["subsample_method"],
+        preprocessing=meta["preprocessing"],
     )
 
 
@@ -405,12 +411,8 @@ def apply_model(model: LinearModel, sample: SampleSet) -> float:
     return decision(model, Pipeline.from_model(model).embed([sample])[0])
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), FLOAT_FMT)
-
-
 def _fmt_row(row: np.ndarray) -> str:
-    return " ".join(_fmt(v) for v in row)
+    return " ".join(fmt_float(v) for v in row)
 
 
 def save_model(model: LinearModel, path) -> None:
@@ -427,7 +429,7 @@ def save_model(model: LinearModel, path) -> None:
         raise ValueError("model W is not the draw of its seed and cannot be saved")
     meta = model.train_meta
     for key in ("label_neg", "label_pos", "marker_names"):
-        value = str(meta.get(key, ""))
+        value = str(meta[key])
         if "".join(value.splitlines()) != value:
             raise DataError(f"{key} {value!r} holds a line break, which a model file "
                             "cannot store")
@@ -435,29 +437,24 @@ def save_model(model: LinearModel, path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"{MODEL_MAGIC} {MODEL_VERSION}"]
     lines.append("KERNEL")
-    lines.append(f"gamma {_fmt(rff.gamma)}")
+    lines.append(f"gamma {fmt_float(rff.gamma)}")
     lines.append(f"D {rff.D}")
     lines.append(f"seed {rff.seed}")
     lines.append(f"generator {GENERATOR_NAME}")
     lines.append(f"d {rff.d}")
     lines.append("LINEAR")
     lines.append(f"beta {_fmt_row(model.beta)}")
-    lines.append(f"bias {_fmt(model.bias)}")
+    lines.append(f"bias {fmt_float(model.bias)}")
     lines.append("META")
-    lines.append(f"label_neg {meta.get('label_neg', '-1')}")
-    lines.append(f"label_pos {meta.get('label_pos', '+1')}")
-    lines.append(f"preprocessing {meta.get('preprocessing', 'none')}")
-    lines.append(f"m {meta.get('m', 'all')}")
-    lines.append(f"subsample_method {meta.get('subsample_method', 'herding')}")
-    lines.append(f"seed {meta.get('seed', '0')}")
-    lines.append(f"reg_c {_fmt(model.reg_c)}")
-    lines.append(f"marker_names {meta.get('marker_names', '')}")
+    lines += [f"{k} {meta[k]}" for k in ("label_neg", "label_pos", *MODEL_SETTINGS)]
+    lines.append(f"reg_c {fmt_float(model.reg_c)}")
+    lines.append(f"marker_names {meta['marker_names']}")
     std = meta.get("standardizer")
     if std is not None:
         lines.append(f"standardizer_mean {_fmt_row(std.mean)}")
         lines.append(f"standardizer_std {_fmt_row(std.std)}")
     if "solver_gap" in meta:  # absent from a model that was loaded from a file without it
-        lines.append(f"solver_gap {_fmt(meta['solver_gap'])}")
+        lines.append(f"solver_gap {fmt_float(meta['solver_gap'])}")
         lines.append(f"solver_converged {str(bool(meta['solver_converged'])).lower()}")
     lines.append("END")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -530,8 +527,7 @@ def load_model(path) -> LinearModel:
         bias = float(cur.keyed("bias", "LINEAR"))
         cur.expect("META")
         meta: dict = {}
-        for key in ("label_neg", "label_pos", "preprocessing", "m",
-                    "subsample_method", "seed"):
+        for key in ("label_neg", "label_pos", *MODEL_SETTINGS):
             meta[key] = cur.keyed(key, "META")
         reg_c = float(cur.keyed("reg_c", "META"))
         meta["marker_names"] = cur.keyed("marker_names", "META")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,9 +36,9 @@ from .config import (
     parse_config_file,
 )
 from .data import (
-    FLOAT_FMT,
     LabeledDataset,
     csv_fields,
+    fmt_float,
     load_manifest,
     load_sample_set,
     map_samples,
@@ -56,12 +56,8 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
-_CONFIG_FLAGS = ("gamma", "D", "m", "folds", "runs", "reg_c", "subsample_method",
-                 "preprocessing", "clusters_C", "features")
-
-
-def _fmt(v) -> str:
-    return format(float(v), FLOAT_FMT)
+# one --<key> flag per PipelineConfig field; the seed has its own integer --seed
+_CONFIG_FLAGS = tuple(f.name for f in fields(PipelineConfig) if f.name != "seed")
 
 
 def _effective_config(args) -> PipelineConfig:
@@ -101,7 +97,7 @@ def _write_csv(path: Path, header: list[str], rows, comment: str | None = None) 
 
 def _model_markers(model) -> list[str] | None:
     """The model's training marker order, which sample columns are aligned to."""
-    return csv_fields(model.train_meta.get("marker_names", "")) or None
+    return csv_fields(model.train_meta["marker_names"]) or None
 
 
 def _cell_file_name(sample_id: str) -> str:
@@ -133,9 +129,10 @@ def cmd_synth(args) -> int:
 def cmd_featurize(args) -> int:
     cfg = _effective_config(args)
     dataset = load_manifest(args.manifest)
-    feats = Pipeline.fit(cfg, dataset.samples, cfg.seed).embed(dataset.samples)
+    feats = Pipeline.fit(cfg, dataset.samples).embed(dataset.samples)
     out_dir = Path(args.out)
-    rows = [[s.sample_id] + [_fmt(v) for v in row] for s, row in zip(dataset.samples, feats)]
+    rows = [[s.sample_id] + [fmt_float(v) for v in row]
+            for s, row in zip(dataset.samples, feats)]
     header = ["sample_id"] + [f"mu_{j}" for j in range(feats.shape[1])]
     _write_csv(out_dir / "embeddings.csv", header, rows, _config_comment(cfg))
     _write_meta(out_dir, cfg, "featurize")
@@ -147,7 +144,7 @@ def cmd_herd(args) -> int:
     cfg = _effective_config(args)
     dataset = load_manifest(args.manifest)
     names = [_cell_file_name(s.sample_id) for s in dataset.samples]
-    pipe = Pipeline.fit(cfg, dataset.samples, cfg.seed)
+    pipe = Pipeline.fit(cfg, dataset.samples)
     picks = [pipe.select(pipe.prepare(s)) for s in dataset.samples]  # before any file is written
     out_dir = Path(args.out)
     index_rows = []
@@ -194,7 +191,7 @@ def cmd_herd_bench(args) -> int:
                                     derive_seed(cfg.seed, f"bench-unif:{si}:{m}"))
             mu_u = embed_matrix(rmap, sample.cells[np.asarray(res.selected_indices)])
             errors[("uniform", m)].append(float(np.linalg.norm(mu_u - mu_full)))
-    rows = [[method, str(m), _fmt(np.mean(errors[(method, m)]))]
+    rows = [[method, str(m), fmt_float(np.mean(errors[(method, m)]))]
             for method in ("herding", "uniform") for m in m_values]
     out_dir = Path(args.out)
     _write_csv(out_dir / "herd_bench.csv", ["method", "m", "embedding_error"],
@@ -230,15 +227,14 @@ def cmd_predict(args) -> int:
             raise DataError(f"predict: sample_id {sample_id!r} appears twice among the "
                             "manifest ids and sample file stems")
         seen.add(sample_id)
-    label_names = {-1: model.train_meta.get("label_neg", "-1"),
-                   +1: model.train_meta.get("label_pos", "+1")}
+    label_names = {-1: model.train_meta["label_neg"], +1: model.train_meta["label_pos"]}
 
     def row(s) -> list[str]:
         nonlocal markers  # without the model's, every sample follows the first one read
         markers = markers or s.marker_names
         _check_dims(s, model)
         dec = apply_model(model, s)
-        return [s.sample_id, _fmt(dec), label_names[-1 if dec < 0 else +1]]
+        return [s.sample_id, fmt_float(dec), label_names[-1 if dec < 0 else +1]]
 
     # one raw sample in memory at a time: each is read, decided and dropped
     rows = map_samples(manifest, row, markers) if manifest else []
@@ -288,14 +284,14 @@ def cmd_crossval(args) -> int:
         for reg_c in sweep_regs:
             sub_cfg = replace(cfg, gamma=gamma, reg_c=reg_c)
             report = cross_validate(dataset, sub_cfg)
-            rows = [[str(r), str(f), _fmt(acc)]
+            rows = [[str(r), str(f), fmt_float(acc)]
                     for r, accs in enumerate(report.accuracies)
                     for f, acc in enumerate(accs)]
             name = (f"report_gamma{gamma:g}_c{reg_c:g}.csv" if sweeping else "report.csv")
             _write_csv(out_dir / name, ["run", "fold", "accuracy"], rows,
                        _config_comment(sub_cfg))
             line = f"{report.mean * 100:.2f} ± {report.std * 100:.2f}"
-            summary_rows.append([_fmt(gamma), _fmt(reg_c), _fmt(report.mean), _fmt(report.std)])
+            summary_rows.append([fmt_float(v) for v in (gamma, reg_c, report.mean, report.std)])
             prefix = f"gamma={gamma:g} reg_c={reg_c:g} " if sweeping else ""
             print(f"{prefix}accuracy {line}")
     if sweeping:
@@ -308,12 +304,12 @@ def cmd_crossval(args) -> int:
 def cmd_interpret(args) -> int:
     flags = _effective_config(args)
     model = load_model(args.model)
-    # the model's settings apply; only the clustering's come from the command line
-    cfg = replace(model_config(model), clusters_C=flags.clusters_C, seed=flags.seed)
-    manifest = read_manifest(args.manifest)
     # Clustering runs in the feature space the model consumes (after its
     # stored preprocessing), which summary.txt records.
     pipe = Pipeline.from_model(model)
+    # the model's settings apply; only the clustering's come from the command line
+    cfg = replace(pipe.cfg, clusters_C=flags.clusters_C, seed=flags.seed)
+    manifest = read_manifest(args.manifest)
     pool_range = itp.ClusterRange()
 
     def keep(s):
@@ -339,7 +335,7 @@ def cmd_interpret(args) -> int:
         scores = region.cell_scores[offset:offset + s.n]
         ids = clusters.assignments[offset:offset + s.n]
         for orig_idx, sc, cid in zip(indices, scores, ids):
-            score_rows.append([s.sample_id, str(orig_idx), _fmt(sc), str(cid)])
+            score_rows.append([s.sample_id, str(orig_idx), fmt_float(sc), str(cid)])
         offset += s.n
     _write_csv(out_dir / "scores.csv", ["sample_id", "cell_index", "score", "cluster_id"],
                score_rows, comment)
@@ -352,16 +348,16 @@ def cmd_interpret(args) -> int:
     for c in range(clusters.C):
         grad = itp.score_gradient(model, clusters.centroids[c])
         cluster_rows.append(
-            [str(c), str(int(sizes[c])), _fmt(region.centroid_scores[c]),
-             _fmt(region.average_scores[c])]
-            + [_fmt(v) for v in clusters.centroids[c]]
-            + [_fmt(v) for v in grad]
+            [str(c), str(int(sizes[c])), fmt_float(region.centroid_scores[c]),
+             fmt_float(region.average_scores[c])]
+            + [fmt_float(v) for v in clusters.centroids[c]]
+            + [fmt_float(v) for v in grad]
         )
     _write_csv(out_dir / "clusters.csv", header, cluster_rows, comment)
 
     freq_header = ["sample_id", "label"] + [f"freq_{c}" for c in range(clusters.C)]
     freq_rows = [
-        [sid, manifest.label_names[lab]] + [_fmt(v) for v in freqs]
+        [sid, manifest.label_names[lab]] + [fmt_float(v) for v in freqs]
         for sid, lab, freqs in zip(region.sample_ids, manifest.labels, region.frequencies)
     ]
     _write_csv(out_dir / "frequencies.csv", freq_header, freq_rows, comment)
@@ -372,16 +368,16 @@ def cmd_interpret(args) -> int:
         f_neg = region.frequencies[y == -1, c]
         f_pos = region.frequencies[y == +1, c]
         p = itp.rank_sum_test(f_neg, f_pos)
-        stat_rows.append([str(c), _fmt(p)])
+        stat_rows.append([str(c), fmt_float(p)])
     _write_csv(out_dir / "stats.csv", ["cluster_id", "rank_sum_p"], stat_rows, comment)
 
     try:
         r = itp.pearson(region.centroid_scores, region.average_scores)
-        pearson_line = f"pearson_centroid_vs_average={_fmt(r)}"
+        pearson_line = f"pearson_centroid_vs_average={fmt_float(r)}"
     except ValueError:
         pearson_line = "pearson_centroid_vs_average=n/a: zero variance"
     space_line = ("clustering_space=model feature space (preprocessing="
-                  f"{model.train_meta.get('preprocessing', 'none')})")
+                  f"{model.train_meta['preprocessing']})")
     (out_dir / "summary.txt").write_text(
         comment + "\n" + pearson_line + "\n" + space_line + "\n", encoding="utf-8"
     )
@@ -428,7 +424,7 @@ def cmd_stats(args) -> int:
         raise DataError("both labels required to run the rank-sum test")
     p = itp.rank_sum_test(neg, pos)
     _write_meta(Path(args.out), cfg, "stats")
-    print(f"cluster {args.cluster} rank_sum_p {_fmt(p)}")
+    print(f"cluster {args.cluster} rank_sum_p {fmt_float(p)}")
     return EXIT_OK
 
 

@@ -101,34 +101,29 @@ class PipelineConfig:
         return out
 
 
-_INT_KEYS = {"D", "folds", "runs", "seed", "clusters_C"}
-_FLOAT_KEYS = {"gamma", "reg_c"}
-_STR_KEYS = {"subsample_method", "preprocessing", "features"}
+_SETTING_TYPES = {f.name: type(f.default) for f in fields(PipelineConfig)}
+_TYPE_NAMES = {int: "an integer", float: "a number"}
 
 
 def coerce_setting(key: str, value: str):
-    """Convert one config-file or flag string to its typed value."""
+    """Convert one config-file or flag string to its typed value.
+
+    Each key takes the type of its PipelineConfig default; m also takes "all",
+    which is None.
+    """
     value = value.strip()
-    if key == "m":
-        if value == "all":
-            return None
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(f"m must be an integer or 'all', got {value!r}") from None
-    if key in _INT_KEYS:
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(f"{key} must be an integer, got {value!r}") from None
-    if key in _FLOAT_KEYS:
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"{key} must be a number, got {value!r}") from None
-    if key in _STR_KEYS:
+    if key not in _SETTING_TYPES:
+        raise ConfigError(f"unknown config key {key!r}")
+    kind = _SETTING_TYPES[key]
+    if kind is str:
         return value
-    raise ConfigError(f"unknown config key {key!r}")
+    if key == "m" and value == "all":
+        return None
+    try:
+        return kind(value)
+    except ValueError:
+        expected = "an integer or 'all'" if key == "m" else _TYPE_NAMES[kind]
+        raise ConfigError(f"{key} must be {expected}, got {value!r}") from None
 
 
 def parse_config_file(path) -> dict:

@@ -21,6 +21,12 @@ from .errors import DataError
 
 FLOAT_FMT = ".17g"  # shortest round-trippable decimal for float64
 
+
+def fmt_float(v) -> str:
+    """v as the FLOAT_FMT decimal that every output file writes."""
+    return format(float(v), FLOAT_FMT)
+
+
 MANIFEST_HEADER = ("sample_id", "path", "label")
 
 

@@ -18,7 +18,7 @@ from .errors import NumericalError
 
 GENERATOR_NAME = "philox4x64-boxmuller"
 TWO_PI = 2.0 * np.pi
-TRIG_CHUNK = 1 << 15  # elements of X @ W per float32 trig pass (256 KB in float64)
+TRIG_CHUNK = 1 << 15  # elements of X @ W per _phase_blocks block (256 KB in float64)
 
 
 @dataclass(frozen=True)
@@ -88,41 +88,44 @@ def _as_cells(rmap: RffMap, X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _phases(X: np.ndarray, W: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """X @ W, raising NumericalError instead of warning when it is not finite.
+def _phase_blocks(rmap: RffMap, X: np.ndarray):
+    """Yield (r, Z) with Z = X[r:r + len(Z)] @ W, block after block of rows.
 
     BLAS picks its kernel, and with it how each row's sum is rounded, from
     the shape of the product: a lone row goes through GEMV, a few rows may
     take a small-matrix kernel. So every product here takes exactly
     TRIG_CHUNK // (D/2) rows, the last block padded, and a row's phases are
-    bit-identical whichever rows it comes with. out, if given, holds len(X)
-    rows rounded up to that block.
+    bit-identical whichever rows it comes with. Z is one reused buffer,
+    overwritten by the next block. A block that is not finite raises
+    NumericalError instead of warning.
     """
-    rows, n = max(1, TRIG_CHUNK // W.shape[1]), len(X)
-    Z = np.empty(((n + rows - 1) // rows * rows, W.shape[1])) if out is None else out
-    block = np.zeros((rows, X.shape[1]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for r in range(0, n, rows):
-            block[:min(rows, n - r)] = X[r:r + rows]
-            np.matmul(block, W, out=Z[r:r + rows])
-    if not np.isfinite(Z[:n]).all():
-        raise NumericalError("X @ W overflows float64: a cell's values are too large "
-                             "for the feature map")
-    return Z[:n]
+    rows = max(1, TRIG_CHUNK // rmap.W.shape[1])
+    block = np.zeros((rows, rmap.d))
+    Z = np.empty((rows, rmap.W.shape[1]))
+    for r in range(0, len(X), rows):
+        c = min(rows, len(X) - r)
+        block[:c] = X[r:r + c]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(block, rmap.W, out=Z)
+        if not np.isfinite(Z[:c]).all():
+            raise NumericalError("X @ W overflows float64: a cell's values are too large "
+                                 "for the feature map")
+        yield r, Z[:c]
 
 
 def featurize_batch(rmap: RffMap, X: np.ndarray) -> np.ndarray:
     """Feature map for an (n, d) matrix of cells; returns (n, D).
 
     Each row is bit-identical to that row featurized alone or in any other
-    block of rows (see _phases).
+    block of rows (see _phase_blocks). Apart from the result, no temporary
+    grows with n.
     """
     X = _as_cells(rmap, X)
-    Z = _phases(X, rmap.W)
     out = np.empty((X.shape[0], rmap.D))
     half = rmap.D // 2
-    np.sin(Z, out=out[:, :half])
-    np.cos(Z, out=out[:, half:])
+    for r, Z in _phase_blocks(rmap, X):
+        np.sin(Z, out=out[r:r + len(Z), :half])
+        np.cos(Z, out=out[r:r + len(Z), half:])
     out *= rmap.scale
     return out
 
@@ -135,26 +138,21 @@ def featurize_f32trig(rmap: RffMap, X: np.ndarray) -> np.ndarray:
     its own rounding at any cell magnitude. rmap.scale * t32, scaled in
     float64, is the feature map: its entries differ from featurize_batch by
     at most about 1.6e-7 * scale (5e-9 at D=2000). Rows go through the trig
-    TRIG_CHUNK elements at a time in reused buffers, so apart from the
-    result no temporary grows with n. Like featurize_batch, it gives a row
-    the same bits alone, in any subset, order or block of rows.
+    one _phase_blocks block at a time, so apart from the result no
+    temporary grows with n. Like featurize_batch, it gives a row the same
+    bits alone, in any subset, order or block of rows.
     """
     X = _as_cells(rmap, X)
-    n, half = X.shape[0], rmap.D // 2
-    out = np.empty((n, rmap.D), np.float32)
-    rows = max(1, TRIG_CHUNK // half)  # as _phases blocks them
-    z, turns = np.empty((rows, half)), np.empty((rows, half))
-    z32 = np.empty((rows, half), np.float32)
-    for r in range(0, n, rows):
-        c = min(rows, n - r)
-        zc, tc, z32c = _phases(X[r:r + c], rmap.W, out=z), turns[:c], z32[:c]
-        np.multiply(zc, 1.0 / TWO_PI, out=tc)
-        np.rint(tc, out=tc)
-        tc *= TWO_PI
-        zc -= tc
-        z32c[...] = zc
-        np.sin(z32c, out=out[r:r + c, :half])
-        np.cos(z32c, out=out[r:r + c, half:])
+    out = np.empty((X.shape[0], rmap.D), np.float32)
+    half = rmap.D // 2
+    for r, Z in _phase_blocks(rmap, X):
+        turns = Z * (1.0 / TWO_PI)
+        np.rint(turns, out=turns)
+        turns *= TWO_PI
+        Z -= turns
+        z32 = Z.astype(np.float32)
+        np.sin(z32, out=out[r:r + len(Z), :half])
+        np.cos(z32, out=out[r:r + len(Z), half:])
     return out
 
 

@@ -21,8 +21,15 @@ from setkernel import (
     solve_hinge,
     train,
 )
-from setkernel.classifier import MODEL_VERSION, _optimal_bias, fit_pipeline, stratified_folds
+from setkernel.classifier import (
+    MODEL_VERSION,
+    Pipeline,
+    _optimal_bias,
+    fit_pipeline,
+    stratified_folds,
+)
 from setkernel.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, main
+from setkernel.config import coerce_setting
 from setkernel.data import LabeledDataset
 from setkernel.synth import benchmark_spec, generate_dataset, spec_from_dict
 
@@ -447,6 +454,41 @@ class TestModelV1:
         with pytest.raises(ValueError, match="not the draw of its seed"):
             save_model(model, tmp_path / "m.txt")
         assert not (tmp_path / "m.txt").exists()
+
+
+class TestSettingsRoundTrip:
+    """PipelineConfig's strings parse back to it, and a model file gives back
+    the settings that trained it."""
+
+    @pytest.mark.parametrize("cfg", [
+        PipelineConfig(),
+        PipelineConfig(gamma=0.1, D=64, m=None, folds=3, runs=2, reg_c=2.5, seed=2 ** 63,
+                       subsample_method="uniform", preprocessing="arcsinh:5",
+                       clusters_C=4, features="naive"),
+        PipelineConfig(gamma=1 / 3, reg_c=1e-7, m=1, preprocessing="standardize"),
+    ])
+    def test_every_field_parses_back(self, cfg):
+        for key, text in cfg.as_dict().items():
+            assert coerce_setting(key, text) == getattr(cfg, key), key
+
+    @pytest.mark.parametrize("preprocessing", ["none", "standardize", "arcsinh:5"])
+    @pytest.mark.parametrize("m", [None, 5])
+    @pytest.mark.parametrize("method", ["herding", "uniform"])
+    def test_model_file_keeps_the_trained_settings(self, tmp_path, preprocessing, m, method):
+        ds = generate_dataset(benchmark_spec(seed=3, sets_per_class=3, cells_per_set=12))
+        cfg = PipelineConfig(gamma=2.5, D=8, m=m, reg_c=0.75, seed=11,
+                             subsample_method=method, preprocessing=preprocessing)
+        save_model(fit_pipeline(ds, cfg), tmp_path / "m.txt")
+        back = Pipeline.from_model(load_model(tmp_path / "m.txt")).cfg
+        for key in ("preprocessing", "m", "subsample_method", "seed", "gamma", "D", "reg_c"):
+            assert getattr(back, key) == getattr(cfg, key), key
+
+    def test_library_model_writes_the_meta_defaults(self, small_map, tmp_path):
+        model = train(small_map, embeddings_from(np.eye(2, small_map.D)), [-1, 1])
+        save_model(model, tmp_path / "m.txt")
+        text = (tmp_path / "m.txt").read_text()
+        assert ("\nMETA\nlabel_neg -1\nlabel_pos +1\npreprocessing none\nm all\n"
+                "subsample_method herding\nseed 0\nreg_c 1\nmarker_names \n") in text
 
 
 # Values a fuzzed model line may take. Free text has at most four characters, so

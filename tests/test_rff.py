@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -84,6 +85,20 @@ class TestFeaturize:
     def test_dimension_mismatch(self, small_map):
         with pytest.raises(ValueError, match="map expects"):
             featurize(small_map, np.zeros(3))
+
+    def test_batch_peak_is_its_output(self):
+        # X @ W goes through one reused block, so no n x D/2 phase matrix
+        # is held next to the n x D result
+        n, d, D = 4096, 30, 2000
+        X = np.random.default_rng(3).normal(size=(n, d))
+        rmap = sample_frequencies(d, D, 30.0, 4)
+        tracemalloc.start()
+        try:
+            featurize_batch(rmap, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.05 * n * D * 8
 
     def test_kernel_approximation(self, rng):
         m = sample_frequencies(2, 2000, 1.0, 99)

@@ -35,7 +35,7 @@ MAX_W_VALUES = 1 << 27
 # The pipeline settings a model records, as PipelineConfig.as_dict spells
 # them, in the order its META section lists them.
 MODEL_SETTINGS = ("preprocessing", "m", "subsample_method", "seed")
-# The META strings of a model whose train_meta leaves them out.
+# META's text fields, as a model whose train_meta leaves them out writes them.
 META_DEFAULTS = {"label_neg": "-1", "label_pos": "+1", "preprocessing": "none", "m": "all",
                  "subsample_method": "herding", "seed": "0", "marker_names": ""}
 
@@ -311,12 +311,17 @@ class Pipeline:
                 res = herd(self.rff, sample, m)
         return np.asarray(res.selected_indices)
 
+    def keep(self, sample: SampleSet) -> tuple[SampleSet, np.ndarray]:
+        """The kept cells of a raw sample, prepared, and their row indices in it."""
+        prepared = self.prepare(sample)
+        idx = self.select(prepared)
+        return replace(prepared, cells=prepared.cells[idx]), idx
+
     def embed(self, samples: Sequence[SampleSet]) -> np.ndarray:
         """One feature row per raw sample."""
 
         def one(sample: SampleSet) -> np.ndarray:
-            prepared = self.prepare(sample)
-            kept = replace(prepared, cells=prepared.cells[self.select(prepared)])
+            kept, _ = self.keep(sample)
             if self.cfg.features == "naive":
                 return naive_mean(kept)
             with _naming(sample):
@@ -341,7 +346,6 @@ def cross_validate(dataset: LabeledDataset, cfg: PipelineConfig) -> CvReport:
     fold-dependent preprocessing is configured, per-sample features are
     computed once per run and reused across folds.
     """
-    cfg.validate()
     y = np.asarray(dataset.labels)
     per_fold_fit = cfg.preprocessing == "standardize"
     all_acc: list[tuple[float, ...]] = []
@@ -371,7 +375,6 @@ def cross_validate(dataset: LabeledDataset, cfg: PipelineConfig) -> CvReport:
 
 def fit_pipeline(dataset: LabeledDataset, cfg: PipelineConfig) -> LinearModel:
     """Train one model on every sample of the dataset (no held-out split)."""
-    cfg.validate()
     if cfg.features != "rff":
         raise ConfigError("only features=rff models can be trained and saved")
     pipe = Pipeline.fit(cfg, dataset.samples)
@@ -415,14 +418,36 @@ def _fmt_row(row: np.ndarray) -> str:
     return " ".join(fmt_float(v) for v in row)
 
 
+def _floats(text: str) -> np.ndarray:
+    return np.array([float(v) for v in text.split()])
+
+
+def _layout(v1: bool, standardizer: bool, solver: bool) -> list[tuple[str, str | None]]:
+    """The model file's lines after its header, in file order.
+
+    (section, None) is a section's own line and (section, key) a "key value"
+    line in it. A version-1 file has a W section, whose d rows of W follow its
+    line, where a version-2 file has its d line. The standardizer and solver
+    pairs close META when the model has them.
+    """
+    meta = ["label_neg", "label_pos", *MODEL_SETTINGS, "reg_c", "marker_names"]
+    meta += ["standardizer_mean", "standardizer_std"] if standardizer else []
+    meta += ["solver_gap", "solver_converged"] if solver else []
+    sections = {"KERNEL": ["gamma", "D", "seed", "generator"] + ([] if v1 else ["d"]),
+                **({"W": []} if v1 else {}),
+                "LINEAR": ["beta", "bias"], "META": meta, "END": []}
+    return [(section, key) for section, keys in sections.items() for key in (None, *keys)]
+
+
 def save_model(model: LinearModel, path) -> None:
-    """Write the model as UTF-8 text; all numeric fields round-trip exactly.
+    """Write the model as UTF-8 text in _layout's line order; numbers round-trip exactly.
 
     W is not written: (d, D, gamma, seed, generator) regenerate it bit for bit,
     so a map whose W is not its seed's draw is refused. marker_names is one
     CSV row (data.csv_line). Each field takes one line, so a label or marker
     name holding a line break is refused before anything is written. The
-    solver's duality gap and convergence are written when the model has them.
+    standardizer is written when the model has one, and the solver's duality
+    gap and convergence when the model has them.
     """
     rff = model.rff
     if sample_frequencies(rff.d, rff.D, rff.gamma, rff.seed).W.tobytes() != rff.W.tobytes():
@@ -433,120 +458,91 @@ def save_model(model: LinearModel, path) -> None:
         if "".join(value.splitlines()) != value:
             raise DataError(f"{key} {value!r} holds a line break, which a model file "
                             "cannot store")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"{MODEL_MAGIC} {MODEL_VERSION}"]
-    lines.append("KERNEL")
-    lines.append(f"gamma {fmt_float(rff.gamma)}")
-    lines.append(f"D {rff.D}")
-    lines.append(f"seed {rff.seed}")
-    lines.append(f"generator {GENERATOR_NAME}")
-    lines.append(f"d {rff.d}")
-    lines.append("LINEAR")
-    lines.append(f"beta {_fmt_row(model.beta)}")
-    lines.append(f"bias {fmt_float(model.bias)}")
-    lines.append("META")
-    lines += [f"{k} {meta[k]}" for k in ("label_neg", "label_pos", *MODEL_SETTINGS)]
-    lines.append(f"reg_c {fmt_float(model.reg_c)}")
-    lines.append(f"marker_names {meta['marker_names']}")
+    values = {("KERNEL", "gamma"): fmt_float(rff.gamma), ("KERNEL", "D"): rff.D,
+              ("KERNEL", "seed"): rff.seed, ("KERNEL", "generator"): GENERATOR_NAME,
+              ("KERNEL", "d"): rff.d, ("LINEAR", "beta"): _fmt_row(model.beta),
+              ("LINEAR", "bias"): fmt_float(model.bias), ("META", "reg_c"): fmt_float(model.reg_c),
+              **{("META", k): meta[k] for k in META_DEFAULTS}}
     std = meta.get("standardizer")
     if std is not None:
-        lines.append(f"standardizer_mean {_fmt_row(std.mean)}")
-        lines.append(f"standardizer_std {_fmt_row(std.std)}")
-    if "solver_gap" in meta:  # absent from a model that was loaded from a file without it
-        lines.append(f"solver_gap {fmt_float(meta['solver_gap'])}")
-        lines.append(f"solver_converged {str(bool(meta['solver_converged'])).lower()}")
-    lines.append("END")
+        values["META", "standardizer_mean"] = _fmt_row(std.mean)
+        values["META", "standardizer_std"] = _fmt_row(std.std)
+    solver = "solver_gap" in meta  # absent from a model loaded from a file without it
+    if solver:
+        values["META", "solver_gap"] = fmt_float(meta["solver_gap"])
+        values["META", "solver_converged"] = str(bool(meta["solver_converged"])).lower()
+    lines = [f"{MODEL_MAGIC} {MODEL_VERSION}"]
+    lines += [section if key is None else f"{key} {values[section, key]}"
+              for section, key in _layout(False, std is not None, solver)]
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-class _Cursor:
-    def __init__(self, lines, path):
-        self.lines = lines
-        self.pos = 0
-        self.path = path
-
-    def next(self, section: str) -> str:
-        if self.pos >= len(self.lines):
-            raise ModelFormatError(f"{self.path}: truncated model file, missing {section}")
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
-
-    def expect(self, token: str) -> None:
-        line = self.next(token)
-        if line.strip() != token:
-            raise ModelFormatError(f"{self.path}: expected {token!r}, got {line!r}")
-
-    def keyed(self, key: str, section: str) -> str:
-        line = self.next(f"{section} {key}")
-        parts = line.split(" ", 1)
-        if parts[0] != key:
-            raise ModelFormatError(
-                f"{self.path}: expected {section} field {key!r}, got {line!r}"
-            )
-        return parts[1] if len(parts) > 1 else ""
 
 
 def load_model(path) -> LinearModel:
     """Read a model file written by save_model; rejects unknown versions.
 
-    W is regenerated from the seed. A version-1 file's stored W must equal
-    that draw bit for bit. solver_gap and solver_converged are read when the
-    file has them, as files written since they were added do.
+    Each line after the header must be the one _layout puts there: a section
+    line matches its name once stripped, a "key value" line its key. The file
+    has the standardizer or the solver pair when it has a standardizer_mean or
+    a solver_gap line before END; lines after END are not read. W is
+    regenerated from the seed. A version-1 file's W rows are the lines between
+    W and LINEAR, d is their count, and they must equal that draw bit for bit.
     """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
         raise ModelFormatError(f"cannot read model file {path}: {e}") from e
-    cur = _Cursor(text.splitlines(), path)
-    head = cur.next("header").split()
+    lines = text.splitlines()
+    if not lines:
+        raise ModelFormatError(f"{path}: truncated model file, missing header")
+    head = lines[0].split()
     if len(head) != 2 or head[0] != MODEL_MAGIC:
         raise ModelFormatError(f"{path}: not a {MODEL_MAGIC} file")
     if head[1] not in ("1", str(MODEL_VERSION)):
         raise ModelFormatError(f"{path}: unsupported model version {head[1]}")
-    cur.expect("KERNEL")
+    v1, body, rows = head[1] == "1", lines[1:], []
+    if v1:
+        w = _layout(True, False, False).index(("W", None)) + 1
+        end = next((i for i in range(w, len(body)) if body[i].strip() == "LINEAR"), len(body))
+        rows, body = body[w:end], body[:w] + body[end:]
+    end = next((i for i, line in enumerate(body) if line.strip() == "END"), len(body))
+    keys = {line.split(" ", 1)[0] for line in body[:end]}
+    values = {}
+    for i, (section, key) in enumerate(_layout(v1, "standardizer_mean" in keys,
+                                               "solver_gap" in keys)):
+        if i >= len(body):
+            missing = section if key is None else f"{section} {key}"
+            raise ModelFormatError(f"{path}: truncated model file, missing {missing}")
+        line = body[i]
+        if key is None:
+            if line.strip() != section:
+                raise ModelFormatError(f"{path}: expected {section!r}, got {line!r}")
+            continue
+        word, _, values[section, key] = line.partition(" ")
+        if word != key:
+            raise ModelFormatError(f"{path}: expected {section} field {key!r}, got {line!r}")
     try:
-        gamma = float(cur.keyed("gamma", "KERNEL"))
-        D = int(cur.keyed("D", "KERNEL"))
-        seed = int(cur.keyed("seed", "KERNEL"))
-        generator = cur.keyed("generator", "KERNEL")
-        W = None
-        if head[1] == "1":
-            cur.expect("W")
-            rows = []  # d is implied by the number of W rows before LINEAR
-            while (line := cur.next("W rows or LINEAR")).strip() != "LINEAR":
-                rows.append([float(v) for v in line.split()])
-            W = np.array(rows, dtype=np.float64, ndmin=2)
-            d = W.shape[0]
-        else:
-            d = int(cur.keyed("d", "KERNEL"))
-            cur.expect("LINEAR")
-        beta = np.array([float(v) for v in cur.keyed("beta", "LINEAR").split()])
-        bias = float(cur.keyed("bias", "LINEAR"))
-        cur.expect("META")
-        meta: dict = {}
-        for key in ("label_neg", "label_pos", *MODEL_SETTINGS):
-            meta[key] = cur.keyed(key, "META")
-        reg_c = float(cur.keyed("reg_c", "META"))
-        meta["marker_names"] = cur.keyed("marker_names", "META")
-        nxt = cur.next("META or END")
-        if nxt.split(" ", 1)[0] == "standardizer_mean":
-            mean = np.array([float(v) for v in nxt.split(" ", 1)[1].split()])
-            std_line = cur.keyed("standardizer_std", "META")
-            std = np.array([float(v) for v in std_line.split()])
-            meta["standardizer"] = Standardizer(mean=mean, std=std)
-            nxt = cur.next("solver_gap or END")
-        if nxt.split(" ", 1)[0] == "solver_gap":  # older files end without the solver fields
-            meta["solver_gap"] = float(nxt.split(" ", 1)[1])
-            converged = cur.keyed("solver_converged", "META")
+        gamma = float(values["KERNEL", "gamma"])
+        D = int(values["KERNEL", "D"])
+        seed = int(values["KERNEL", "seed"])
+        generator = values["KERNEL", "generator"]
+        W = np.array([_floats(row) for row in rows], ndmin=2) if v1 else None
+        d = W.shape[0] if v1 else int(values["KERNEL", "d"])
+        beta = _floats(values["LINEAR", "beta"])
+        bias = float(values["LINEAR", "bias"])
+        meta: dict = {k: values["META", k] for k in META_DEFAULTS}
+        reg_c = float(values["META", "reg_c"])
+        if ("META", "standardizer_mean") in values:
+            meta["standardizer"] = Standardizer(mean=_floats(values["META", "standardizer_mean"]),
+                                                std=_floats(values["META", "standardizer_std"]))
+        if ("META", "solver_gap") in values:  # older files end without the solver fields
+            meta["solver_gap"] = float(values["META", "solver_gap"])
+            converged = values["META", "solver_converged"]
             if converged not in ("true", "false"):
                 raise ValueError(f"solver_converged must be true or false, got {converged!r}")
             meta["solver_converged"] = converged == "true"
-            nxt = cur.next("END")
-        if nxt.strip() != "END":
-            raise ModelFormatError(f"{path}: expected END, got {nxt!r}")
         if generator != GENERATOR_NAME:
             raise ModelFormatError(
                 f"{path}: unknown frequency generator {generator!r} "
@@ -573,7 +569,7 @@ def load_model(path) -> LinearModel:
                 f"that seed {seed} draws for d={d}, D={D}"
             )
         model = LinearModel(beta=beta, bias=bias, rff=rmap, reg_c=reg_c, train_meta=meta)
-        model_config(model).validate()  # the pipeline settings predict applies
+        model_config(model)  # builds, so checks, the pipeline settings predict applies
         return model
     # ConfigError is a ValueError; csv.Error: a marker_names field over csv's size limit
     except (ValueError, IndexError, MemoryError, csv.Error) as e:

@@ -21,11 +21,10 @@ from . import __version__
 from . import interpret as itp
 from .classifier import (
     Pipeline,
-    apply_model,
     cross_validate,
+    decision,
     fit_pipeline,
     load_model,
-    model_config,
     save_model,
 )
 from .config import (
@@ -145,7 +144,7 @@ def cmd_herd(args) -> int:
     dataset = load_manifest(args.manifest)
     names = [_cell_file_name(s.sample_id) for s in dataset.samples]
     pipe = Pipeline.fit(cfg, dataset.samples)
-    picks = [pipe.select(pipe.prepare(s)) for s in dataset.samples]  # before any file is written
+    picks = [pipe.keep(s)[1] for s in dataset.samples]  # before any file is written
     out_dir = Path(args.out)
     index_rows = []
     for s, name, idx in zip(dataset.samples, names, picks):
@@ -215,7 +214,7 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     _effective_config(args)  # the flags are checked, but the model's settings apply
     model = load_model(args.model)
-    cfg = model_config(model)
+    pipe = Pipeline.from_model(model)
     markers = _model_markers(model)
     manifest = read_manifest(args.manifest) if args.manifest else None
     if manifest is None and not args.samples:
@@ -233,7 +232,7 @@ def cmd_predict(args) -> int:
         nonlocal markers  # without the model's, every sample follows the first one read
         markers = markers or s.marker_names
         _check_dims(s, model)
-        dec = apply_model(model, s)
+        dec = decision(model, pipe.embed([s])[0])
         return [s.sample_id, fmt_float(dec), label_names[-1 if dec < 0 else +1]]
 
     # one raw sample in memory at a time: each is read, decided and dropped
@@ -241,8 +240,8 @@ def cmd_predict(args) -> int:
     rows += [row(load_sample_set(path, expected_markers=markers)) for path in args.samples]
     out_dir = Path(args.out)
     _write_csv(out_dir / "predictions.csv", ["sample_id", "decision", "label"], rows,
-               _config_comment(cfg))
-    _write_meta(out_dir, cfg, "predict")
+               _config_comment(pipe.cfg))
+    _write_meta(out_dir, pipe.cfg, "predict")
     print(f"wrote {out_dir / 'predictions.csv'}")
     return EXIT_OK
 
@@ -263,7 +262,7 @@ def _sweep_values(raw: str | None, key: str, cfg: PipelineConfig) -> list[float]
     for v in raw.split(","):
         try:
             value = coerce_setting(key, v)
-            replace(cfg, **{key: value}).validate()
+            replace(cfg, **{key: value})  # building the config checks it
         except ConfigError as e:
             raise ConfigError(f"--sweep-{key.replace('_', '-')}: {e}") from None
         values.append(value)
@@ -315,9 +314,7 @@ def cmd_interpret(args) -> int:
     def keep(s):
         """The kept cells of one raw sample, and their row indices in it."""
         _check_dims(s, model)
-        prepared = pipe.prepare(s)
-        idx = pipe.select(prepared)
-        kept = replace(prepared, cells=prepared.cells[idx])
+        kept, idx = pipe.keep(s)
         pool_range.add(kept)
         return kept, idx
 

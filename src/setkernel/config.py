@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 
@@ -32,7 +32,8 @@ class PipelineConfig:
     every cell (spelled "all" in config files and flags). preprocessing is
     "none", "standardize", or "arcsinh:<cofactor>". features selects the
     per-sample representation: "rff" (mean embedding) or "naive" (per-feature
-    mean, cross-validation ablation only).
+    mean, cross-validation ablation only). Building one runs validate(), so
+    an invalid config cannot exist.
     """
 
     gamma: float = 1.0
@@ -46,6 +47,9 @@ class PipelineConfig:
     preprocessing: str = "none"
     clusters_C: int = 10
     features: str = "rff"
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         if not 0 < self.gamma < math.inf:
@@ -151,10 +155,4 @@ def build_config(file_settings: dict | None = None, overrides: dict | None = Non
     Both dicts must contain only keys that were actually set; a value of
     None is meaningful (m=None keeps every cell).
     """
-    cfg = PipelineConfig()
-    if file_settings:
-        cfg = replace(cfg, **file_settings)
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    cfg.validate()
-    return cfg
+    return PipelineConfig(**{**(file_settings or {}), **(overrides or {})})

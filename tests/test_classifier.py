@@ -333,6 +333,48 @@ class TestModelIO:
         with pytest.raises(ModelFormatError, match="solver_converged must be true or false"):
             load_model(tmp_path / "bad.txt")
 
+    @pytest.mark.parametrize("preprocessing", ["none", "standardize"])
+    @pytest.mark.parametrize("solver", [True, False])
+    def test_lines_follow_the_declared_order(self, tmp_path, rng, preprocessing, solver):
+        model = self._trained_model(rng, preprocessing=preprocessing)
+        if not solver:
+            del model.train_meta["solver_gap"], model.train_meta["solver_converged"]
+        save_model(model, tmp_path / "m.txt")
+        words = [ln.split(" ", 1)[0] for ln in (tmp_path / "m.txt").read_text().splitlines()]
+        assert words == [
+            "setkernel-model", "KERNEL", "gamma", "D", "seed", "generator", "d",
+            "LINEAR", "beta", "bias",
+            "META", "label_neg", "label_pos", "preprocessing", "m", "subsample_method", "seed",
+            "reg_c", "marker_names",
+            *(["standardizer_mean", "standardizer_std"] * (preprocessing == "standardize")),
+            *(["solver_gap", "solver_converged"] * solver),
+            "END"]
+
+    @pytest.mark.parametrize("after", ["junk", "solver_gap 1", "standardizer_mean 1 2", "END"])
+    def test_lines_after_end_are_not_read(self, tmp_path, rng, after):
+        save_model(self._trained_model(rng, preprocessing="standardize"), tmp_path / "m.txt")
+        text = (tmp_path / "m.txt").read_text()
+        (tmp_path / "tail.txt").write_text(text + after + "\n")
+        save_model(load_model(tmp_path / "tail.txt"), tmp_path / "back.txt")
+        assert (tmp_path / "back.txt").read_text() == text
+
+    @pytest.mark.parametrize("edit", ["solver_before_standardizer", "std_without_mean",
+                                      "v2_with_w"])
+    def test_lines_out_of_order_exit_3(self, tmp_path, rng, capsys, edit):
+        save_model(self._trained_model(rng, preprocessing="standardize"), tmp_path / "m.txt")
+        lines = (tmp_path / "m.txt").read_text().splitlines()
+        i = next(i for i, ln in enumerate(lines) if ln.startswith("standardizer_mean "))
+        if edit == "solver_before_standardizer":
+            lines[i:i + 4] = lines[i + 2:i + 4] + lines[i:i + 2]
+        elif edit == "std_without_mean":
+            del lines[i]
+        else:
+            d = lines.index("d 2")
+            lines[d:d + 1] = ["W", "1 2", "3 4"]
+        assert predict_probe(tmp_path, "\n".join(lines) + "\n") == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(tmp_path / "bad.txt") in err and len(err.strip().splitlines()) == 1
+
     def test_truncated_file_names_missing_section(self, tmp_path, rng):
         model = self._trained_model(rng)
         save_model(model, tmp_path / "m.txt")
@@ -459,6 +501,15 @@ class TestModelV1:
 class TestSettingsRoundTrip:
     """PipelineConfig's strings parse back to it, and a model file gives back
     the settings that trained it."""
+
+    @pytest.mark.parametrize("values, message", [
+        ({"folds": 1}, "folds must be >= 2"),
+        ({"D": 3}, "D must be even"),
+        ({"preprocessing": "arcsinh:0"}, "cofactor must be positive"),
+    ])
+    def test_an_invalid_config_cannot_be_built(self, values, message):
+        with pytest.raises(ConfigError, match=message):
+            PipelineConfig(**values)
 
     @pytest.mark.parametrize("cfg", [
         PipelineConfig(),

@@ -272,6 +272,31 @@ class TestStandardizer:
         with pytest.raises(ValueError):
             fit_standardizer([])
 
+    def test_carried_column_sums_reproduce_the_pooled_bits(self, rng):
+        # numpy reduces axis 0 of a C-ordered array row by row, so a stream that
+        # carries its running column sums in as the first row of each sample's
+        # reduction adds in the pooled order; per-sample partial sums do not.
+        sizes = [1, *rng.integers(2, 8000, size=11)]
+        samples = [make_sample(np.column_stack([rng.normal(3.0, 2.0, size=(n, 29)) * 40,
+                                                np.full(n, 5.0)]), f"s{i}")
+                   for i, n in enumerate(sizes)]
+
+        def carried(blocks):
+            acc = None
+            for b in blocks:
+                acc = np.add.reduce(b if acc is None else np.concatenate([acc[None], b]), axis=0)
+            return acc
+
+        n = sum(sizes)
+        mean = carried(s.cells for s in samples) / n
+        std = np.sqrt(carried((s.cells - mean) * (s.cells - mean) for s in samples) / n)
+        std = np.where(std > 0.0, std, 1.0)
+        fitted = fit_standardizer(samples)
+        assert mean.tobytes() == fitted.mean.tobytes()
+        assert std.tobytes() == fitted.std.tobytes()
+        partial = sum(s.cells.sum(axis=0) for s in samples) / n
+        assert partial.tobytes() != fitted.mean.tobytes()
+
     def test_apply_hand_case(self):
         std = fit_standardizer([make_sample([[0.0, 0.0], [2.0, 2.0]])])
         out = apply_standardizer(std, make_sample([[2.0, 2.0]]))

@@ -23,7 +23,8 @@ from . import data as dat
 from .config import PipelineConfig, derive_seed
 from .data import LabeledDataset, SampleSet, Standardizer, fmt_float
 from .embedding import MeanEmbedding, embed_matrix, naive_mean
-from .errors import ConfigError, DataError, ModelFormatError, NumericalError
+from .errors import (ConfigError, DataError, ModelFormatError, NumericalError,
+                     raise_on_overflow)
 from .herding import herd, uniform_subsample
 from .rff import GENERATOR_NAME, RffMap, philox_rng, sample_frequencies
 
@@ -194,16 +195,14 @@ def solve_hinge(X: np.ndarray, y: np.ndarray, reg_c: float = 1.0,
                        gap=float(gap), n_updates=updates, converged=converged)
 
 
-def train(rmap: RffMap, embeddings: Sequence[MeanEmbedding], labels: Sequence[int],
-          reg_c: float = 1.0, tol: float = 1e-6, max_iter: int = 100_000,
-          train_meta: dict | None = None) -> LinearModel:
-    """Fit the linear model on sample embeddings with labels in {-1, +1}."""
-    X = np.stack([e.mu for e in embeddings])
+def train(rmap: RffMap, embeddings: Sequence[MeanEmbedding | np.ndarray],
+          labels: Sequence[int], reg_c: float = 1.0, tol: float = 1e-6,
+          max_iter: int = 100_000, train_meta: dict | None = None) -> LinearModel:
+    """Fit on embeddings or feature rows; train_meta gains the solver's gap and convergence."""
+    X = np.stack([e.mu if isinstance(e, MeanEmbedding) else e for e in embeddings])
     y = np.asarray(labels, dtype=np.float64)
     res = solve_hinge(X, y, reg_c=reg_c, tol=tol, max_iter=max_iter)
-    meta = dict(train_meta or {})
-    meta.setdefault("solver_gap", res.gap)
-    meta.setdefault("solver_converged", res.converged)
+    meta = {**(train_meta or {}), "solver_gap": res.gap, "solver_converged": res.converged}
     return LinearModel(beta=res.w, bias=res.bias, rff=rmap, reg_c=float(reg_c),
                        train_meta=meta)
 
@@ -288,14 +287,16 @@ class Pipeline:
         return cls(model_config(model), model.rff, model.train_meta.get("standardizer"))
 
     def prepare(self, sample: SampleSet) -> SampleSet:
-        """The sample after the fitted preprocessing."""
+        """The sample after the fitted preprocessing; an overflow raises NumericalError."""
         if sample.d != self.rff.d:
             raise ValueError(f"sample has d={sample.d}, model expects d={self.rff.d}")
         cofactor = self.cfg.arcsinh_cofactor()
-        if cofactor is not None:
-            sample = dat.arcsinh_transform(sample, cofactor)
-        if self.standardizer is not None:
-            sample = dat.apply_standardizer(self.standardizer, sample)
+        with raise_on_overflow(f"sample {sample.sample_id!r}: preprocessing "
+                               f"{self.cfg.preprocessing} overflows float64"):
+            if cofactor is not None:
+                sample = dat.arcsinh_transform(sample, cofactor)
+            if self.standardizer is not None:
+                sample = dat.apply_standardizer(self.standardizer, sample)
         return sample
 
     def select(self, sample: SampleSet) -> np.ndarray:
@@ -378,21 +379,17 @@ def fit_pipeline(dataset: LabeledDataset, cfg: PipelineConfig) -> LinearModel:
     if cfg.features != "rff":
         raise ConfigError("only features=rff models can be trained and saved")
     pipe = Pipeline.fit(cfg, dataset.samples)
-    feats = pipe.embed(dataset.samples)
-    res = solve_hinge(feats, np.asarray(dataset.labels, dtype=float), reg_c=cfg.reg_c)
     settings = cfg.as_dict()
     meta = {
         "label_neg": dataset.label_names[-1],
         "label_pos": dataset.label_names[+1],
         **{k: settings[k] for k in MODEL_SETTINGS},
         "marker_names": dat.csv_line(dataset.marker_names),
-        "solver_gap": res.gap,
-        "solver_converged": res.converged,
     }
     if pipe.standardizer is not None:
         meta["standardizer"] = pipe.standardizer
-    return LinearModel(beta=res.w, bias=res.bias, rff=pipe.rff, reg_c=cfg.reg_c,
-                       train_meta=meta)
+    return train(pipe.rff, pipe.embed(dataset.samples), dataset.labels, reg_c=cfg.reg_c,
+                 train_meta=meta)
 
 
 def model_config(model: LinearModel) -> PipelineConfig:

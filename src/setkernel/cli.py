@@ -1,9 +1,10 @@
 """Command-line pipeline: synth, featurize, herd, train, predict, crossval,
 herd-bench, interpret, stats.
 
-Every command takes --config/--seed/--out plus per-key flags;
-flags override config-file values override defaults. Runs are deterministic:
-identical inputs, config, and seed produce byte-identical output files.
+Every command takes --config/--seed/--out plus per-key flags; flags override
+config-file values override defaults. Each returns the settings it applied,
+which main() records in OUT/meta.txt. Runs are deterministic: identical
+inputs, config, and seed produce byte-identical output files.
 Exit codes: 0 ok, 2 config/validation, 3 data/IO, 4 numerical failure.
 """
 
@@ -39,7 +40,7 @@ from .data import (
     csv_fields,
     fmt_float,
     load_manifest,
-    load_sample_set,
+    load_sample_set,  # noqa: F401  unused, but perfbench/trace_cli.py wraps this name
     map_samples,
     read_manifest,
     save_sample_set,
@@ -113,19 +114,17 @@ def _check_dims(sample, model) -> None:
         )
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> PipelineConfig:
     cfg = _effective_config(args)
     spec = load_spec(args.spec)
     if args.seed is not None:
         spec = replace(spec, seed=int(args.seed))
-    out_dir = Path(args.out)
-    manifest = generate_files(spec, out_dir)
-    _write_meta(out_dir, cfg, "synth")
+    manifest = generate_files(spec, Path(args.out))
     print(f"wrote {manifest}")
-    return EXIT_OK
+    return cfg
 
 
-def cmd_featurize(args) -> int:
+def cmd_featurize(args) -> PipelineConfig:
     cfg = _effective_config(args)
     dataset = load_manifest(args.manifest)
     feats = Pipeline.fit(cfg, dataset.samples).embed(dataset.samples)
@@ -134,12 +133,11 @@ def cmd_featurize(args) -> int:
             for s, row in zip(dataset.samples, feats)]
     header = ["sample_id"] + [f"mu_{j}" for j in range(feats.shape[1])]
     _write_csv(out_dir / "embeddings.csv", header, rows, _config_comment(cfg))
-    _write_meta(out_dir, cfg, "featurize")
     print(f"wrote {out_dir / 'embeddings.csv'}")
-    return EXIT_OK
+    return cfg
 
 
-def cmd_herd(args) -> int:
+def cmd_herd(args) -> PipelineConfig:
     cfg = _effective_config(args)
     dataset = load_manifest(args.manifest)
     names = [_cell_file_name(s.sample_id) for s in dataset.samples]
@@ -152,12 +150,11 @@ def cmd_herd(args) -> int:
         index_rows += [[s.sample_id, str(rank), str(i)] for rank, i in enumerate(idx)]
     _write_csv(out_dir / "indices.csv", ["sample_id", "selection_order", "row_index"],
                index_rows, _config_comment(cfg))
-    _write_meta(out_dir, cfg, "herd")
     print(f"wrote {out_dir / 'indices.csv'}")
-    return EXIT_OK
+    return cfg
 
 
-def cmd_herd_bench(args) -> int:
+def cmd_herd_bench(args) -> PipelineConfig:
     cfg = _effective_config(args)
     spec = load_spec(args.spec)
     try:
@@ -195,33 +192,31 @@ def cmd_herd_bench(args) -> int:
     out_dir = Path(args.out)
     _write_csv(out_dir / "herd_bench.csv", ["method", "m", "embedding_error"],
                rows, _config_comment(cfg))
-    _write_meta(out_dir, cfg, "herd-bench")
     print(f"wrote {out_dir / 'herd_bench.csv'}")
-    return EXIT_OK
+    return cfg
 
 
-def cmd_train(args) -> int:
+def cmd_train(args) -> PipelineConfig:
     cfg = _effective_config(args)
     dataset = load_manifest(args.manifest)
     model = fit_pipeline(dataset, cfg)
     save_model(model, args.model)
-    out_dir = Path(args.out)
-    _write_meta(out_dir, cfg, "train")
     print(f"wrote {args.model}")
-    return EXIT_OK
+    return cfg
 
 
-def cmd_predict(args) -> int:
+def cmd_predict(args) -> PipelineConfig:
     _effective_config(args)  # the flags are checked, but the model's settings apply
     model = load_model(args.model)
     pipe = Pipeline.from_model(model)
-    markers = _model_markers(model)
     manifest = read_manifest(args.manifest) if args.manifest else None
     if manifest is None and not args.samples:
         raise ConfigError("predict needs --manifest or at least one sample CSV")
-    seen = set()  # a positional file's sample_id is its stem
-    for sample_id in [*(manifest.sample_ids if manifest else ()),
-                      *(Path(p).stem for p in args.samples)]:
+    # manifest rows, then positional files, whose sample_id is their stem
+    samples = [*(zip(manifest.sample_ids, manifest.paths) if manifest else ()),
+               *((Path(p).stem, p) for p in args.samples)]
+    seen = set()
+    for sample_id, _ in samples:
         if sample_id in seen:
             raise DataError(f"predict: sample_id {sample_id!r} appears twice among the "
                             "manifest ids and sample file stems")
@@ -229,21 +224,17 @@ def cmd_predict(args) -> int:
     label_names = {-1: model.train_meta["label_neg"], +1: model.train_meta["label_pos"]}
 
     def row(s) -> list[str]:
-        nonlocal markers  # without the model's, every sample follows the first one read
-        markers = markers or s.marker_names
         _check_dims(s, model)
         dec = decision(model, pipe.embed([s])[0])
         return [s.sample_id, fmt_float(dec), label_names[-1 if dec < 0 else +1]]
 
     # one raw sample in memory at a time: each is read, decided and dropped
-    rows = map_samples(manifest, row, markers) if manifest else []
-    rows += [row(load_sample_set(path, expected_markers=markers)) for path in args.samples]
+    rows = map_samples(samples, row, _model_markers(model))
     out_dir = Path(args.out)
     _write_csv(out_dir / "predictions.csv", ["sample_id", "decision", "label"], rows,
                _config_comment(pipe.cfg))
-    _write_meta(out_dir, pipe.cfg, "predict")
     print(f"wrote {out_dir / 'predictions.csv'}")
-    return EXIT_OK
+    return pipe.cfg
 
 
 def _permuted(dataset: LabeledDataset, seed: int) -> LabeledDataset:
@@ -269,7 +260,7 @@ def _sweep_values(raw: str | None, key: str, cfg: PipelineConfig) -> list[float]
     return values
 
 
-def cmd_crossval(args) -> int:
+def cmd_crossval(args) -> PipelineConfig:
     cfg = _effective_config(args)
     sweep_gammas = _sweep_values(args.sweep_gamma, "gamma", cfg)
     sweep_regs = _sweep_values(args.sweep_reg_c, "reg_c", cfg)
@@ -296,11 +287,10 @@ def cmd_crossval(args) -> int:
     if sweeping:
         _write_csv(out_dir / "sweep.csv", ["gamma", "reg_c", "mean", "std"],
                    summary_rows, _config_comment(cfg))
-    _write_meta(out_dir, cfg, "crossval")
-    return EXIT_OK
+    return cfg
 
 
-def cmd_interpret(args) -> int:
+def cmd_interpret(args) -> PipelineConfig:
     flags = _effective_config(args)
     model = load_model(args.model)
     # Clustering runs in the feature space the model consumes (after its
@@ -319,21 +309,17 @@ def cmd_interpret(args) -> int:
         return kept, idx
 
     # one raw sample in memory at a time: only its kept cells outlive it
-    subs, index_map = zip(*map_samples(manifest, keep, _model_markers(model)))
+    subs, index_map = zip(*map_samples(zip(manifest.sample_ids, manifest.paths), keep,
+                                       _model_markers(model)))
     pooled = np.concatenate([s.cells for s in subs], axis=0)
     clusters = itp.kmeans(pooled, cfg.clusters_C, derive_seed(cfg.seed, "kmeans"))
     region = itp.region_scores(model, clusters, pooled, subs)
     out_dir = Path(args.out)
     comment = _config_comment(cfg)
 
-    score_rows = []
-    offset = 0
-    for s, indices in zip(subs, index_map):
-        scores = region.cell_scores[offset:offset + s.n]
-        ids = clusters.assignments[offset:offset + s.n]
-        for orig_idx, sc, cid in zip(indices, scores, ids):
-            score_rows.append([s.sample_id, str(orig_idx), fmt_float(sc), str(cid)])
-        offset += s.n
+    owners = [s.sample_id for s in subs for _ in range(s.n)]
+    score_rows = [[sid, str(i), fmt_float(sc), str(c)] for sid, i, sc, c in zip(
+        owners, np.concatenate(index_map), region.cell_scores, clusters.assignments)]
     _write_csv(out_dir / "scores.csv", ["sample_id", "cell_index", "score", "cluster_id"],
                score_rows, comment)
 
@@ -378,12 +364,11 @@ def cmd_interpret(args) -> int:
     (out_dir / "summary.txt").write_text(
         comment + "\n" + pearson_line + "\n" + space_line + "\n", encoding="utf-8"
     )
-    _write_meta(out_dir, cfg, "interpret")
     print(pearson_line)
-    return EXIT_OK
+    return cfg
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args) -> PipelineConfig:
     cfg = _effective_config(args)
     manifest = read_manifest(args.manifest)
     labels_by_id = dict(zip(manifest.sample_ids, manifest.labels))
@@ -420,9 +405,8 @@ def cmd_stats(args) -> int:
     if not neg or not pos:
         raise DataError("both labels required to run the rank-sum test")
     p = itp.rank_sum_test(neg, pos)
-    _write_meta(Path(args.out), cfg, "stats")
     print(f"cluster {args.cluster} rank_sum_p {fmt_float(p)}")
-    return EXIT_OK
+    return cfg
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -509,23 +493,17 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_CONFIG if e.code not in (0, None) else 0
     try:
-        return args.func(args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    # LinAlgError subclasses ValueError, so it must be caught before it.
+        _write_meta(Path(args.out), args.func(args), args.command)
+        return EXIT_OK
+    # LinAlgError subclasses ValueError, as ConfigError does, so it is caught first
     except (NumericalError, FloatingPointError, np.linalg.LinAlgError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        code, error = EXIT_NUMERICAL, e
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
+        code, error = EXIT_CONFIG, e
+    except (DataError, OSError) as e:
+        code, error = EXIT_DATA, e
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -87,8 +87,8 @@ class PipelineConfig:
                 cofactor = float(p.split(":", 1)[1])
             except ValueError:
                 raise ConfigError(f"bad arcsinh cofactor in {p!r}") from None
-            if not cofactor > 0:
-                raise ConfigError(f"arcsinh cofactor must be positive, got {cofactor}")
+            if not 0 < cofactor < math.inf:
+                raise ConfigError(f"arcsinh cofactor must be positive and finite, got {cofactor}")
             return cofactor
         raise ConfigError(
             f"preprocessing must be none, standardize, or arcsinh:<cofactor>, got {p!r}"

@@ -13,7 +13,7 @@ import io
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -319,18 +319,18 @@ def read_manifest(path) -> Manifest:
     )
 
 
-def map_samples(manifest: Manifest, fn: Callable[[SampleSet], object],
+def map_samples(samples: Iterable[tuple[str, Path]], fn: Callable[[SampleSet], object],
                 expected_markers: Sequence[str] | None = None) -> list:
-    """fn(sample) for every manifest sample in order, reading one sample at a time.
+    """fn(sample) for every (sample_id, path) pair in order, reading one sample at a time.
 
     The next sample is read only after fn has returned, so as long as fn's
     results do not hold the samples, at most one sample's cells are in
     memory. Every sample's columns are permuted to expected_markers, or to
     the first sample's marker order when None. An error in a sample stops
-    the map there, so the first failing sample in manifest order decides it.
+    the map there, so the first failing sample in order decides it.
     """
     out, expected = [], expected_markers
-    for sample_id, sample_path in zip(manifest.sample_ids, manifest.paths):
+    for sample_id, sample_path in samples:
         sample = load_sample_set(sample_path, expected_markers=expected, sample_id=sample_id)
         expected = expected or sample.marker_names
         out.append(fn(sample))
@@ -346,7 +346,8 @@ def load_manifest(path, expected_markers: Sequence[str] | None = None) -> Labele
     """
     manifest = read_manifest(path)
     return LabeledDataset(
-        samples=tuple(map_samples(manifest, lambda s: s, expected_markers)),
+        samples=tuple(map_samples(zip(manifest.sample_ids, manifest.paths), lambda s: s,
+                                  expected_markers)),
         labels=manifest.labels,
         label_names=manifest.label_names,
     )
@@ -392,3 +393,4 @@ def arcsinh_transform(sample: SampleSet, cofactor: float) -> SampleSet:
     cells = np.arcsinh(sample.cells / cofactor)
     return SampleSet(cells=cells, sample_id=sample.sample_id,
                      marker_names=sample.marker_names)
+

@@ -1,5 +1,9 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
+import numpy as np
+
 
 class ConfigError(ValueError):
     """Invalid configuration value or command-line usage."""
@@ -15,3 +19,13 @@ class ModelFormatError(DataError):
 
 class NumericalError(RuntimeError):
     """A numerical routine failed to produce a usable result."""
+
+
+@contextmanager
+def raise_on_overflow(message: str):
+    """Raise NumericalError(message) where numpy arithmetic in the block overflows."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        raise NumericalError(message) from None

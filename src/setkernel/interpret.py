@@ -303,14 +303,19 @@ def region_scores(model: LinearModel, clusters: ClusterModel, pooled: np.ndarray
                   samples: Sequence[SampleSet]) -> RegionScores:
     """Bundle centroid/average scores with per-sample cluster frequencies.
 
-    pooled holds the cells the clustering was fit on; each is scored once,
-    and those scores are returned as cell_scores.
+    pooled holds the samples' cells in order, which the clustering was fit
+    on; each is scored once, and those scores are returned as cell_scores.
+    A sample's frequencies count its slice of clusters.assignments.
     """
+    ends = np.cumsum([s.n for s in samples])
+    if ends[-1] != len(pooled):
+        raise ValueError("pooled must hold the samples' cells, in order")
     scores = cell_scores(model, pooled)
     return RegionScores(
         centroid_scores=centroid_score(model, clusters),
         average_scores=_cluster_means(clusters, scores),
-        frequencies=np.stack([cluster_frequencies(s, clusters) for s in samples]),
+        frequencies=np.stack([np.bincount(ids, minlength=clusters.C) / len(ids) for ids in
+                              np.split(clusters.assignments, ends[:-1])]),
         sample_ids=tuple(s.sample_id for s in samples),
         cell_scores=scores,
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MASK64
-from .errors import NumericalError
+from .errors import NumericalError, raise_on_overflow
 
 GENERATOR_NAME = "philox4x64-boxmuller"
 TWO_PI = 2.0 * np.pi
@@ -140,17 +140,20 @@ def featurize_f32trig(rmap: RffMap, X: np.ndarray) -> np.ndarray:
     at most about 1.6e-7 * scale (5e-9 at D=2000). Rows go through the trig
     one _phase_blocks block at a time, so apart from the result no
     temporary grows with n. Like featurize_batch, it gives a row the same
-    bits alone, in any subset, order or block of rows.
+    bits alone, in any subset, order or block of rows. A phase too large
+    for its reduced value to be finite in float32 raises NumericalError.
     """
     X = _as_cells(rmap, X)
     out = np.empty((X.shape[0], rmap.D), np.float32)
     half = rmap.D // 2
     for r, Z in _phase_blocks(rmap, X):
-        turns = Z * (1.0 / TWO_PI)
-        np.rint(turns, out=turns)
-        turns *= TWO_PI
-        Z -= turns
-        z32 = Z.astype(np.float32)
+        with raise_on_overflow("X @ W is too large to reduce in float32: a cell's values "
+                               "are too large for the feature map"):
+            turns = Z * (1.0 / TWO_PI)
+            np.rint(turns, out=turns)
+            turns *= TWO_PI
+            Z -= turns
+            z32 = Z.astype(np.float32)
         np.sin(z32, out=out[r:r + len(Z), :half])
         np.cos(z32, out=out[r:r + len(Z), half:])
     return out

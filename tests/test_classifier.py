@@ -506,6 +506,7 @@ class TestSettingsRoundTrip:
         ({"folds": 1}, "folds must be >= 2"),
         ({"D": 3}, "D must be even"),
         ({"preprocessing": "arcsinh:0"}, "cofactor must be positive"),
+        ({"preprocessing": "arcsinh:inf"}, "cofactor must be positive and finite, got inf"),
     ])
     def test_an_invalid_config_cannot_be_built(self, values, message):
         with pytest.raises(ConfigError, match=message):

@@ -189,6 +189,27 @@ class TestTrainPredict:
         a, b, c = data_rows(tmp_path / "p" / "predictions.csv")
         assert b[1:] == c[1:] and b[1:] != a[1:]
 
+    def test_predict_aligns_positional_files_to_the_first_manifest_sample(self, tmp_path):
+        # a model without marker_names; the manifest's first sample a.csv has
+        # the header f1,f0, and the positional b.csv holds a.csv's cells under f0,f1
+        model = tmp_path / "model.txt"
+        model.write_text(MODEL_V1.read_text().replace("marker_names f0,f1", "marker_names "))
+        rng = np.random.default_rng(3)
+        cells = rng.normal(size=(30, 2))
+        for name, header, data in [("a", "f1,f0", cells), ("b", "f0,f1", cells[:, [1, 0]]),
+                                   ("c", "f0,f1", rng.normal(size=(30, 2)))]:
+            np.savetxt(tmp_path / f"{name}.csv", data, delimiter=",", header=header,
+                       comments="")
+        (tmp_path / "m.csv").write_text("sample_id,path,label\na,a.csv,x\nc,c.csv,y\n")
+        assert main(["predict", "--model", str(model), "--manifest", str(tmp_path / "m.csv"),
+                     str(tmp_path / "b.csv"), "--out", str(tmp_path / "p")]) == EXIT_OK
+        a, c, b = data_rows(tmp_path / "p" / "predictions.csv")
+        assert [a[0], c[0], b[0]] == ["a", "c", "b"] and b[1:] == a[1:]
+        # alone, b.csv keeps its own column order and decides differently
+        assert main(["predict", "--model", str(model), str(tmp_path / "b.csv"),
+                     "--out", str(tmp_path / "alone")]) == EXIT_OK
+        assert data_rows(tmp_path / "alone" / "predictions.csv")[0][1:] != a[1:]
+
     def test_naive_features_cannot_be_trained(self, separable_dir, tmp_path):
         code = main(["train", "--manifest", manifest_of(separable_dir),
                      "--model", str(tmp_path / "m.txt"), "--out", str(tmp_path / "t"),
@@ -784,6 +805,8 @@ class TestExitCodes:
         (["--sweep-gamma", "inf"], "--sweep-gamma: gamma must be positive and finite, got inf"),
         (["--sweep-gamma", "1,abc"], "--sweep-gamma: gamma must be a number, got 'abc'"),
         (["--sweep-reg-c", "1,nan"], "--sweep-reg-c: reg_c must be positive and finite, got nan"),
+        (["--preprocessing", "arcsinh:inf"],
+         "arcsinh cofactor must be positive and finite, got inf"),
     ])
     def test_bad_gamma_or_reg_c_exits_2_before_any_output(self, separable_dir, tmp_path,
                                                          capsys, setting, message):
@@ -856,28 +879,34 @@ def overflow_dir(tmp_path_factory):
     np.savetxt(root / "big.csv", big, delimiter=",", header="f0,f1", comments="")
     big[3] = 1e200  # X @ W is finite, its square is not
     np.savetxt(root / "huge.csv", big, delimiter=",", header="f0,f1", comments="")
+    big[3] = [1e60, 0.5]  # X @ W is finite, its phase reduced in float64 is not in float32
+    np.savetxt(root / "phase.csv", big, delimiter=",", header="f0,f1", comments="")
     rows = "\na,a.csv,neg\nb,{},pos\nc,c.csv,neg\nd,d.csv,pos\n"
     (root / "clean.csv").write_text("sample_id,path,label" + rows.format("b.csv"))
     (root / "overflow.csv").write_text("sample_id,path,label" + rows.format("big.csv"))
     (root / "huge_b.csv").write_text("sample_id,path,label" + rows.format("huge.csv"))
+    (root / "phase_b.csv").write_text("sample_id,path,label" + rows.format("phase.csv"))
     return root
 
 
 class TestOverflowingFeatures:
-    """A cell too large for X @ W to be finite exits 4 with one line naming its
-    sample, emits no warning and writes no result file. With 20 cells and m=2
-    herding takes its scan source (n > 6 m)."""
+    """A cell too large for X @ W to be finite, or under herding for its phase
+    reduced to [-pi, pi] to be finite in float32, exits 4 with one line naming
+    its sample, emits no warning and writes no result file. With 20 cells and
+    m=2 herding takes its scan source (n > 6 m)."""
 
     SCAN = ["--m", "2", "--D", "64", "--seed", "1"]
+    PHASE = ("X @ W is too large to reduce in float32: a cell's values are too large for "
+             "the feature map")
 
-    def run(self, argv, capsys):
+    def run(self, argv, capsys, message="error: sample 'b': X @ W overflows float64: a cell's "
+                                        "values are too large for the feature map\n"):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(argv)
         err = capsys.readouterr().err
         assert code == EXIT_NUMERICAL
-        assert err == ("error: sample 'b': X @ W overflows float64: a cell's values are "
-                       "too large for the feature map\n")
+        assert err == message
 
     def test_predict(self, tmp_path, capsys):
         (tmp_path / "b.csv").write_text("f0,f1\n1e308,1e308\n")
@@ -929,6 +958,35 @@ class TestOverflowingFeatures:
             assert "gone.csv" in err and len(err.strip().splitlines()) == 1
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["crossval", "train", "predict", "herd", "interpret"])
+    def test_float32_phase_overflow_under_herding(self, overflow_dir, tmp_path, capsys,
+                                                  command):
+        # herding's float32 sin/cos take the phase reduced in float64; at 1e60
+        # that is still far above float32's range, while uniform runs pass
+        model = tmp_path / "model.txt"
+        assert main(["train", "--manifest", str(overflow_dir / "clean.csv"), "--model",
+                     str(model), "--out", str(tmp_path / "t")] + self.SCAN) == EXIT_OK
+        manifest = str(overflow_dir / "phase_b.csv")
+        argv = {"crossval": ["--folds", "2", "--runs", "1"] + self.SCAN,
+                "train": ["--model", str(tmp_path / "m2.txt")] + self.SCAN,
+                "predict": ["--model", str(model)], "herd": self.SCAN,
+                "interpret": ["--model", str(model), "--clusters-C", "2"]}[command]
+        out = tmp_path / "o"
+        self.run([command, "--manifest", manifest, "--out", str(out)] + argv, capsys,
+                 f"error: sample 'b': {self.PHASE}\n")
+        assert not out.exists() and not (tmp_path / "m2.txt").exists()
+        if command == "train":
+            assert main(["train", "--manifest", manifest, "--model", str(tmp_path / "m3.txt"),
+                         "--out", str(tmp_path / "u"), "--subsample-method", "uniform"]
+                        + self.SCAN) == EXIT_OK
+
+    def test_tiny_gamma_overflows_the_float32_phase(self, overflow_dir, tmp_path, capsys):
+        # gamma = 1e-320 scales W by 1e160, so ordinary cells' phases are too large
+        self.run(["train", "--manifest", str(overflow_dir / "clean.csv"), "--model",
+                  str(tmp_path / "m.txt"), "--out", str(tmp_path / "t"), "--gamma", "1e-320"]
+                 + self.SCAN, capsys, f"error: sample 'a': {self.PHASE}\n")
+        assert not (tmp_path / "m.txt").exists()
+
     def test_interpret_kmeans_overflow(self, overflow_dir, tmp_path, capsys):
         # uniform selection with m >= n keeps the 1e200 cell; its squared
         # norm overflows the k-means distances
@@ -946,6 +1004,39 @@ class TestOverflowingFeatures:
             "error: sample 'b': cells too large for k-means in float64 "
             "(squared norm up to inf over 40 pooled cells)\n")
         assert not (tmp_path / "i").exists()
+
+
+class TestPreprocessingOverflow:
+    """A preprocessing step whose float64 result overflows exits 4 with one line
+    naming the sample, emits no warning and writes no result file."""
+
+    def run(self, argv, capsys, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err == f"error: sample 'neg_000': {message}\n"
+
+    def test_tiny_arcsinh_cofactor(self, separable_dir, tmp_path, capsys):
+        out = tmp_path / "cv"
+        self.run(["crossval", "--manifest", manifest_of(separable_dir), "--out", str(out),
+                  "--folds", "2", "--runs", "1", "--preprocessing", "arcsinh:1e-320"] + FAST,
+                 capsys, "preprocessing arcsinh:1e-320 overflows float64")
+        assert not out.exists()
+
+    def test_tiny_standardizer_std_in_a_model_file(self, separable_dir, tmp_path, capsys):
+        model = tmp_path / "model.txt"
+        assert main(["train", "--manifest", manifest_of(separable_dir), "--model", str(model),
+                     "--out", str(tmp_path / "t"), "--preprocessing", "standardize"]
+                    + FAST) == EXIT_OK
+        lines = model.read_text().splitlines()
+        lines = [("standardizer_std 5e-324 5e-324" if ln.startswith("standardizer_std ")
+                  else ln) for ln in lines]
+        model.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "p"
+        self.run(["predict", "--model", str(model), "--manifest", manifest_of(separable_dir),
+                  "--out", str(out)], capsys, "preprocessing standardize overflows float64")
+        assert not out.exists()
 
 
 _CONFIG_KEYS = ["gamma", "D", "m", "folds", "runs", "reg_c", "seed", "subsample_method",

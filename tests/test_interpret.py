@@ -23,7 +23,9 @@ from setkernel import (
 )
 from setkernel.interpret import (
     SCORE_ROWS,
+    ClusterModel,
     assign_clusters,
+    region_scores,
     use_exact_rank_sum,
 )
 from setkernel.rff import featurize_batch
@@ -170,6 +172,22 @@ class TestRegionScores:
         cs = centroid_score(model, cm)
         avg = average_score(model, cm, X)
         assert np.all(np.isfinite(cs)) and np.all(np.isfinite(avg))
+
+    def test_frequencies_count_each_samples_assignments(self, small_map, rng):
+        # assignments that are not the nearest-centroid ids, as k-means's last
+        # empty-cluster repair can leave them: frequencies follow the assignments
+        a = make_sample(rng.normal(size=(5, 2)), "a")
+        b = make_sample(rng.normal(size=(7, 2)), "b")
+        pooled = np.vstack([a.cells, b.cells])
+        cm = ClusterModel(centroids=[[0.0, 0.0], [50.0, 50.0], [-50.0, 50.0]],
+                          assignments=[0, 1, 2, 1, 1, 2, 2, 0, 1, 2, 2, 2], C=3,
+                          inertia=0.0, seed=0)
+        assert not np.array_equal(assign_clusters(cm, pooled), cm.assignments)
+        region = region_scores(random_model(small_map, rng), cm, pooled, [a, b])
+        expected = [np.bincount(cm.assignments[:5], minlength=3) / 5,
+                    np.bincount(cm.assignments[5:], minlength=3) / 7]
+        np.testing.assert_array_equal(region.frequencies, expected)
+        assert region.sample_ids == ("a", "b")
 
 
 class TestPearson:

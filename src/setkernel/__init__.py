@@ -21,7 +21,7 @@ from .data import (
     read_manifest,
     save_sample_set,
 )
-from .embedding import MeanEmbedding, mean_embedding, mmd, naive_mean
+from .embedding import mean_embedding, mmd, naive_mean
 from .errors import ConfigError, DataError, ModelFormatError, NumericalError
 from .herding import HerdingResult, herd, subset, uniform_subsample
 from .classifier import (

@@ -20,9 +20,9 @@ from typing import Sequence
 import numpy as np
 
 from . import data as dat
-from .config import PipelineConfig, derive_seed
+from .config import PipelineConfig, coerce_setting, derive_seed
 from .data import LabeledDataset, SampleSet, Standardizer, fmt_float
-from .embedding import MeanEmbedding, embed_matrix, naive_mean
+from .embedding import embed_matrix, naive_mean
 from .errors import (ConfigError, DataError, ModelFormatError, NumericalError,
                      raise_on_overflow)
 from .herding import herd, uniform_subsample
@@ -33,21 +33,23 @@ MODEL_VERSION = 2  # version 1 also stored W; it is still read
 # load_model regenerates W (d x D/2 float64) only up to 1 GiB, so a corrupted d
 # cannot make it allocate without bound.
 MAX_W_VALUES = 1 << 27
-# The pipeline settings a model records, as PipelineConfig.as_dict spells
-# them, in the order its META section lists them.
+# The pipeline settings a model records, typed as PipelineConfig holds them,
+# in the order its META section lists them.
 MODEL_SETTINGS = ("preprocessing", "m", "subsample_method", "seed")
-# META's text fields, as a model whose train_meta leaves them out writes them.
-META_DEFAULTS = {"label_neg": "-1", "label_pos": "+1", "preprocessing": "none", "m": "all",
-                 "subsample_method": "herding", "seed": "0", "marker_names": ""}
+# META's fields, as a model whose train_meta leaves them out holds them.
+META_DEFAULTS = {"label_neg": "-1", "label_pos": "+1", "preprocessing": "none", "m": None,
+                 "subsample_method": "herding", "seed": 0, "marker_names": ()}
 
 
 @dataclass(frozen=True)
 class LinearModel:
     """Trained weights (beta, bias) tied to the feature map that made them.
 
-    train_meta holds the META strings (every META_DEFAULTS key, filled in
-    where the caller left one out), plus the fitted standardizer and the
-    solver's gap and convergence when the model has them.
+    train_meta holds the META fields (every META_DEFAULTS key, filled in
+    where the caller left one out): the two label strings, the
+    MODEL_SETTINGS typed as PipelineConfig holds them, and marker_names as a
+    tuple. It also holds the fitted standardizer and the solver's gap and
+    convergence when the model has them.
     """
 
     beta: np.ndarray
@@ -195,27 +197,26 @@ def solve_hinge(X: np.ndarray, y: np.ndarray, reg_c: float = 1.0,
                        gap=float(gap), n_updates=updates, converged=converged)
 
 
-def train(rmap: RffMap, embeddings: Sequence[MeanEmbedding | np.ndarray],
-          labels: Sequence[int], reg_c: float = 1.0, tol: float = 1e-6,
-          max_iter: int = 100_000, train_meta: dict | None = None) -> LinearModel:
-    """Fit on embeddings or feature rows; train_meta gains the solver's gap and convergence."""
-    X = np.stack([e.mu if isinstance(e, MeanEmbedding) else e for e in embeddings])
-    y = np.asarray(labels, dtype=np.float64)
-    res = solve_hinge(X, y, reg_c=reg_c, tol=tol, max_iter=max_iter)
+def train(rmap: RffMap, embeddings: Sequence[np.ndarray], labels: Sequence[int],
+          reg_c: float = 1.0, tol: float = 1e-6, max_iter: int = 100_000,
+          train_meta: dict | None = None) -> LinearModel:
+    """Fit on one feature row per sample; train_meta gains the solver's gap and convergence."""
+    res = solve_hinge(embeddings, np.asarray(labels, dtype=np.float64), reg_c=reg_c, tol=tol,
+                      max_iter=max_iter)
     meta = {**(train_meta or {}), "solver_gap": res.gap, "solver_converged": res.converged}
     return LinearModel(beta=res.w, bias=res.bias, rff=rmap, reg_c=float(reg_c),
                        train_meta=meta)
 
 
-def decision(model: LinearModel, mu: MeanEmbedding | np.ndarray) -> float:
-    """Decision value mu . beta + bias for one embedding."""
-    v = mu.mu if isinstance(mu, MeanEmbedding) else np.asarray(mu, dtype=np.float64).ravel()
+def decision(model: LinearModel, mu: np.ndarray) -> float:
+    """Decision value mu . beta + bias for one feature row."""
+    v = np.asarray(mu, dtype=np.float64).ravel()
     if v.shape[0] != model.rff.D:
         raise ValueError(f"embedding has D={v.shape[0]}, model expects D={model.rff.D}")
     return float(v @ model.beta + model.bias)
 
 
-def predict_label(model: LinearModel, mu: MeanEmbedding | np.ndarray) -> int:
+def predict_label(model: LinearModel, mu: np.ndarray) -> int:
     """Predicted label: sign of the decision value, with 0 mapped to +1."""
     return -1 if decision(model, mu) < 0 else +1
 
@@ -287,9 +288,14 @@ class Pipeline:
         return cls(model_config(model), model.rff, model.train_meta.get("standardizer"))
 
     def prepare(self, sample: SampleSet) -> SampleSet:
-        """The sample after the fitted preprocessing; an overflow raises NumericalError."""
+        """The sample after the fitted preprocessing.
+
+        A sample whose d is not the map's raises DataError, and an overflow
+        NumericalError.
+        """
         if sample.d != self.rff.d:
-            raise ValueError(f"sample has d={sample.d}, model expects d={self.rff.d}")
+            raise DataError(f"sample {sample.sample_id!r} has d={sample.d}, "
+                            f"model expects d={self.rff.d}")
         cofactor = self.cfg.arcsinh_cofactor()
         with raise_on_overflow(f"sample {sample.sample_id!r}: preprocessing "
                                f"{self.cfg.preprocessing} overflows float64"):
@@ -379,12 +385,11 @@ def fit_pipeline(dataset: LabeledDataset, cfg: PipelineConfig) -> LinearModel:
     if cfg.features != "rff":
         raise ConfigError("only features=rff models can be trained and saved")
     pipe = Pipeline.fit(cfg, dataset.samples)
-    settings = cfg.as_dict()
     meta = {
         "label_neg": dataset.label_names[-1],
         "label_pos": dataset.label_names[+1],
-        **{k: settings[k] for k in MODEL_SETTINGS},
-        "marker_names": dat.csv_line(dataset.marker_names),
+        **{k: getattr(cfg, k) for k in MODEL_SETTINGS},
+        "marker_names": dataset.marker_names,
     }
     if pipe.standardizer is not None:
         meta["standardizer"] = pipe.standardizer
@@ -394,16 +399,8 @@ def fit_pipeline(dataset: LabeledDataset, cfg: PipelineConfig) -> LinearModel:
 
 def model_config(model: LinearModel) -> PipelineConfig:
     """Pipeline settings a saved model applies at predict time."""
-    meta = model.train_meta
-    return PipelineConfig(
-        gamma=model.rff.gamma,
-        D=model.rff.D,
-        m=None if meta["m"] == "all" else int(meta["m"]),
-        reg_c=model.reg_c,
-        seed=int(meta["seed"]),
-        subsample_method=meta["subsample_method"],
-        preprocessing=meta["preprocessing"],
-    )
+    return PipelineConfig(gamma=model.rff.gamma, D=model.rff.D, reg_c=model.reg_c,
+                          **{k: model.train_meta[k] for k in MODEL_SETTINGS})
 
 
 def apply_model(model: LinearModel, sample: SampleSet) -> float:
@@ -440,9 +437,10 @@ def save_model(model: LinearModel, path) -> None:
     """Write the model as UTF-8 text in _layout's line order; numbers round-trip exactly.
 
     W is not written: (d, D, gamma, seed, generator) regenerate it bit for bit,
-    so a map whose W is not its seed's draw is refused. marker_names is one
-    CSV row (data.csv_line). Each field takes one line, so a label or marker
-    name holding a line break is refused before anything is written. The
+    so a map whose W is not its seed's draw is refused. The MODEL_SETTINGS
+    are spelled as PipelineConfig.as_dict spells them, and marker_names as
+    one CSV row (data.csv_line). Each field takes one line, so a label, marker
+    name or setting holding a line break is refused before anything is written. The
     standardizer is written when the model has one, and the solver's duality
     gap and convergence when the model has them.
     """
@@ -450,8 +448,11 @@ def save_model(model: LinearModel, path) -> None:
     if sample_frequencies(rff.d, rff.D, rff.gamma, rff.seed).W.tobytes() != rff.W.tobytes():
         raise ValueError("model W is not the draw of its seed and cannot be saved")
     meta = model.train_meta
-    for key in ("label_neg", "label_pos", "marker_names"):
-        value = str(meta[key])
+    settings = model_config(model).as_dict()
+    text = {"label_neg": str(meta["label_neg"]), "label_pos": str(meta["label_pos"]),
+            **{k: settings[k] for k in MODEL_SETTINGS},
+            "marker_names": dat.csv_line(meta["marker_names"])}
+    for key, value in text.items():
         if "".join(value.splitlines()) != value:
             raise DataError(f"{key} {value!r} holds a line break, which a model file "
                             "cannot store")
@@ -459,7 +460,7 @@ def save_model(model: LinearModel, path) -> None:
               ("KERNEL", "seed"): rff.seed, ("KERNEL", "generator"): GENERATOR_NAME,
               ("KERNEL", "d"): rff.d, ("LINEAR", "beta"): _fmt_row(model.beta),
               ("LINEAR", "bias"): fmt_float(model.bias), ("META", "reg_c"): fmt_float(model.reg_c),
-              **{("META", k): meta[k] for k in META_DEFAULTS}}
+              **{("META", k): v for k, v in text.items()}}
     std = meta.get("standardizer")
     if std is not None:
         values["META", "standardizer_mean"] = _fmt_row(std.mean)
@@ -529,7 +530,10 @@ def load_model(path) -> LinearModel:
         d = W.shape[0] if v1 else int(values["KERNEL", "d"])
         beta = _floats(values["LINEAR", "beta"])
         bias = float(values["LINEAR", "bias"])
-        meta: dict = {k: values["META", k] for k in META_DEFAULTS}
+        meta: dict = {"label_neg": values["META", "label_neg"],
+                      "label_pos": values["META", "label_pos"],
+                      **{k: coerce_setting(k, values["META", k]) for k in MODEL_SETTINGS},
+                      "marker_names": tuple(dat.csv_fields(values["META", "marker_names"]))}
         reg_c = float(values["META", "reg_c"])
         if ("META", "standardizer_mean") in values:
             meta["standardizer"] = Standardizer(mean=_floats(values["META", "standardizer_mean"]),
@@ -546,7 +550,7 @@ def load_model(path) -> LinearModel:
                 f"(this build supports {GENERATOR_NAME!r})"
             )
         # Checked before W is drawn, so a corrupted d or D cannot size a huge W.
-        if meta["marker_names"] and len(dat.csv_fields(meta["marker_names"])) != d:
+        if meta["marker_names"] and len(meta["marker_names"]) != d:
             raise ModelFormatError(f"{path}: d={d} disagrees with marker_names")
         if beta.shape[0] != D:
             raise ModelFormatError(f"{path}: beta has length {beta.shape[0]}, D={D}")

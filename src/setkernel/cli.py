@@ -37,7 +37,6 @@ from .config import (
 )
 from .data import (
     LabeledDataset,
-    csv_fields,
     fmt_float,
     load_manifest,
     load_sample_set,  # noqa: F401  unused, but perfbench/trace_cli.py wraps this name
@@ -95,9 +94,9 @@ def _write_csv(path: Path, header: list[str], rows, comment: str | None = None) 
         writer.writerows(rows)
 
 
-def _model_markers(model) -> list[str] | None:
+def _model_markers(model) -> tuple[str, ...] | None:
     """The model's training marker order, which sample columns are aligned to."""
-    return csv_fields(model.train_meta["marker_names"]) or None
+    return model.train_meta["marker_names"] or None
 
 
 def _cell_file_name(sample_id: str) -> str:
@@ -105,13 +104,6 @@ def _cell_file_name(sample_id: str) -> str:
     if sample_id in ("", ".", "..") or "/" in sample_id or "\\" in sample_id:
         raise DataError(f"sample_id {sample_id!r} cannot name a file in cells/")
     return f"{sample_id}.csv"
-
-
-def _check_dims(sample, model) -> None:
-    if sample.d != model.rff.d:
-        raise DataError(
-            f"sample {sample.sample_id!r} has d={sample.d}, model expects d={model.rff.d}"
-        )
 
 
 def cmd_synth(args) -> PipelineConfig:
@@ -224,7 +216,6 @@ def cmd_predict(args) -> PipelineConfig:
     label_names = {-1: model.train_meta["label_neg"], +1: model.train_meta["label_pos"]}
 
     def row(s) -> list[str]:
-        _check_dims(s, model)
         dec = decision(model, pipe.embed([s])[0])
         return [s.sample_id, fmt_float(dec), label_names[-1 if dec < 0 else +1]]
 
@@ -303,7 +294,6 @@ def cmd_interpret(args) -> PipelineConfig:
 
     def keep(s):
         """The kept cells of one raw sample, and their row indices in it."""
-        _check_dims(s, model)
         kept, idx = pipe.keep(s)
         pool_range.add(kept)
         return kept, idx
@@ -388,7 +378,7 @@ def cmd_stats(args) -> PipelineConfig:
     if col not in header:
         raise ConfigError(f"cluster {args.cluster} not present in {freq_path}")
     ci = header.index(col)
-    neg, pos = [], []
+    neg, pos, seen = [], [], set()
     for r, fields in enumerate(rows[1:], start=1):
         if len(fields) != len(header):
             raise DataError(f"{freq_path}: row {r} has {len(fields)} fields, "
@@ -396,6 +386,9 @@ def cmd_stats(args) -> PipelineConfig:
         sid = fields[0]
         if sid not in labels_by_id:
             raise DataError(f"sample {sid!r} in frequencies file missing from manifest")
+        if sid in seen:
+            raise DataError(f"{freq_path}: row {r} repeats sample_id {sid!r}")
+        seen.add(sid)
         try:
             value = float(fields[ci])
         except ValueError:

@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, raise_on_overflow
 
 FLOAT_FMT = ".17g"  # shortest round-trippable decimal for float64
 
@@ -113,7 +113,10 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class Standardizer:
-    """Per-feature location/scale fitted on pooled training cells."""
+    """Per-feature location/scale fitted on pooled training cells.
+
+    mean must be finite, and std finite and positive.
+    """
 
     mean: np.ndarray
     std: np.ndarray
@@ -123,8 +126,10 @@ class Standardizer:
         std = np.asarray(self.std, dtype=np.float64).ravel()
         if mean.shape != std.shape:
             raise ValueError("mean and std must have the same length")
-        if not np.all(std > 0):
-            raise ValueError("std entries must be positive")
+        if not np.all(np.isfinite(mean)):
+            raise ValueError("mean entries must be finite")
+        if not np.all((std > 0) & np.isfinite(std)):
+            raise ValueError("std entries must be positive and finite")
         object.__setattr__(self, "mean", _readonly(mean))
         object.__setattr__(self, "std", _readonly(std))
 
@@ -367,12 +372,15 @@ def fit_standardizer(train: Sequence[SampleSet]) -> Standardizer:
     """Per-feature mean/std over the pooled cells of the training samples.
 
     Zero-variance features get std 1 so they pass through after centering.
+    A mean or std that overflows float64 raises NumericalError.
     """
     if not train:
         raise ValueError("fit_standardizer requires at least one sample")
     pooled = np.concatenate([s.cells for s in train], axis=0)
-    mean = pooled.mean(axis=0)
-    std = pooled.std(axis=0)
+    with raise_on_overflow("preprocessing standardize: the pooled training cells' "
+                           "mean or std overflows float64"):
+        mean = pooled.mean(axis=0)
+        std = pooled.std(axis=0)
     std = np.where(std > 0.0, std, 1.0)
     return Standardizer(mean=mean, std=std)
 

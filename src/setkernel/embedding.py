@@ -6,38 +6,12 @@ Because each phi(x) has unit norm, the embedding norm never exceeds 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import SampleSet
 from .rff import RffMap, featurize_batch
 
 _CHUNK = 4096
-
-
-@dataclass(frozen=True)
-class MeanEmbedding:
-    """Average random-feature vector of one sample's cells."""
-
-    mu: np.ndarray
-    n_cells: int
-    sample_id: str
-
-    def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=np.float64).ravel()
-        if self.n_cells < 1:
-            raise ValueError("n_cells must be >= 1")
-        norm = float(np.linalg.norm(mu))
-        if norm > 1.0 + 1e-9:
-            raise ValueError(f"embedding norm {norm} exceeds 1 (mean of unit vectors)")
-        mu = mu.copy()
-        mu.setflags(write=False)
-        object.__setattr__(self, "mu", mu)
-
-    @property
-    def D(self) -> int:
-        return self.mu.shape[0]
 
 
 def embed_matrix(rmap: RffMap, X: np.ndarray) -> np.ndarray:
@@ -62,10 +36,9 @@ def embed_matrix(rmap: RffMap, X: np.ndarray) -> np.ndarray:
     return total / n
 
 
-def mean_embedding(rmap: RffMap, sample: SampleSet) -> MeanEmbedding:
-    """Embed one sample-set as the average phi over its cells."""
-    mu = embed_matrix(rmap, sample.cells)
-    return MeanEmbedding(mu=mu, n_cells=sample.n, sample_id=sample.sample_id)
+def mean_embedding(rmap: RffMap, sample: SampleSet) -> np.ndarray:
+    """Embed one sample-set as the average phi over its cells: a length-D row."""
+    return embed_matrix(rmap, sample.cells)
 
 
 def naive_mean(sample: SampleSet) -> np.ndarray:
@@ -77,6 +50,4 @@ def naive_mean(sample: SampleSet) -> np.ndarray:
 
 def mmd(rmap: RffMap, a: SampleSet, b: SampleSet) -> float:
     """Primal-space MMD estimate: the distance between the two embeddings."""
-    mu_a = mean_embedding(rmap, a).mu
-    mu_b = mean_embedding(rmap, b).mu
-    return float(np.linalg.norm(mu_a - mu_b))
+    return float(np.linalg.norm(mean_embedding(rmap, a) - mean_embedding(rmap, b)))

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from setkernel import (
     ConfigError,
+    DataError,
     LinearModel,
-    MeanEmbedding,
     ModelFormatError,
     PipelineConfig,
     cross_validate,
@@ -45,12 +45,8 @@ def predict_probe(tmp_path, model_text):
                  "--out", str(tmp_path / "p")])
 
 
-def embeddings_from(X, sample_ids=None):
-    out = []
-    for i, row in enumerate(np.atleast_2d(X)):
-        sid = sample_ids[i] if sample_ids else f"e{i}"
-        out.append(MeanEmbedding(mu=row, n_cells=1, sample_id=sid))
-    return out
+def embeddings_from(X):
+    return list(np.atleast_2d(np.asarray(X, dtype=np.float64)))
 
 
 class TestSolver:
@@ -425,7 +421,7 @@ class TestModelIO:
 
         model = self._trained_model(rng)
         bad = make_sample(rng.normal(size=(4, 3)))
-        with pytest.raises(ValueError, match="model expects"):
+        with pytest.raises(DataError, match="model expects"):
             apply_model(model, bad)
 
     @pytest.mark.parametrize("preprocessing", ["none", "standardize", "arcsinh:3"])
@@ -535,6 +531,18 @@ class TestSettingsRoundTrip:
         for key in ("preprocessing", "m", "subsample_method", "seed", "gamma", "D", "reg_c"):
             assert getattr(back, key) == getattr(cfg, key), key
 
+    @pytest.mark.parametrize("m", [None, 5])
+    def test_model_settings_keep_their_types(self, tmp_path, m):
+        ds = generate_dataset(benchmark_spec(seed=3, sets_per_class=3, cells_per_set=12))
+        cfg = PipelineConfig(gamma=2.5, D=8, m=m, seed=11, preprocessing="arcsinh:5")
+        model = fit_pipeline(ds, cfg)
+        save_model(model, tmp_path / "m.txt")
+        for meta in (model.train_meta, load_model(tmp_path / "m.txt").train_meta):
+            assert meta["m"] == m and type(meta["m"]) is type(m)
+            assert meta["seed"] == 11 and type(meta["seed"]) is int
+            assert meta["marker_names"] == ("f0", "f1") and type(meta["marker_names"]) is tuple
+            assert (meta["preprocessing"], meta["subsample_method"]) == ("arcsinh:5", "herding")
+
     def test_library_model_writes_the_meta_defaults(self, small_map, tmp_path):
         model = train(small_map, embeddings_from(np.eye(2, small_map.D)), [-1, 1])
         save_model(model, tmp_path / "m.txt")
@@ -627,7 +635,7 @@ class TestModelFuzz:
 
     @pytest.mark.parametrize("old, new, message", [
         ("m 20", "m 0", "m must be positive"),
-        ("m 20", "m x", "invalid literal for int"),
+        ("m 20", "m x", "m must be an integer or 'all', got 'x'"),
         ("preprocessing none", "preprocessing arcsinh:-1", "cofactor must be positive"),
         ("preprocessing none", "preprocessing standardize", "without a standardizer"),
         ("subsample_method herding", "subsample_method greedy", "subsample_method must be"),
@@ -639,6 +647,16 @@ class TestModelFuzz:
          "preprocessing standardize\nm 20\nsubsample_method herding\nseed 4\nreg_c 1\n"
          "marker_names f0,f1\nstandardizer_mean 0\nstandardizer_std 1",
          "standardizer has d=1, model d=2"),
+        ("preprocessing none\nm 20\nsubsample_method herding\nseed 4\nreg_c 1\n"
+         "marker_names f0,f1",
+         "preprocessing standardize\nm 20\nsubsample_method herding\nseed 4\nreg_c 1\n"
+         "marker_names f0,f1\nstandardizer_mean nan 0\nstandardizer_std 1 1",
+         "mean entries must be finite"),
+        ("preprocessing none\nm 20\nsubsample_method herding\nseed 4\nreg_c 1\n"
+         "marker_names f0,f1",
+         "preprocessing standardize\nm 20\nsubsample_method herding\nseed 4\nreg_c 1\n"
+         "marker_names f0,f1\nstandardizer_mean 0 0\nstandardizer_std inf 1",
+         "std entries must be positive and finite"),
     ])
     def test_bad_pipeline_setting_exits_3(self, work, capsys, old, new, message):
         text = (work / "v2.txt").read_text()

@@ -666,6 +666,16 @@ class TestInterpretCommand:
         err = capsys.readouterr().err
         assert message in err and len(err.strip().splitlines()) == 1
 
+    def test_stats_sample_listed_twice_exits_3(self, separable_dir, tmp_path, capsys):
+        freqs = tmp_path / "freqs.csv"
+        freqs.write_text("sample_id,label,freq_0\nneg_000,neg,0.5\npos_000,pos,0.1\n"
+                         "neg_000,neg,0.5\n")
+        assert main(["stats", "--manifest", manifest_of(separable_dir), "--frequencies",
+                     str(freqs), "--cluster", "0", "--out", str(tmp_path / "s")]) == EXIT_DATA
+        assert capsys.readouterr().err == (f"error: {freqs}: row 3 repeats sample_id "
+                                           "'neg_000'\n")
+        assert not (tmp_path / "s").exists()
+
     def test_each_cell_is_featurized_once(self, separable_dir, interpreted, tmp_path,
                                           monkeypatch):
         import setkernel.interpret
@@ -687,9 +697,9 @@ class TestInterpretCommand:
         rmap = sample_frequencies(2, 64, 1.0, 5)
         model = LinearModel(beta=np.zeros(64), bias=0.25, rff=rmap, reg_c=1.0,
                             train_meta={"label_neg": "neg", "label_pos": "pos",
-                                        "m": "10", "subsample_method": "herding",
-                                        "preprocessing": "none", "seed": "5",
-                                        "marker_names": "f0,f1"})
+                                        "m": 10, "subsample_method": "herding",
+                                        "preprocessing": "none", "seed": 5,
+                                        "marker_names": ("f0", "f1")})
         save_model(model, tmp_path / "zero.txt")
         assert main(["interpret", "--manifest", manifest_of(separable_dir),
                      "--model", str(tmp_path / "zero.txt"), "--out", str(tmp_path / "i"),
@@ -1037,6 +1047,20 @@ class TestPreprocessingOverflow:
         self.run(["predict", "--model", str(model), "--manifest", manifest_of(separable_dir),
                   "--out", str(out)], capsys, "preprocessing standardize overflows float64")
         assert not out.exists()
+
+
+def test_standardizer_fit_overflow_exits_4(overflow_dir, tmp_path, capsys):
+    # the 1e200 cell is finite, its square in the pooled std is not
+    model = tmp_path / "model.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["train", "--manifest", str(overflow_dir / "huge_b.csv"), "--model",
+                     str(model), "--out", str(tmp_path / "t"), "--preprocessing", "standardize",
+                     "--subsample-method", "uniform", "--D", "64", "--m", "5"])
+    assert code == EXIT_NUMERICAL
+    assert capsys.readouterr().err == ("error: preprocessing standardize: the pooled training "
+                                       "cells' mean or std overflows float64\n")
+    assert not model.exists() and not (tmp_path / "t").exists()
 
 
 _CONFIG_KEYS = ["gamma", "D", "m", "folds", "runs", "reg_c", "seed", "subsample_method",

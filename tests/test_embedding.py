@@ -1,14 +1,14 @@
 import numpy as np
-import pytest
 
 from setkernel import (
-    MeanEmbedding,
+    PipelineConfig,
     featurize,
     mean_embedding,
     mmd,
     naive_mean,
     sample_frequencies,
 )
+from setkernel.classifier import Pipeline
 
 from conftest import make_sample
 
@@ -17,35 +17,42 @@ class TestMeanEmbedding:
     def test_singleton_equals_featurize(self, small_map):
         x = np.array([0.7, -0.3])
         e = mean_embedding(small_map, make_sample([x]))
-        np.testing.assert_array_equal(e.mu, featurize(small_map, x))
-        assert e.n_cells == 1
+        np.testing.assert_array_equal(e, featurize(small_map, x))
+
+    def test_is_the_row_the_pipeline_embeds(self, small_map, rng):
+        s = make_sample(rng.normal(size=(300, 2)))
+        row = mean_embedding(small_map, s)
+        cfg = PipelineConfig(gamma=small_map.gamma, D=small_map.D, m=None)
+        assert isinstance(row, np.ndarray) and row.shape == (small_map.D,)
+        assert row.dtype == np.float64
+        assert row.tobytes() == Pipeline(cfg, small_map).embed([s])[0].tobytes()
 
     def test_repeated_cell_equals_singleton(self, small_map):
         x = np.array([1.1, 0.2])
         single = mean_embedding(small_map, make_sample([x]))
         repeated = mean_embedding(small_map, make_sample([x] * 5))
-        np.testing.assert_allclose(repeated.mu, single.mu, atol=1e-15)
+        np.testing.assert_allclose(repeated, single, atol=1e-15)
 
     def test_duplicated_set_unchanged(self, small_map, rng):
         cells = rng.normal(size=(30, 2))
         orig = mean_embedding(small_map, make_sample(cells))
         doubled = mean_embedding(small_map, make_sample(np.vstack([cells, cells])))
-        np.testing.assert_allclose(doubled.mu, orig.mu, atol=1e-12)
+        np.testing.assert_allclose(doubled, orig, atol=1e-12)
 
     def test_permutation_invariance(self, small_map, rng):
         cells = rng.normal(size=(5000, 2))
-        base = mean_embedding(small_map, make_sample(cells)).mu
+        base = mean_embedding(small_map, make_sample(cells))
         for _ in range(5):
             shuffled = cells[rng.permutation(5000)]
-            mu = mean_embedding(small_map, make_sample(shuffled)).mu
+            mu = mean_embedding(small_map, make_sample(shuffled))
             assert np.abs(mu - base).max() <= 1e-9
 
     def test_linearity_under_concatenation(self, small_map, rng):
         a = rng.normal(size=(13, 2))
         b = rng.normal(size=(29, 2))
-        mu_a = mean_embedding(small_map, make_sample(a)).mu
-        mu_b = mean_embedding(small_map, make_sample(b)).mu
-        mu_ab = mean_embedding(small_map, make_sample(np.vstack([a, b]))).mu
+        mu_a = mean_embedding(small_map, make_sample(a))
+        mu_b = mean_embedding(small_map, make_sample(b))
+        mu_ab = mean_embedding(small_map, make_sample(np.vstack([a, b])))
         expected = (13 * mu_a + 29 * mu_b) / 42
         np.testing.assert_allclose(mu_ab, expected, atol=1e-12)
 
@@ -53,11 +60,7 @@ class TestMeanEmbedding:
         for _ in range(10):
             cells = rng.normal(scale=rng.uniform(0.1, 5), size=(rng.integers(1, 200), 2))
             e = mean_embedding(small_map, make_sample(cells))
-            assert np.linalg.norm(e.mu) <= 1 + 1e-9
-
-    def test_invariant_enforced_on_construction(self):
-        with pytest.raises(ValueError, match="norm"):
-            MeanEmbedding(mu=np.full(4, 1.0), n_cells=1, sample_id="x")
+            assert np.linalg.norm(e) <= 1 + 1e-9
 
 
 class TestNaiveMean:

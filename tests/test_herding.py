@@ -359,11 +359,11 @@ class TestSubset:
     def test_herded_embedding_error_shrinks_with_m(self, rng):
         rmap = sample_frequencies(2, 500, 1.0, 3)
         s = make_sample(rng.normal(size=(400, 2)))
-        mu = mean_embedding(rmap, s).mu
+        mu = mean_embedding(rmap, s)
         errs = []
         for m in (10, 40, 160):
             sub = subset(s, herd(rmap, s, m))
-            errs.append(np.linalg.norm(mean_embedding(rmap, sub).mu - mu))
+            errs.append(np.linalg.norm(mean_embedding(rmap, sub) - mu))
         assert errs[0] > errs[1] > errs[2]
 
 

@@ -25,14 +25,19 @@ from .data import LabeledDataset, SampleSet, Standardizer, fmt_float
 from .embedding import embed_matrix, naive_mean
 from .errors import (ConfigError, DataError, ModelFormatError, NumericalError,
                      raise_on_overflow)
-from .herding import herd, uniform_subsample
+from .herding import DEFAULT_CACHE_BYTES, herd, uniform_subsample
 from .rff import GENERATOR_NAME, RffMap, philox_rng, sample_frequencies
+from .workers import in_flight, map_items
 
 MODEL_MAGIC = "setkernel-model"
 MODEL_VERSION = 2  # version 1 also stored W; it is still read
 # load_model regenerates W (d x D/2 float64) only up to 1 GiB, so a corrupted d
 # cannot make it allocate without bound.
 MAX_W_VALUES = 1 << 27
+# A version-1 file's stored W may differ from the regenerated draw by this many
+# units in the last place per entry: the float64 log that gaussian_draws takes
+# rounds differently at different x86-64 levels (AVX-512 or not).
+W_ULPS = 2
 # The pipeline settings a model records, typed as PipelineConfig holds them,
 # in the order its META section lists them.
 MODEL_SETTINGS = ("preprocessing", "m", "subsample_method", "seed")
@@ -268,7 +273,7 @@ class Pipeline:
     rows: the mean random-feature vector (cfg.features "rff") or the
     per-marker mean ("naive") of the selected cells. A sample with no more
     than m cells, or any sample when m is None, keeps all its cells in
-    storage order.
+    storage order. A pipeline herds when m is set and the method is herding.
     """
 
     cfg: PipelineConfig
@@ -286,6 +291,10 @@ class Pipeline:
     def from_model(cls, model: LinearModel) -> "Pipeline":
         """The pipeline a trained model was fitted with."""
         return cls(model_config(model), model.rff, model.train_meta.get("standardizer"))
+
+    @property
+    def herds(self) -> bool:
+        return self.cfg.m is not None and self.cfg.subsample_method == "herding"
 
     def prepare(self, sample: SampleSet) -> SampleSet:
         """The sample after the fitted preprocessing.
@@ -306,7 +315,10 @@ class Pipeline:
         return sample
 
     def select(self, sample: SampleSet) -> np.ndarray:
-        """Row indices of the kept cells of a prepared sample, in selection order."""
+        """Row indices of the kept cells of a prepared sample, in selection order.
+
+        A herd takes its share of the cache budget (workers.in_flight).
+        """
         m = self.cfg.m
         if m is None or m >= sample.n:
             return np.arange(sample.n)
@@ -315,7 +327,7 @@ class Pipeline:
                                     derive_seed(self.cfg.seed, f"uniform:{sample.sample_id}"))
         else:
             with _naming(sample):
-                res = herd(self.rff, sample, m)
+                res = herd(self.rff, sample, m, DEFAULT_CACHE_BYTES // in_flight())
         return np.asarray(res.selected_indices)
 
     def keep(self, sample: SampleSet) -> tuple[SampleSet, np.ndarray]:
@@ -325,7 +337,11 @@ class Pipeline:
         return replace(prepared, cells=prepared.cells[idx]), idx
 
     def embed(self, samples: Sequence[SampleSet]) -> np.ndarray:
-        """One feature row per raw sample."""
+        """One feature row per raw sample, in order.
+
+        When the pipeline herds, the samples run in workers.map_items's
+        pool; the rows are the same either way.
+        """
 
         def one(sample: SampleSet) -> np.ndarray:
             kept, _ = self.keep(sample)
@@ -334,7 +350,7 @@ class Pipeline:
             with _naming(sample):
                 return embed_matrix(self.rff, kept.cells)
 
-        return np.stack([one(s) for s in samples])
+        return np.stack(map_items(one, samples, self.herds))
 
 
 @contextmanager
@@ -406,6 +422,18 @@ def model_config(model: LinearModel) -> PipelineConfig:
 def apply_model(model: LinearModel, sample: SampleSet) -> float:
     """Decision value for one raw sample via the model's stored pipeline."""
     return decision(model, Pipeline.from_model(model).embed([sample])[0])
+
+
+def _within_ulps(a: np.ndarray, b: np.ndarray, ulps: int) -> bool:
+    """Whether every entry of float64 a is within ulps units in the last place of b's.
+
+    The bit patterns are mapped to integers in float order; a distance past
+    int64's range wraps to one at least 2**53 from zero, so it never passes.
+    """
+    ordered = [np.where(v < 0, np.iinfo(np.int64).min - v, v)
+               for v in (a.view(np.int64), b.view(np.int64))]
+    apart = ordered[0] - ordered[1]
+    return bool(((apart >= -ulps) & (apart <= ulps)).all())
 
 
 def _fmt_row(row: np.ndarray) -> str:
@@ -485,7 +513,8 @@ def load_model(path) -> LinearModel:
     has the standardizer or the solver pair when it has a standardizer_mean or
     a solver_gap line before END; lines after END are not read. W is
     regenerated from the seed. A version-1 file's W rows are the lines between
-    W and LINEAR, d is their count, and they must equal that draw bit for bit.
+    W and LINEAR, and d is their count; each entry must be within W_ULPS of
+    that draw, and the model keeps the stored W.
     """
     path = Path(path)
     try:
@@ -564,11 +593,13 @@ def load_model(path) -> LinearModel:
         if std is not None and std.d != d:
             raise ModelFormatError(f"{path}: standardizer has d={std.d}, model d={d}")
         rmap = sample_frequencies(d, D, gamma, seed)
-        if W is not None and (W.shape != rmap.W.shape or W.tobytes() != rmap.W.tobytes()):
-            raise ModelFormatError(
-                f"{path}: stored W ({W.shape[0]}x{W.shape[1]}) differs from the W "
-                f"that seed {seed} draws for d={d}, D={D}"
-            )
+        if W is not None:
+            if W.shape != rmap.W.shape or not _within_ulps(W, rmap.W, W_ULPS):
+                raise ModelFormatError(
+                    f"{path}: stored W ({W.shape[0]}x{W.shape[1]}) differs from the W "
+                    f"that seed {seed} draws for d={d}, D={D} by more than {W_ULPS} ulps"
+                )
+            rmap = replace(rmap, W=W)
         model = LinearModel(beta=beta, bias=bias, rff=rmap, reg_c=reg_c, train_meta=meta)
         model_config(model)  # builds, so checks, the pipeline settings predict applies
         return model

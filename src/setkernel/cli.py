@@ -49,6 +49,7 @@ from .errors import ConfigError, DataError, NumericalError
 from .herding import herd, uniform_subsample
 from .rff import philox_rng, sample_frequencies
 from .synth import generate_files, load_spec
+from .workers import map_items
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -134,7 +135,8 @@ def cmd_herd(args) -> PipelineConfig:
     dataset = load_manifest(args.manifest)
     names = [_cell_file_name(s.sample_id) for s in dataset.samples]
     pipe = Pipeline.fit(cfg, dataset.samples)
-    picks = [pipe.keep(s)[1] for s in dataset.samples]  # before any file is written
+    # every sample is herded before any file is written
+    picks = map_items(lambda s: pipe.keep(s)[1], dataset.samples, pipe.herds)
     out_dir = Path(args.out)
     index_rows = []
     for s, name, idx in zip(dataset.samples, names, picks):
@@ -219,8 +221,8 @@ def cmd_predict(args) -> PipelineConfig:
         dec = decision(model, pipe.embed([s])[0])
         return [s.sample_id, fmt_float(dec), label_names[-1 if dec < 0 else +1]]
 
-    # one raw sample in memory at a time: each is read, decided and dropped
-    rows = map_samples(samples, row, _model_markers(model))
+    # each raw sample is read, decided and dropped, in a worker when the model herds
+    rows = map_samples(samples, row, _model_markers(model), pipe.herds)
     out_dir = Path(args.out)
     _write_csv(out_dir / "predictions.csv", ["sample_id", "decision", "label"], rows,
                _config_comment(pipe.cfg))
@@ -291,16 +293,11 @@ def cmd_interpret(args) -> PipelineConfig:
     cfg = replace(pipe.cfg, clusters_C=flags.clusters_C, seed=flags.seed)
     manifest = read_manifest(args.manifest)
     pool_range = itp.ClusterRange()
-
-    def keep(s):
-        """The kept cells of one raw sample, and their row indices in it."""
-        kept, idx = pipe.keep(s)
-        pool_range.add(kept)
-        return kept, idx
-
-    # one raw sample in memory at a time: only its kept cells outlive it
-    subs, index_map = zip(*map_samples(zip(manifest.sample_ids, manifest.paths), keep,
-                                       _model_markers(model)))
+    # each raw sample is read and dropped, in a worker when the model herds: only
+    # its kept cells and their row indices in it outlive it, and join the pool here
+    subs, index_map = zip(*map_samples(zip(manifest.sample_ids, manifest.paths), pipe.keep,
+                                       _model_markers(model), pipe.herds,
+                                       lambda result: pool_range.add(result[0])))
     pooled = np.concatenate([s.cells for s in subs], axis=0)
     clusters = itp.kmeans(pooled, cfg.clusters_C, derive_seed(cfg.seed, "kmeans"))
     region = itp.region_scores(model, clusters, pooled, subs)
@@ -405,7 +402,8 @@ def cmd_stats(args) -> PipelineConfig:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--seed", type=int, default=None, help="base seed")
-    parser.add_argument("--threads", type=int, choices=[1], help="kept for old scripts; only 1")
+    parser.add_argument("--threads", type=int, choices=[1],
+                        help="ignored; accepts only 1, kept so old scripts still run")
     parser.add_argument("--out", default="out", help="output directory")
     for key in _CONFIG_FLAGS:
         parser.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None,

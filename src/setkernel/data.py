@@ -18,6 +18,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import DataError, raise_on_overflow
+from .workers import map_items
 
 FLOAT_FMT = ".17g"  # shortest round-trippable decimal for float64
 
@@ -60,6 +61,9 @@ class SampleSet:
             )
         object.__setattr__(self, "cells", _readonly(cells))
         object.__setattr__(self, "marker_names", tuple(str(m) for m in self.marker_names))
+
+    def __reduce__(self):  # unpickled through __post_init__, so the cells are read-only
+        return SampleSet, (self.cells, self.sample_id, self.marker_names)
 
     @property
     def n(self) -> int:
@@ -325,22 +329,32 @@ def read_manifest(path) -> Manifest:
 
 
 def map_samples(samples: Iterable[tuple[str, Path]], fn: Callable[[SampleSet], object],
-                expected_markers: Sequence[str] | None = None) -> list:
-    """fn(sample) for every (sample_id, path) pair in order, reading one sample at a time.
+                expected_markers: Sequence[str] | None = None, pooled: bool = False,
+                each: Callable[[object], None] | None = None) -> list:
+    """fn(sample) for every (sample_id, path) pair, in order, each sample read on its own.
 
-    The next sample is read only after fn has returned, so as long as fn's
-    results do not hold the samples, at most one sample's cells are in
-    memory. Every sample's columns are permuted to expected_markers, or to
-    the first sample's marker order when None. An error in a sample stops
-    the map there, so the first failing sample in order decides it.
+    Every sample's columns are permuted to expected_markers, or to the first
+    sample's marker order when None. With pooled, the pairs run through
+    workers.map_items's pool: each worker reads its own sample, and the
+    marker order is fixed from the first sample before the workers start.
+    each(result), when given, runs in this process on every result in
+    order. An error in a sample, or in each, stops the map there, so the
+    first failing sample in order decides it. In-process, the next sample
+    is read only after fn has returned, so as long as fn's results do not
+    hold the samples, at most one sample's cells are in memory; pooled, one
+    per worker.
     """
-    out, expected = [], expected_markers
-    for sample_id, sample_path in samples:
-        sample = load_sample_set(sample_path, expected_markers=expected, sample_id=sample_id)
+    samples, expected = list(samples), expected_markers
+    if pooled and expected is None and len(samples) > 1:
+        expected = load_sample_set(samples[0][1], sample_id=samples[0][0]).marker_names
+
+    def one(pair):
+        nonlocal expected
+        sample = load_sample_set(pair[1], expected_markers=expected, sample_id=pair[0])
         expected = expected or sample.marker_names
-        out.append(fn(sample))
-        del sample  # freed before the next sample is read
-    return out
+        return fn(sample)  # the sample is freed when this returns
+
+    return map_items(one, samples, pooled, each)
 
 
 def load_manifest(path, expected_markers: Sequence[str] | None = None) -> LabeledDataset:

@@ -1,5 +1,10 @@
 import contextlib
 import io
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,14 +22,17 @@ from setkernel import (
     load_model,
     mean_embedding,
     predict_label,
+    sample_frequencies,
     save_model,
     solve_hinge,
     train,
 )
 from setkernel.classifier import (
     MODEL_VERSION,
+    W_ULPS,
     Pipeline,
     _optimal_bias,
+    _within_ulps,
     fit_pipeline,
     stratified_folds,
 )
@@ -447,7 +455,8 @@ class TestModelIO:
 
 
 class TestModelV1:
-    """Version-1 files stored W; it must be the draw that their seed regenerates."""
+    """Version-1 files stored W; every entry must be within W_ULPS of the draw
+    that their seed regenerates, and the model keeps the stored W."""
 
     def test_v1_and_v2_predict_byte_identical(self, tmp_path):
         from setkernel.synth import generate_files
@@ -467,13 +476,16 @@ class TestModelV1:
             outputs.append((tmp_path / name / "predictions.csv").read_bytes())
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.parametrize("edit", ["one_ulp", "column_dropped"])
+    @pytest.mark.parametrize("edit", ["three_ulps", "column_dropped"])
     def test_w_not_drawn_from_seed_exits_3(self, tmp_path, capsys, edit):
         lines = MODEL_V1.read_text().splitlines()
         row = lines.index("W") + 1
         values = lines[row].split()
-        if edit == "one_ulp":
-            values[0] = format(np.nextafter(float(values[0]), np.inf), ".17g")
+        if edit == "three_ulps":
+            value = float(values[0])
+            for _ in range(W_ULPS + 1):
+                value = np.nextafter(value, np.inf)
+            values[0] = format(value, ".17g")
             lines[row] = " ".join(values)
         else:
             lines[row:row + 2] = [" ".join(ln.split()[:-1]) for ln in lines[row:row + 2]]
@@ -482,6 +494,61 @@ class TestModelV1:
         err = capsys.readouterr().err
         assert "differs from the W that seed" in err and str(tmp_path / "bad.txt") in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_w_within_two_ulps_loads_with_the_stored_w(self, tmp_path):
+        lines = MODEL_V1.read_text().splitlines()
+        row = lines.index("W") + 1
+        values = lines[row].split()
+        values[0] = format(np.nextafter(np.nextafter(float(values[0]), -np.inf), -np.inf),
+                           ".17g")
+        lines[row] = " ".join(values)
+        (tmp_path / "near.txt").write_text("\n".join(lines) + "\n")
+        model = load_model(tmp_path / "near.txt")
+        assert model.rff.W[0, 0] == float(values[0]) != load_model(MODEL_V1).rff.W[0, 0]
+        np.testing.assert_array_equal(model.rff.W[:, 1:], load_model(MODEL_V1).rff.W[:, 1:])
+        with pytest.raises(ValueError, match="not the draw of its seed"):
+            save_model(model, tmp_path / "v2.txt")
+
+    def test_v1_file_written_at_a_lower_cpu_level_loads(self, tmp_path):
+        # gaussian_draws takes a float64 log, which numpy dispatches to AVX-512 where
+        # the CPU has it; without AVX-512 a few entries of W round 1-2 ulps apart.
+        # A subprocess writes a version-1 file at the lower level; this process
+        # loads it at its own. Only features this CPU has are disabled, so a CPU
+        # without AVX-512 compares the one level it has.
+        from numpy._core._multiarray_umath import __cpu_features__
+
+        import setkernel
+
+        disabled = [f for f in ("AVX512_SPR", "AVX512_ICL", "X86_V4")
+                    if __cpu_features__.get(f)]
+        writer = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from numpy._core._multiarray_umath import __cpu_features__
+            from setkernel import LinearModel, sample_frequencies, save_model
+            assert not any(__cpu_features__[f] for f in sys.argv[3:])
+            rmap = sample_frequencies(30, 2000, 1.0, 424242)
+            beta = np.random.default_rng(0).normal(size=rmap.D)
+            save_model(LinearModel(beta=beta, bias=0.5, rff=rmap, reg_c=1.0), sys.argv[1])
+            np.save(sys.argv[2], rmap.W)
+        """)
+        src = str(Path(setkernel.__file__).resolve().parents[1])
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(disabled),
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-c", writer, str(tmp_path / "v2.txt"),
+                        str(tmp_path / "w.npy"), *disabled], env=env, check=True)
+        stored = np.load(tmp_path / "w.npy")
+        rows = "\n".join(" ".join(format(v, ".17g") for v in row) for row in stored)
+        v2 = (tmp_path / "v2.txt").read_text()
+        assert v2.startswith("setkernel-model 2\n") and "\nd 30\nLINEAR\n" in v2
+        v1 = v2.replace("setkernel-model 2\n", "setkernel-model 1\n").replace(
+            "\nd 30\nLINEAR\n", f"\nW\n{rows}\nLINEAR\n")
+        (tmp_path / "v1.txt").write_text(v1)
+        native = sample_frequencies(30, 2000, 1.0, 424242).W
+        assert _within_ulps(stored, native, W_ULPS)
+        model = load_model(tmp_path / "v1.txt")
+        assert model.rff.W.tobytes() == stored.tobytes()
+        np.testing.assert_array_equal(model.beta, load_model(tmp_path / "v2.txt").beta)
 
     def test_save_refuses_w_not_drawn_from_seed(self, small_map, tmp_path):
         from setkernel import RffMap

@@ -733,8 +733,9 @@ class TestConfigPrecedence:
         assert code == EXIT_CONFIG
 
     def test_threads_flag_accepts_only_1(self, separable_dir, tmp_path, capsys):
-        # --threads survives so existing scripts still parse; samples are embedded
-        # one at a time and the setting reaches no output.
+        # --threads survives so existing scripts still parse; it is ignored (a
+        # herding chain runs in one worker process per usable CPU whatever it says)
+        # and the setting reaches no output.
         args = ["crossval", "--manifest", manifest_of(separable_dir), "--folds", "4",
                 "--runs", "1"] + FAST
         assert main(args + ["--out", str(tmp_path / "a"), "--threads", "1"]) == EXIT_OK

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import math
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -89,8 +90,11 @@ class TestLoadSampleSet:
 
     def test_cells_are_readonly(self):
         s = make_sample([[1.0, 2.0]])
-        with pytest.raises(ValueError):
-            s.cells[0, 0] = 5.0
+        # a pickled copy too, as the worker pool returns kept cells to the parent
+        for sample in (s, pickle.loads(pickle.dumps(s))):
+            np.testing.assert_array_equal(sample.cells, s.cells)
+            with pytest.raises(ValueError):
+                sample.cells[0, 0] = 5.0
 
     @pytest.mark.parametrize("text, expected", [
         ("a,b\n1,2\n\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),         # blank line skipped

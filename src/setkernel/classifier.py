@@ -104,12 +104,11 @@ def _optimal_bias(f: np.ndarray, y: np.ndarray) -> float:
     The objective is piecewise linear in b; the slope rises by one at each
     breakpoint (1 - f_i for positives, -1 - f_i for negatives), starting at
     -n_pos. The optimum is the interval where the slope crosses zero; its
-    midpoint is returned for determinism.
+    midpoint is returned for determinism. y must hold both classes, as
+    solve_hinge checks.
     """
     events = np.sort(np.where(y > 0, 1.0 - f, -1.0 - f))
     n_pos = int(np.sum(y > 0))
-    if n_pos == 0 or n_pos == events.shape[0]:
-        raise ValueError("both classes required")
     return float(0.5 * (events[n_pos - 1] + events[n_pos]))
 
 
@@ -203,11 +202,12 @@ def solve_hinge(X: np.ndarray, y: np.ndarray, reg_c: float = 1.0,
 
 
 def train(rmap: RffMap, embeddings: Sequence[np.ndarray], labels: Sequence[int],
-          reg_c: float = 1.0, tol: float = 1e-6, max_iter: int = 100_000,
-          train_meta: dict | None = None) -> LinearModel:
-    """Fit on one feature row per sample; train_meta gains the solver's gap and convergence."""
-    res = solve_hinge(embeddings, np.asarray(labels, dtype=np.float64), reg_c=reg_c, tol=tol,
-                      max_iter=max_iter)
+          reg_c: float = 1.0, train_meta: dict | None = None) -> LinearModel:
+    """Fit on one feature row per sample with solve_hinge's default tol and max_iter.
+
+    train_meta gains the solver's gap and convergence.
+    """
+    res = solve_hinge(embeddings, np.asarray(labels, dtype=np.float64), reg_c=reg_c)
     meta = {**(train_meta or {}), "solver_gap": res.gap, "solver_converged": res.converged}
     return LinearModel(beta=res.w, bias=res.bias, rff=rmap, reg_c=float(reg_c),
                        train_meta=meta)
@@ -227,11 +227,13 @@ def predict_label(model: LinearModel, mu: np.ndarray) -> int:
 
 
 def stratified_folds(labels: Sequence[int], folds: int, seed: int) -> list[np.ndarray]:
-    """Deterministic stratified K-fold assignment; returns test-index arrays.
+    """Deterministic stratified K-fold assignment of -1/+1 labels; returns test-index arrays.
 
     Within each class the indices are shuffled by the seeded generator, then
     dealt to folds in a single round-robin pass across classes so fold sizes
-    stay balanced. Every training partition must contain both classes.
+    stay balanced. Every training partition holds both classes: each class
+    of at least two samples takes consecutive deals, so with 2 <= folds it
+    spans at least two folds, and no test fold holds a whole class.
     """
     y = np.asarray(labels)
     n = y.shape[0]
@@ -253,12 +255,7 @@ def stratified_folds(labels: Sequence[int], folds: int, seed: int) -> list[np.nd
         for k in perm:
             assignment[k] = cursor % folds
             cursor += 1
-    out = [np.flatnonzero(assignment == f) for f in range(folds)]
-    for f, test_idx in enumerate(out):
-        train_y = set(y[np.setdiff1d(np.arange(n), test_idx)])
-        if train_y != {-1, +1}:
-            raise ConfigError(f"training partition of fold {f} has a single class")
-    return out
+    return [np.flatnonzero(assignment == f) for f in range(folds)]
 
 
 @dataclass(frozen=True)
@@ -289,8 +286,15 @@ class Pipeline:
 
     @classmethod
     def from_model(cls, model: LinearModel) -> "Pipeline":
-        """The pipeline a trained model was fitted with."""
-        return cls(model_config(model), model.rff, model.train_meta.get("standardizer"))
+        """The pipeline a trained model was fitted with.
+
+        Its cfg holds the settings the model applies: the map's gamma and D,
+        the model's reg_c and the MODEL_SETTINGS of its train_meta; the rest
+        keep their defaults. Building it checks them.
+        """
+        cfg = PipelineConfig(gamma=model.rff.gamma, D=model.rff.D, reg_c=model.reg_c,
+                             **{k: model.train_meta[k] for k in MODEL_SETTINGS})
+        return cls(cfg, model.rff, model.train_meta.get("standardizer"))
 
     @property
     def herds(self) -> bool:
@@ -413,12 +417,6 @@ def fit_pipeline(dataset: LabeledDataset, cfg: PipelineConfig) -> LinearModel:
                  train_meta=meta)
 
 
-def model_config(model: LinearModel) -> PipelineConfig:
-    """Pipeline settings a saved model applies at predict time."""
-    return PipelineConfig(gamma=model.rff.gamma, D=model.rff.D, reg_c=model.reg_c,
-                          **{k: model.train_meta[k] for k in MODEL_SETTINGS})
-
-
 def apply_model(model: LinearModel, sample: SampleSet) -> float:
     """Decision value for one raw sample via the model's stored pipeline."""
     return decision(model, Pipeline.from_model(model).embed([sample])[0])
@@ -476,7 +474,7 @@ def save_model(model: LinearModel, path) -> None:
     if sample_frequencies(rff.d, rff.D, rff.gamma, rff.seed).W.tobytes() != rff.W.tobytes():
         raise ValueError("model W is not the draw of its seed and cannot be saved")
     meta = model.train_meta
-    settings = model_config(model).as_dict()
+    settings = Pipeline.from_model(model).cfg.as_dict()
     text = {"label_neg": str(meta["label_neg"]), "label_pos": str(meta["label_pos"]),
             **{k: settings[k] for k in MODEL_SETTINGS},
             "marker_names": dat.csv_line(meta["marker_names"])}
@@ -601,7 +599,7 @@ def load_model(path) -> LinearModel:
                 )
             rmap = replace(rmap, W=W)
         model = LinearModel(beta=beta, bias=bias, rff=rmap, reg_c=reg_c, train_meta=meta)
-        model_config(model)  # builds, so checks, the pipeline settings predict applies
+        Pipeline.from_model(model)  # builds, so checks, the settings predict applies
         return model
     # ConfigError is a ValueError; csv.Error: a marker_names field over csv's size limit
     except (ValueError, IndexError, MemoryError, csv.Error) as e:

@@ -2,8 +2,9 @@
 herd-bench, interpret, stats.
 
 Every command takes --config/--seed/--out plus per-key flags; flags override
-config-file values override defaults. Each returns the settings it applied,
-which main() records in OUT/meta.txt. Runs are deterministic: identical
+config-file values override defaults. main() resolves and checks them before
+any command runs and passes them in. Each command returns the settings it
+applied, which main() records in OUT/meta.txt. Runs are deterministic: identical
 inputs, config, and seed produce byte-identical output files.
 Exit codes: 0 ok, 2 config/validation, 3 data/IO, 4 numerical failure.
 """
@@ -36,7 +37,6 @@ from .config import (
     parse_config_file,
 )
 from .data import (
-    LabeledDataset,
     fmt_float,
     load_manifest,
     load_sample_set,  # noqa: F401  unused, but perfbench/trace_cli.py wraps this name
@@ -84,20 +84,15 @@ def _write_meta(out_dir: Path, cfg: PipelineConfig, command: str) -> None:
     (out_dir / "meta.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_csv(path: Path, header: list[str], rows, comment: str | None = None) -> None:
-    """A header and rows, a field quoted only where it holds a comma, quote or newline."""
+def _write_csv(path: Path, header: list[str], rows, cfg: PipelineConfig) -> None:
+    """cfg's `# config:` line, a header and rows, a field quoted only where it
+    holds a comma, quote or newline."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="") as fh:
-        if comment:
-            fh.write(comment + "\n")
+        fh.write(_config_comment(cfg) + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def _model_markers(model) -> tuple[str, ...] | None:
-    """The model's training marker order, which sample columns are aligned to."""
-    return model.train_meta["marker_names"] or None
 
 
 def _cell_file_name(sample_id: str) -> str:
@@ -107,8 +102,16 @@ def _cell_file_name(sample_id: str) -> str:
     return f"{sample_id}.csv"
 
 
-def cmd_synth(args) -> PipelineConfig:
-    cfg = _effective_config(args)
+def _int_flag(args, name: str) -> int:
+    """The integer value of --<name>, or a ConfigError naming the flag."""
+    raw = getattr(args, name.replace("-", "_"))
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"--{name} must be an integer, got {raw!r}") from None
+
+
+def cmd_synth(args, cfg: PipelineConfig) -> PipelineConfig:
     spec = load_spec(args.spec)
     if args.seed is not None:
         spec = replace(spec, seed=int(args.seed))
@@ -117,21 +120,19 @@ def cmd_synth(args) -> PipelineConfig:
     return cfg
 
 
-def cmd_featurize(args) -> PipelineConfig:
-    cfg = _effective_config(args)
+def cmd_featurize(args, cfg: PipelineConfig) -> PipelineConfig:
     dataset = load_manifest(args.manifest)
     feats = Pipeline.fit(cfg, dataset.samples).embed(dataset.samples)
     out_dir = Path(args.out)
     rows = [[s.sample_id] + [fmt_float(v) for v in row]
             for s, row in zip(dataset.samples, feats)]
     header = ["sample_id"] + [f"mu_{j}" for j in range(feats.shape[1])]
-    _write_csv(out_dir / "embeddings.csv", header, rows, _config_comment(cfg))
+    _write_csv(out_dir / "embeddings.csv", header, rows, cfg)
     print(f"wrote {out_dir / 'embeddings.csv'}")
     return cfg
 
 
-def cmd_herd(args) -> PipelineConfig:
-    cfg = _effective_config(args)
+def cmd_herd(args, cfg: PipelineConfig) -> PipelineConfig:
     dataset = load_manifest(args.manifest)
     names = [_cell_file_name(s.sample_id) for s in dataset.samples]
     pipe = Pipeline.fit(cfg, dataset.samples)
@@ -143,13 +144,12 @@ def cmd_herd(args) -> PipelineConfig:
         save_sample_set(replace(s, cells=s.cells[idx]), out_dir / "cells" / name)
         index_rows += [[s.sample_id, str(rank), str(i)] for rank, i in enumerate(idx)]
     _write_csv(out_dir / "indices.csv", ["sample_id", "selection_order", "row_index"],
-               index_rows, _config_comment(cfg))
+               index_rows, cfg)
     print(f"wrote {out_dir / 'indices.csv'}")
     return cfg
 
 
-def cmd_herd_bench(args) -> PipelineConfig:
-    cfg = _effective_config(args)
+def cmd_herd_bench(args, cfg: PipelineConfig) -> PipelineConfig:
     spec = load_spec(args.spec)
     try:
         m_values = sorted({int(v) for v in args.m_list.split(",")})
@@ -159,7 +159,7 @@ def cmd_herd_bench(args) -> PipelineConfig:
         raise ConfigError("m values must be positive")
     if any(m > spec.cells_per_set for m in m_values):
         raise ConfigError(f"m values must not exceed cells_per_set={spec.cells_per_set}")
-    n_seeds = int(args.bench_seeds)
+    n_seeds = _int_flag(args, "bench-seeds")
     if n_seeds < 1:
         raise ConfigError("bench-seeds must be >= 1")
     from .synth import _draw_sample
@@ -185,13 +185,12 @@ def cmd_herd_bench(args) -> PipelineConfig:
             for method in ("herding", "uniform") for m in m_values]
     out_dir = Path(args.out)
     _write_csv(out_dir / "herd_bench.csv", ["method", "m", "embedding_error"],
-               rows, _config_comment(cfg))
+               rows, cfg)
     print(f"wrote {out_dir / 'herd_bench.csv'}")
     return cfg
 
 
-def cmd_train(args) -> PipelineConfig:
-    cfg = _effective_config(args)
+def cmd_train(args, cfg: PipelineConfig) -> PipelineConfig:
     dataset = load_manifest(args.manifest)
     model = fit_pipeline(dataset, cfg)
     save_model(model, args.model)
@@ -199,8 +198,8 @@ def cmd_train(args) -> PipelineConfig:
     return cfg
 
 
-def cmd_predict(args) -> PipelineConfig:
-    _effective_config(args)  # the flags are checked, but the model's settings apply
+def cmd_predict(args, _flags: PipelineConfig) -> PipelineConfig:
+    # main() checked the flags, but the model's settings apply
     model = load_model(args.model)
     pipe = Pipeline.from_model(model)
     manifest = read_manifest(args.manifest) if args.manifest else None
@@ -222,26 +221,20 @@ def cmd_predict(args) -> PipelineConfig:
         return [s.sample_id, fmt_float(dec), label_names[-1 if dec < 0 else +1]]
 
     # each raw sample is read, decided and dropped, in a worker when the model herds
-    rows = map_samples(samples, row, _model_markers(model), pipe.herds)
+    rows = map_samples(samples, row, model.train_meta["marker_names"] or None, pipe.herds)
     out_dir = Path(args.out)
     _write_csv(out_dir / "predictions.csv", ["sample_id", "decision", "label"], rows,
-               _config_comment(pipe.cfg))
+               pipe.cfg)
     print(f"wrote {out_dir / 'predictions.csv'}")
     return pipe.cfg
 
 
-def _permuted(dataset: LabeledDataset, seed: int) -> LabeledDataset:
-    rng = philox_rng(seed)
-    perm = rng.permutation(dataset.N)
-    return LabeledDataset(samples=dataset.samples,
-                          labels=tuple(dataset.labels[i] for i in perm),
-                          label_names=dataset.label_names)
-
-
-def _sweep_values(raw: str | None, key: str, cfg: PipelineConfig) -> list[float]:
-    """The values of a --sweep-<key> list, each checked before any point runs."""
+def _sweep_values(raw: str | None, key: str,
+                  cfg: PipelineConfig) -> list[tuple[str, float]]:
+    """(text, value) for each entry of a --sweep-<key> list, each checked before
+    any point runs; without the list, cfg's value alone."""
     if not raw:
-        return [getattr(cfg, key)]
+        return [("", getattr(cfg, key))]
     values = []
     for v in raw.split(","):
         try:
@@ -249,42 +242,62 @@ def _sweep_values(raw: str | None, key: str, cfg: PipelineConfig) -> list[float]
             replace(cfg, **{key: value})  # building the config checks it
         except ConfigError as e:
             raise ConfigError(f"--sweep-{key.replace('_', '-')}: {e}") from None
-        values.append(value)
+        values.append((v.strip(), value))
     return values
 
 
-def cmd_crossval(args) -> PipelineConfig:
-    cfg = _effective_config(args)
-    sweep_gammas = _sweep_values(args.sweep_gamma, "gamma", cfg)
-    sweep_regs = _sweep_values(args.sweep_reg_c, "reg_c", cfg)
+def _sweep_points(args, cfg: PipelineConfig) -> list[tuple[float, float, str]]:
+    """(gamma, reg_c, report file name) for each point of the sweep, in run order.
+
+    A swept point's report is report_gamma<gamma:g>_c<reg_c:g>.csv. Two
+    points whose names coincide are refused before any point runs, since one
+    report would overwrite the other.
+    """
+    gammas = _sweep_values(args.sweep_gamma, "gamma", cfg)
+    regs = _sweep_values(args.sweep_reg_c, "reg_c", cfg)
+    if not (args.sweep_gamma or args.sweep_reg_c):
+        return [(cfg.gamma, cfg.reg_c, "report.csv")]
+    points, named = [], {}
+    for gi, (g_text, gamma) in enumerate(gammas):
+        for ci, (c_text, reg_c) in enumerate(regs):
+            name = f"report_gamma{gamma:g}_c{reg_c:g}.csv"
+            if name in named:
+                gj, cj = named[name]
+                flag, first, second = (("gamma", gammas[gj][0], g_text) if gj != gi
+                                       else ("reg-c", regs[cj][0], c_text))
+                raise ConfigError(f"--sweep-{flag}: {first} and {second} both name {name}")
+            named[name] = gi, ci
+            points.append((gamma, reg_c, name))
+    return points
+
+
+def cmd_crossval(args, cfg: PipelineConfig) -> PipelineConfig:
+    points = _sweep_points(args, cfg)
+    perm_seed = None if args.permute_labels is None else _int_flag(args, "permute-labels")
     dataset = load_manifest(args.manifest)
-    if args.permute_labels is not None:
-        dataset = _permuted(dataset, int(args.permute_labels))
+    if perm_seed is not None:
+        perm = philox_rng(perm_seed).permutation(dataset.N)
+        dataset = replace(dataset, labels=tuple(dataset.labels[i] for i in perm))
     out_dir = Path(args.out)
     sweeping = args.sweep_gamma or args.sweep_reg_c
     summary_rows = []
-    for gamma in sweep_gammas:
-        for reg_c in sweep_regs:
-            sub_cfg = replace(cfg, gamma=gamma, reg_c=reg_c)
-            report = cross_validate(dataset, sub_cfg)
-            rows = [[str(r), str(f), fmt_float(acc)]
-                    for r, accs in enumerate(report.accuracies)
-                    for f, acc in enumerate(accs)]
-            name = (f"report_gamma{gamma:g}_c{reg_c:g}.csv" if sweeping else "report.csv")
-            _write_csv(out_dir / name, ["run", "fold", "accuracy"], rows,
-                       _config_comment(sub_cfg))
-            line = f"{report.mean * 100:.2f} ± {report.std * 100:.2f}"
-            summary_rows.append([fmt_float(v) for v in (gamma, reg_c, report.mean, report.std)])
-            prefix = f"gamma={gamma:g} reg_c={reg_c:g} " if sweeping else ""
-            print(f"{prefix}accuracy {line}")
+    for gamma, reg_c, name in points:
+        sub_cfg = replace(cfg, gamma=gamma, reg_c=reg_c)
+        report = cross_validate(dataset, sub_cfg)
+        rows = [[str(r), str(f), fmt_float(acc)]
+                for r, accs in enumerate(report.accuracies)
+                for f, acc in enumerate(accs)]
+        _write_csv(out_dir / name, ["run", "fold", "accuracy"], rows, sub_cfg)
+        line = f"{report.mean * 100:.2f} ± {report.std * 100:.2f}"
+        summary_rows.append([fmt_float(v) for v in (gamma, reg_c, report.mean, report.std)])
+        prefix = f"gamma={gamma:g} reg_c={reg_c:g} " if sweeping else ""
+        print(f"{prefix}accuracy {line}")
     if sweeping:
-        _write_csv(out_dir / "sweep.csv", ["gamma", "reg_c", "mean", "std"],
-                   summary_rows, _config_comment(cfg))
+        _write_csv(out_dir / "sweep.csv", ["gamma", "reg_c", "mean", "std"], summary_rows, cfg)
     return cfg
 
 
-def cmd_interpret(args) -> PipelineConfig:
-    flags = _effective_config(args)
+def cmd_interpret(args, flags: PipelineConfig) -> PipelineConfig:
     model = load_model(args.model)
     # Clustering runs in the feature space the model consumes (after its
     # stored preprocessing), which summary.txt records.
@@ -296,19 +309,18 @@ def cmd_interpret(args) -> PipelineConfig:
     # each raw sample is read and dropped, in a worker when the model herds: only
     # its kept cells and their row indices in it outlive it, and join the pool here
     subs, index_map = zip(*map_samples(zip(manifest.sample_ids, manifest.paths), pipe.keep,
-                                       _model_markers(model), pipe.herds,
+                                       model.train_meta["marker_names"] or None, pipe.herds,
                                        lambda result: pool_range.add(result[0])))
     pooled = np.concatenate([s.cells for s in subs], axis=0)
     clusters = itp.kmeans(pooled, cfg.clusters_C, derive_seed(cfg.seed, "kmeans"))
     region = itp.region_scores(model, clusters, pooled, subs)
     out_dir = Path(args.out)
-    comment = _config_comment(cfg)
 
     owners = [s.sample_id for s in subs for _ in range(s.n)]
     score_rows = [[sid, str(i), fmt_float(sc), str(c)] for sid, i, sc, c in zip(
         owners, np.concatenate(index_map), region.cell_scores, clusters.assignments)]
     _write_csv(out_dir / "scores.csv", ["sample_id", "cell_index", "score", "cluster_id"],
-               score_rows, comment)
+               score_rows, cfg)
 
     d = clusters.d
     header = (["cluster_id", "size", "centroid_score", "average_score"]
@@ -323,14 +335,14 @@ def cmd_interpret(args) -> PipelineConfig:
             + [fmt_float(v) for v in clusters.centroids[c]]
             + [fmt_float(v) for v in grad]
         )
-    _write_csv(out_dir / "clusters.csv", header, cluster_rows, comment)
+    _write_csv(out_dir / "clusters.csv", header, cluster_rows, cfg)
 
     freq_header = ["sample_id", "label"] + [f"freq_{c}" for c in range(clusters.C)]
     freq_rows = [
         [sid, manifest.label_names[lab]] + [fmt_float(v) for v in freqs]
         for sid, lab, freqs in zip(region.sample_ids, manifest.labels, region.frequencies)
     ]
-    _write_csv(out_dir / "frequencies.csv", freq_header, freq_rows, comment)
+    _write_csv(out_dir / "frequencies.csv", freq_header, freq_rows, cfg)
 
     y = np.asarray(manifest.labels)
     stat_rows = []
@@ -339,7 +351,7 @@ def cmd_interpret(args) -> PipelineConfig:
         f_pos = region.frequencies[y == +1, c]
         p = itp.rank_sum_test(f_neg, f_pos)
         stat_rows.append([str(c), fmt_float(p)])
-    _write_csv(out_dir / "stats.csv", ["cluster_id", "rank_sum_p"], stat_rows, comment)
+    _write_csv(out_dir / "stats.csv", ["cluster_id", "rank_sum_p"], stat_rows, cfg)
 
     try:
         r = itp.pearson(region.centroid_scores, region.average_scores)
@@ -349,14 +361,13 @@ def cmd_interpret(args) -> PipelineConfig:
     space_line = ("clustering_space=model feature space (preprocessing="
                   f"{model.train_meta['preprocessing']})")
     (out_dir / "summary.txt").write_text(
-        comment + "\n" + pearson_line + "\n" + space_line + "\n", encoding="utf-8"
+        _config_comment(cfg) + "\n" + pearson_line + "\n" + space_line + "\n", encoding="utf-8"
     )
     print(pearson_line)
     return cfg
 
 
-def cmd_stats(args) -> PipelineConfig:
-    cfg = _effective_config(args)
+def cmd_stats(args, cfg: PipelineConfig) -> PipelineConfig:
     manifest = read_manifest(args.manifest)
     labels_by_id = dict(zip(manifest.sample_ids, manifest.labels))
     freq_path = Path(args.frequencies)
@@ -484,7 +495,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_CONFIG if e.code not in (0, None) else 0
     try:
-        _write_meta(Path(args.out), args.func(args), args.command)
+        _write_meta(Path(args.out), args.func(args, _effective_config(args)), args.command)
         return EXIT_OK
     # LinAlgError subclasses ValueError, as ConfigError does, so it is caught first
     except (NumericalError, FloatingPointError, np.linalg.LinAlgError) as e:

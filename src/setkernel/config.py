@@ -32,8 +32,8 @@ class PipelineConfig:
     every cell (spelled "all" in config files and flags). preprocessing is
     "none", "standardize", or "arcsinh:<cofactor>". features selects the
     per-sample representation: "rff" (mean embedding) or "naive" (per-feature
-    mean, cross-validation ablation only). Building one runs validate(), so
-    an invalid config cannot exist.
+    mean, cross-validation ablation only). Building one checks every
+    setting, so an invalid config cannot exist.
     """
 
     gamma: float = 1.0
@@ -49,9 +49,6 @@ class PipelineConfig:
     features: str = "rff"
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         if not 0 < self.gamma < math.inf:
             raise ConfigError(f"gamma must be positive and finite, got {self.gamma}")
         if self.D < 2 or self.D % 2 != 0:

@@ -21,6 +21,7 @@ from .errors import NumericalError
 from .rff import featurize_batch, philox_rng
 
 SCORE_ROWS = 128  # cells featurized and scored at a time (2 MB of phi at D=2000)
+KMEANS_MAX_ITER = 300  # Lloyd iterations before kmeans stops unconverged
 
 
 @dataclass(frozen=True)
@@ -109,13 +110,13 @@ def assign_clusters(clusters: ClusterModel, X: np.ndarray) -> np.ndarray:
     return np.argmin(_sq_dists(X, clusters.centroids), axis=1)
 
 
-def kmeans(X: np.ndarray, C: int, seed: int, max_iter: int = 300,
-           init: np.ndarray | None = None) -> ClusterModel:
+def kmeans(X: np.ndarray, C: int, seed: int, init: np.ndarray | None = None) -> ClusterModel:
     """Lloyd's algorithm with seeded k-means++ initialization.
 
-    Deterministic for a fixed seed. Empty clusters are repaired by reseeding
-    with the point farthest from its assigned centroid. An explicit init
-    matrix (C x d) overrides the k-means++ start.
+    Deterministic for a fixed seed; stops after KMEANS_MAX_ITER iterations if
+    the assignments have not settled. Empty clusters are repaired by
+    reseeding with the point farthest from its assigned centroid. An
+    explicit init matrix (C x d) overrides the k-means++ start.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     n, d = X.shape
@@ -132,7 +133,7 @@ def kmeans(X: np.ndarray, C: int, seed: int, max_iter: int = 300,
         centroids = _kmeanspp_init(X, C, seed)
     assignments = np.argmin(_sq_dists(X, centroids), axis=1)
     history = []
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         _recenter(X, centroids, assignments)
         d2 = _sq_dists(X, centroids)
         _repair_empty(X, centroids, assignments, d2)
@@ -273,12 +274,13 @@ def cluster_frequencies(sample: SampleSet, clusters: ClusterModel) -> np.ndarray
 
 
 def train_frequency_model(freqs: Sequence[np.ndarray], labels: Sequence[int],
-                          reg_c: float = 1.0, tol: float = 1e-6,
-                          max_iter: int = 100_000) -> tuple[np.ndarray, float]:
-    """Fit the hinge-loss linear model on cluster-frequency features."""
+                          reg_c: float = 1.0) -> tuple[np.ndarray, float]:
+    """Fit the hinge-loss linear model on cluster-frequency features.
+
+    solve_hinge runs with its default tol and max_iter.
+    """
     X = np.stack([np.asarray(f, dtype=np.float64).ravel() for f in freqs])
-    res = solve_hinge(X, np.asarray(labels, dtype=np.float64), reg_c=reg_c,
-                      tol=tol, max_iter=max_iter)
+    res = solve_hinge(X, np.asarray(labels, dtype=np.float64), reg_c=reg_c)
     return res.w, float(res.bias)
 
 
@@ -337,17 +339,15 @@ def score_gradient(model: LinearModel, x: np.ndarray) -> np.ndarray:
     return rmap.scale * (rmap.W @ coeff)
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.shape[0])
-    i = 0
-    while i < values.shape[0]:
-        j = i
-        while j + 1 < values.shape[0] and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+def _midranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1-based ranks of values, tied values sharing their mean rank, and the
+    size of each tie group.
+
+    Equal values form a group (0.0 and -0.0 too), and so do all NaNs, ranked
+    after every number.
+    """
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[group], counts
 
 
 def use_exact_rank_sum(n1: int, n2: int) -> bool:
@@ -382,7 +382,7 @@ def rank_sum_test(a: Sequence[float], b: Sequence[float]) -> float:
     if n1 == 0 or n2 == 0:
         raise ValueError("both samples must be non-empty")
     values = np.concatenate([a, b])
-    ranks = _midranks(values)
+    ranks, tie_counts = _midranks(values)
     w = float(ranks[:n1].sum())
     n = n1 + n2
     mean_w = n1 * (n + 1) / 2.0
@@ -394,7 +394,6 @@ def rank_sum_test(a: Sequence[float], b: Sequence[float]) -> float:
         extreme = counts[np.abs(sums - e2) >= obs_dev].sum()
         p = float(extreme) / float(comb(n, n1))
     else:
-        _, tie_counts = np.unique(values, return_counts=True)
         tie_term = float(np.sum(tie_counts ** 3 - tie_counts)) / (n * (n - 1))
         var_w = n1 * n2 / 12.0 * ((n + 1) - tie_term)
         if var_w <= 0.0:

@@ -191,6 +191,19 @@ class TestStratifiedFolds:
             assert set(y[train_idx]) == {-1, +1}
             assert len(test_idx) >= 1
 
+    @given(st.lists(st.sampled_from([-1, +1]), min_size=4, max_size=40)
+           .filter(lambda ys: ys.count(-1) >= 2 and ys.count(+1) >= 2),
+           st.data(), st.integers(0, 2**64 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_every_training_partition_holds_both_classes(self, labels, data, seed):
+        # each class takes consecutive deals, so with >= 2 samples it spans two
+        # folds, and no test fold holds all of it
+        folds = data.draw(st.integers(2, len(labels)))
+        out = stratified_folds(labels, folds, seed)
+        np.testing.assert_array_equal(np.sort(np.concatenate(out)), np.arange(len(labels)))
+        for test_idx in out:
+            assert set(np.delete(labels, test_idx)) == {-1, +1}
+
     def test_folds_exceeding_n(self):
         with pytest.raises(ConfigError, match="folds exceeds sample count"):
             stratified_folds([-1, 1, -1, 1], 5, seed=0)

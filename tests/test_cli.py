@@ -103,6 +103,22 @@ class TestCrossvalCommand:
         sweep = (tmp_path / "sw" / "sweep.csv").read_text()
         assert len([ln for ln in sweep.splitlines() if ln and not ln.startswith("#")]) == 5
 
+    @pytest.mark.parametrize("sweep, message", [
+        (["--sweep-gamma", "1.0000001,1.0000002"],
+         "--sweep-gamma: 1.0000001 and 1.0000002 both name report_gamma1_c1.csv"),
+        (["--sweep-gamma", "1,1"], "--sweep-gamma: 1 and 1 both name report_gamma1_c1.csv"),
+        (["--sweep-gamma", "0.5,2", "--sweep-reg-c", "0.1, 0.10000001"],
+         "--sweep-reg-c: 0.1 and 0.10000001 both name report_gamma0.5_c0.1.csv"),
+    ])
+    def test_sweep_points_naming_one_report_exit_2(self, separable_dir, tmp_path, capsys,
+                                                   sweep, message):
+        out = tmp_path / "sw"
+        code = main(["crossval", "--manifest", manifest_of(separable_dir), "--out", str(out),
+                     "--folds", "4", "--runs", "1"] + FAST + sweep)
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
     def test_unreadable_manifest_exit_3(self, tmp_path):
         code = main(["crossval", "--manifest", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "cv")] + FAST)
@@ -784,7 +800,46 @@ class TestAppliedConfig:
         assert "clusters_C=3" in (tmp_path / "i" / "summary.txt").read_text()
 
 
+def test_every_output_csv_begins_with_the_config_line(separable_dir, tmp_path):
+    model = str(tmp_path / "model.txt")
+    runs = {"featurize": [], "herd": [], "train": ["--model", model],
+            "crossval": ["--folds", "4", "--runs", "1", "--sweep-gamma", "0.5,2"],
+            "predict": ["--model", model], "interpret": ["--model", model, "--clusters-C", "3"]}
+    written = []
+    for command, extra in runs.items():
+        out = tmp_path / command
+        assert main([command, "--manifest", manifest_of(separable_dir), "--out", str(out)]
+                    + FAST + extra) == EXIT_OK
+        written += out.glob("*.csv")  # herd's cells/ hold sample files, which open with markers
+    assert sorted(p.name for p in written) == sorted(
+        ["embeddings.csv", "indices.csv", "report_gamma0.5_c1.csv", "report_gamma2_c1.csv",
+         "sweep.csv", "predictions.csv", "scores.csv", "clusters.csv", "frequencies.csv",
+         "stats.csv"])
+    for path in written:
+        assert path.read_text(encoding="utf-8").startswith("# config: "), path
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("command", ["predict", "interpret"])
+    def test_invalid_flag_exits_2_before_the_model_is_read(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        code = main([command, "--model", str(tmp_path / "missing.txt"), "--manifest",
+                     str(tmp_path / "missing.csv"), "--D", "3", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: D must be even and >= 2, got 3\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [("crossval", "--permute-labels"),
+                                               ("herd-bench", "--bench-seeds")])
+    def test_integer_flag_names_itself(self, separable_dir, tmp_path, capsys, command, flag):
+        # crossval checks the flag before it reads the (here missing) manifest
+        inputs = {"crossval": ["--manifest", str(tmp_path / "missing.csv")],
+                  "herd-bench": ["--spec", str(separable_dir / "spec.json"), "--m-list", "10"]}
+        out = tmp_path / "o"
+        assert main([command, flag, "x", "--out", str(out)] + inputs[command]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {flag} must be an integer, got 'x'\n"
+        assert not out.exists()
+
     def test_linalg_error_exits_4(self, separable_dir, tmp_path, capsys, monkeypatch):
         # LinAlgError subclasses ValueError, which alone would map to exit 2
         def singular(*args, **kwargs):

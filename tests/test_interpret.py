@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setkernel import (
     LinearModel,
@@ -24,13 +26,14 @@ from setkernel import (
 from setkernel.interpret import (
     SCORE_ROWS,
     ClusterModel,
+    _midranks,
     assign_clusters,
     region_scores,
     use_exact_rank_sum,
 )
 from setkernel.rff import featurize_batch
 
-from conftest import brute_force_rank_sum_p, make_sample
+from conftest import brute_force_rank_sum_p, loop_midranks, make_sample
 
 
 def random_model(rmap, rng, bias=0.3):
@@ -351,6 +354,26 @@ class TestRankSum:
                 a = rng.integers(0, 4, n1).astype(float)
                 b = rng.integers(0, 4, n2).astype(float)
                 assert rank_sum_test(a, b) == brute_force_rank_sum_p(a, b)
+
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-300, np.inf, -np.inf]),
+                    min_size=1, max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_midranks_match_the_loop(self, values):
+        values = np.array(values)
+        ranks, counts = _midranks(values)
+        reference = loop_midranks(values)
+        assert ranks.tobytes() == reference.tobytes()
+        # one count per tie group, in value order, which is rank order
+        np.testing.assert_array_equal(counts, np.unique(reference, return_counts=True)[1])
+
+    @pytest.mark.parametrize("n1, n2", [(3, 30), (4, 24), (2, 40)])
+    def test_normal_branch_matches_enumerated_variance_with_ties(self, rng, n1, n2):
+        assert not use_exact_rank_sum(n1, n2)
+        for _ in range(5):
+            a = rng.integers(0, 4, n1).astype(float)
+            b = rng.integers(0, 4, n2).astype(float)
+            expected = brute_force_rank_sum_p(a, b, normal=True)
+            assert rank_sum_test(a, b) == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
     def test_normal_branch_close_to_reference(self, rng):
         scipy_stats = pytest.importorskip("scipy.stats")

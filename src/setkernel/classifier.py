@@ -270,7 +270,7 @@ class Pipeline:
     rows: the mean random-feature vector (cfg.features "rff") or the
     per-marker mean ("naive") of the selected cells. A sample with no more
     than m cells, or any sample when m is None, keeps all its cells in
-    storage order. A pipeline herds when m is set and the method is herding.
+    storage order.
     """
 
     cfg: PipelineConfig
@@ -295,10 +295,6 @@ class Pipeline:
         cfg = PipelineConfig(gamma=model.rff.gamma, D=model.rff.D, reg_c=model.reg_c,
                              **{k: model.train_meta[k] for k in MODEL_SETTINGS})
         return cls(cfg, model.rff, model.train_meta.get("standardizer"))
-
-    @property
-    def herds(self) -> bool:
-        return self.cfg.m is not None and self.cfg.subsample_method == "herding"
 
     def prepare(self, sample: SampleSet) -> SampleSet:
         """The sample after the fitted preprocessing.
@@ -343,8 +339,8 @@ class Pipeline:
     def embed(self, samples: Sequence[SampleSet]) -> np.ndarray:
         """One feature row per raw sample, in order.
 
-        When the pipeline herds, the samples run in workers.map_items's
-        pool; the rows are the same either way.
+        The samples run in workers.map_items's pool; the rows are the same
+        in-process.
         """
 
         def one(sample: SampleSet) -> np.ndarray:
@@ -354,7 +350,7 @@ class Pipeline:
             with _naming(sample):
                 return embed_matrix(self.rff, kept.cells)
 
-        return np.stack(map_items(one, samples, self.herds))
+        return np.stack(map_items(one, samples, name=dat.sample_name))
 
 
 @contextmanager

@@ -42,6 +42,7 @@ from .data import (
     load_sample_set,  # noqa: F401  unused, but perfbench/trace_cli.py wraps this name
     map_samples,
     read_manifest,
+    sample_name,
     save_sample_set,
 )
 from .embedding import embed_matrix
@@ -137,7 +138,7 @@ def cmd_herd(args, cfg: PipelineConfig) -> PipelineConfig:
     names = [_cell_file_name(s.sample_id) for s in dataset.samples]
     pipe = Pipeline.fit(cfg, dataset.samples)
     # every sample is herded before any file is written
-    picks = map_items(lambda s: pipe.keep(s)[1], dataset.samples, pipe.herds)
+    picks = map_items(lambda s: pipe.keep(s)[1], dataset.samples, name=sample_name)
     out_dir = Path(args.out)
     index_rows = []
     for s, name, idx in zip(dataset.samples, names, picks):
@@ -220,8 +221,8 @@ def cmd_predict(args, _flags: PipelineConfig) -> PipelineConfig:
         dec = decision(model, pipe.embed([s])[0])
         return [s.sample_id, fmt_float(dec), label_names[-1 if dec < 0 else +1]]
 
-    # each raw sample is read, decided and dropped, in a worker when the model herds
-    rows = map_samples(samples, row, model.train_meta["marker_names"] or None, pipe.herds)
+    # each raw sample is read, decided and dropped in a worker
+    rows = map_samples(samples, row, model.train_meta["marker_names"] or None)
     out_dir = Path(args.out)
     _write_csv(out_dir / "predictions.csv", ["sample_id", "decision", "label"], rows,
                pipe.cfg)
@@ -306,10 +307,10 @@ def cmd_interpret(args, flags: PipelineConfig) -> PipelineConfig:
     cfg = replace(pipe.cfg, clusters_C=flags.clusters_C, seed=flags.seed)
     manifest = read_manifest(args.manifest)
     pool_range = itp.ClusterRange()
-    # each raw sample is read and dropped, in a worker when the model herds: only
-    # its kept cells and their row indices in it outlive it, and join the pool here
+    # each raw sample is read and dropped in a worker: only its kept cells and
+    # their row indices in it outlive it, and join the pool here
     subs, index_map = zip(*map_samples(zip(manifest.sample_ids, manifest.paths), pipe.keep,
-                                       model.train_meta["marker_names"] or None, pipe.herds,
+                                       model.train_meta["marker_names"] or None,
                                        lambda result: pool_range.add(result[0])))
     pooled = np.concatenate([s.cells for s in subs], axis=0)
     clusters = itp.kmeans(pooled, cfg.clusters_C, derive_seed(cfg.seed, "kmeans"))
@@ -402,6 +403,9 @@ def cmd_stats(args, cfg: PipelineConfig) -> PipelineConfig:
         except ValueError:
             raise DataError(f"{freq_path}: row {r} column {col}: {fields[ci]!r} "
                             "is not a number") from None
+        if not 0.0 <= value <= 1.0:  # nan fails this too
+            raise DataError(f"{freq_path}: row {r} column {col}: {fields[ci]!r} "
+                            "is not a frequency in [0, 1]")
         (neg if labels_by_id[sid] == -1 else pos).append(value)
     if not neg or not pos:
         raise DataError("both labels required to run the rank-sum test")

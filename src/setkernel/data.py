@@ -74,6 +74,11 @@ class SampleSet:
         return self.cells.shape[1]
 
 
+def sample_name(sample: SampleSet) -> str:
+    """How messages name a sample."""
+    return f"sample {sample.sample_id!r}"
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     """N (sample, label) pairs with labels in {-1, +1} and shared markers.
@@ -154,24 +159,7 @@ def load_sample_set(path, expected_markers: Sequence[str] | None = None,
     """
     path = Path(path)
     sample_id = path.stem if sample_id is None else sample_id
-    if "\r" in sample_id:  # Python 3.11's csv.writer would leave it unquoted
-        raise DataError(f"sample file {str(path)!r}: sample_id {sample_id!r} holds a "
-                        "carriage return")  # repr: the path may hold the CR too
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            # readline, not file iteration: fh.tell() must still mark the body's start
-            header = next(csv.reader(iter(fh.readline, "")), None)
-            if header is None:
-                raise DataError(f"{path}: empty file")
-            markers = tuple(h.strip() for h in header)
-            repeated = next((m for i, m in enumerate(markers) if m in markers[:i]), None)
-            if repeated is not None:
-                raise DataError(f"{path}: marker {repeated!r} appears more than once "
-                                "in the header")
-            cells = _read_cells(fh, path, len(markers))
-    # ValueError: a path with a NUL byte; csv.Error: a field over csv's size limit
-    except (OSError, UnicodeDecodeError, ValueError, csv.Error) as e:
-        raise DataError(f"cannot read sample file {path}: {e}") from e
+    markers, cells = _read_sample(path, sample_id, body=True)
     if cells.shape[0] == 0:
         raise DataError(f"{path}: no cell rows")
     bad = np.argwhere(~np.isfinite(cells))
@@ -188,6 +176,29 @@ def load_sample_set(path, expected_markers: Sequence[str] | None = None,
         cells = cells[:, perm]
         markers = expected
     return SampleSet(cells=cells, sample_id=sample_id, marker_names=markers)
+
+
+def _read_sample(path: Path, sample_id: str, body: bool):
+    """(markers, cells) of a sample file; without body, the header line alone is
+    read and cells is None."""
+    if "\r" in sample_id:  # Python 3.11's csv.writer would leave it unquoted
+        raise DataError(f"sample file {str(path)!r}: sample_id {sample_id!r} holds a "
+                        "carriage return")  # repr: the path may hold the CR too
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            # readline, not file iteration: fh.tell() must still mark the body's start
+            header = next(csv.reader(iter(fh.readline, "")), None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            markers = tuple(h.strip() for h in header)
+            repeated = next((m for i, m in enumerate(markers) if m in markers[:i]), None)
+            if repeated is not None:
+                raise DataError(f"{path}: marker {repeated!r} appears more than once "
+                                "in the header")
+            return markers, _read_cells(fh, path, len(markers)) if body else None
+    # ValueError: a path with a NUL byte; csv.Error: a field over csv's size limit
+    except (OSError, UnicodeDecodeError, ValueError, csv.Error) as e:
+        raise DataError(f"cannot read sample file {path}: {e}") from e
 
 
 def _read_cells(fh, path: Path, d: int) -> np.ndarray:
@@ -329,32 +340,28 @@ def read_manifest(path) -> Manifest:
 
 
 def map_samples(samples: Iterable[tuple[str, Path]], fn: Callable[[SampleSet], object],
-                expected_markers: Sequence[str] | None = None, pooled: bool = False,
+                expected_markers: Sequence[str] | None = None,
                 each: Callable[[object], None] | None = None) -> list:
     """fn(sample) for every (sample_id, path) pair, in order, each sample read on its own.
 
-    Every sample's columns are permuted to expected_markers, or to the first
-    sample's marker order when None. With pooled, the pairs run through
-    workers.map_items's pool: each worker reads its own sample, and the
-    marker order is fixed from the first sample before the workers start.
-    each(result), when given, runs in this process on every result in
-    order. An error in a sample, or in each, stops the map there, so the
-    first failing sample in order decides it. In-process, the next sample
-    is read only after fn has returned, so as long as fn's results do not
-    hold the samples, at most one sample's cells are in memory; pooled, one
-    per worker.
+    Every sample's columns are permuted to expected_markers, or, when None,
+    to the marker order of the first sample's header, read before any sample
+    is. The pairs run through workers.map_items: each worker reads its own
+    samples, and each(result), when given, runs in this process on every
+    result in order. An error in a sample, or in each, stops the map there,
+    so the first failing sample in order decides it. A process reads its
+    next sample only after fn has returned, so as long as fn's results do
+    not hold the samples, each process holds at most one sample's cells.
     """
-    samples, expected = list(samples), expected_markers
-    if pooled and expected is None and len(samples) > 1:
-        expected = load_sample_set(samples[0][1], sample_id=samples[0][0]).marker_names
+    samples = list(samples)
+    expected = expected_markers
+    if expected is None and samples:
+        expected = _read_sample(Path(samples[0][1]), samples[0][0], body=False)[0]
 
     def one(pair):
-        nonlocal expected
-        sample = load_sample_set(pair[1], expected_markers=expected, sample_id=pair[0])
-        expected = expected or sample.marker_names
-        return fn(sample)  # the sample is freed when this returns
+        return fn(load_sample_set(pair[1], expected_markers=expected, sample_id=pair[0]))
 
-    return map_items(one, samples, pooled, each)
+    return map_items(one, samples, each, name=lambda pair: f"sample {pair[0]!r}")
 
 
 def load_manifest(path, expected_markers: Sequence[str] | None = None) -> LabeledDataset:

@@ -672,6 +672,9 @@ class TestInterpretCommand:
         ("sample_id,label,freq_0,freq_1\nneg_000,neg,0.5\n", "row 1 has 3 fields, expected 4"),
         ("sample_id,label,freq_0,freq_1\nneg_000,neg,abc,0.5\n",
          "row 1 column freq_0: 'abc' is not a number"),
+        *((f"sample_id,label,freq_0,freq_1\nneg_000,neg,0.5,0.5\npos_000,pos,{v},0.5\n",
+           f"row 2 column freq_0: '{v}' is not a frequency in [0, 1]")
+          for v in ("nan", "inf", "-inf", "-0.25", "1.5")),
     ])
     def test_stats_malformed_frequencies_exit_3(self, separable_dir, tmp_path, capsys,
                                                 text, message):

@@ -1,22 +1,27 @@
-"""The fork pool that herding chains run in (setkernel.workers).
+"""The fork pool that every map over two or more samples runs in (setkernel.workers).
 
 Every command's outputs are byte-identical whether its samples run in the
-pool or in-process; the first failing sample in manifest order decides the
-error; and no worker process or changed BLAS thread count outlives a command.
+pool or in-process, whatever the selection method; the first failing sample
+in manifest order decides the error; and no worker process or changed BLAS
+thread count outlives a command, not even when a worker is killed.
 """
 
-import multiprocessing
 import os
+import signal
 import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from setkernel import classifier, workers
+from setkernel import classifier, data, workers
 from setkernel.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, main
 from setkernel.herding import DEFAULT_CACHE_BYTES
 
 HERDING = ["--D", "32", "--m", "8", "--gamma", "3", "--seed", "5"]
+SELECTIONS = {"herding": HERDING,
+              "uniform": HERDING + ["--subsample-method", "uniform"],
+              "all": ["--D", "32", "--m", "all", "--gamma", "3", "--seed", "5"]}
 # The BLAS thread count of this process, read when pytest imports this module,
 # before any test has run a pool; every pool must leave it so.
 NUMPY_BLAS = workers.blas_threads()
@@ -38,6 +43,10 @@ class Threads:
 
 @pytest.fixture
 def pooled(monkeypatch):
+    return pool(monkeypatch)
+
+
+def pool(monkeypatch):
     """The pool runs, with at least two workers. Returns a check that the BLAS
     thread count is the one this process started with."""
     cpus = workers._usable_cpus()
@@ -54,19 +63,46 @@ def in_process(monkeypatch):
     monkeypatch.setattr(workers, "blas_threads", lambda: None)
 
 
-@pytest.fixture
-def herd_log(monkeypatch, tmp_path):
-    """Each herd appends its pid, cache budget and BLAS thread count to a file."""
-    log = tmp_path / "herds.log"
-    herd = classifier.herd
+def assert_no_child():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
-    def logged(rmap, sample, m, max_cache_bytes):
-        threads = workers.blas_threads()
-        with open(log, "a", encoding="utf-8") as fh:
-            fh.write(f"{os.getpid()} {max_cache_bytes} {threads and threads[1]()}\n")
-        return herd(rmap, sample, m, max_cache_bytes)
 
-    monkeypatch.setattr(classifier, "herd", logged)
+@contextmanager
+def deadline(seconds):
+    """TimeoutError where the block runs longer than seconds, so a hang fails a test."""
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def log_calls(monkeypatch, log):
+    """Each sample read, selection and herd appends a line to the file log: what
+    ran, in which process, with how many BLAS threads, beside how many workers,
+    and, for a herd, with what cache budget. Returns a reader that empties it."""
+
+    def logged(what, fn, cache=lambda *args: "-"):
+        def call(*args, **kwargs):
+            threads = workers.blas_threads()
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{what} {os.getpid()} {threads and threads[1]()} "
+                         f"{workers.in_flight()} {cache(*args)}\n")
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(data, "load_sample_set", logged("read", data.load_sample_set))
+    monkeypatch.setattr(classifier.Pipeline, "select",
+                        logged("select", classifier.Pipeline.select))
+    monkeypatch.setattr(classifier, "herd",
+                        logged("herd", classifier.herd, lambda *args: args[3]))
 
     def read():
         lines = log.read_text().split("\n")[:-1] if log.exists() else []
@@ -103,52 +139,76 @@ def outputs(root):
 
 @pytest.mark.parametrize("preprocessing", ["none", "arcsinh:5", "standardize"])
 def test_every_command_writes_the_same_bytes_pooled_and_in_process(
-        tmp_path, monkeypatch, pooled, herd_log, capsys, preprocessing):
+        tmp_path, monkeypatch, capsys, preprocessing):
     manifest = write_cohort(tmp_path)
-    flags = HERDING + ["--preprocessing", preprocessing]
-    model = str(tmp_path / "model.txt")
-    assert main(["train", "--manifest", manifest, "--model", model, "--out",
-                 str(tmp_path / "fixture")] + flags) == EXIT_OK
-    herd_log()
-    capsys.readouterr()
-    commands = {
-        # two runs of three folds; under standardize each fold fits its own standardizer
-        "crossval": ["crossval", "--manifest", manifest, "--folds", "3", "--runs", "2"] + flags,
-        "train": ["train", "--manifest", manifest, "--model", "OUT/model.txt"] + flags,
-        "featurize": ["featurize", "--manifest", manifest] + flags,
-        "herd": ["herd", "--manifest", manifest] + flags,
-        "predict": ["predict", "--manifest", manifest, "--model", model],
-        "interpret": ["interpret", "--manifest", manifest, "--model", model,
-                      "--clusters-C", "3"],
-    }
     parent = str(os.getpid())
-    k = min(6, workers._usable_cpus())
-    written, printed = {}, {}
-    for way in ("pooled", "in_process"):
-        if way == "in_process":
-            in_process(monkeypatch)
-        for name, argv in commands.items():
-            out = tmp_path / way / name
-            argv = [a.replace("OUT", str(out)) for a in argv]
-            assert main(argv + ["--out", str(out)]) == EXIT_OK, (way, name)
-            assert pooled(), name  # the parent's BLAS thread count is restored
-            assert multiprocessing.active_children() == []
-            printed[way, name] = capsys.readouterr().out.replace(str(tmp_path / way), "")
-            herds = herd_log()
-            assert herds, (way, name)
-            if way == "pooled":
-                # each worker herds with its share of the cache and one BLAS thread
-                assert all(pid != parent for pid, _, _ in herds), name
-                assert {(cache, threads) for _, cache, threads in herds} == \
-                    {(str(DEFAULT_CACHE_BYTES // k), "1")}, name
-            else:
-                assert {(pid, cache) for pid, cache, _ in herds} == \
-                    {(parent, str(DEFAULT_CACHE_BYTES))}, name
-        written[way] = outputs(tmp_path / way)
-    assert written["pooled"] == written["in_process"]
-    assert len(written["pooled"]) >= 6 + 2 * 6  # every command's files, meta.txt included
-    for name in commands:
-        assert printed["pooled", name] == printed["in_process", name]
+    for selection, flags in SELECTIONS.items():
+        flags = flags + ["--preprocessing", preprocessing]
+        root = tmp_path / selection
+        model = str(root / "model.txt")
+        monkeypatch.undo()  # the last selection's in-process run
+        restored = pool(monkeypatch)
+        k = str(min(6, workers._usable_cpus()))
+        read_log = log_calls(monkeypatch, tmp_path / "calls.log")
+        assert main(["train", "--manifest", manifest, "--model", model, "--out",
+                     str(root / "fixture")] + flags) == EXIT_OK
+        read_log()
+        capsys.readouterr()
+        commands = {
+            # two runs of three folds; under standardize each fold fits its own standardizer
+            "crossval": ["crossval", "--manifest", manifest, "--folds", "3", "--runs", "2"]
+                        + flags,
+            "train": ["train", "--manifest", manifest, "--model", "OUT/model.txt"] + flags,
+            "featurize": ["featurize", "--manifest", manifest] + flags,
+            "herd": ["herd", "--manifest", manifest] + flags,
+            "predict": ["predict", "--manifest", manifest, "--model", model],
+            "interpret": ["interpret", "--manifest", manifest, "--model", model,
+                          "--clusters-C", "3"],
+        }
+        written, printed = {}, {}
+        for way in ("pooled", "in_process"):
+            if way == "in_process":
+                in_process(monkeypatch)
+            for name, argv in commands.items():
+                out = root / way / name
+                argv = [a.replace("OUT", str(out)) for a in argv]
+                assert main(argv + ["--out", str(out)]) == EXIT_OK, (selection, way, name)
+                assert_no_child()
+                printed[way, name] = capsys.readouterr().out.replace(str(root / way), "")
+                calls = read_log()
+                where = {(what, pid == parent) for what, pid, *_ in calls}
+                # every command reads and selects its six samples, and only herding herds
+                assert [c[0] for c in calls].count("read") == 6, (selection, way, name)
+                assert {what for what, _ in where} == \
+                    {"read", "select"} | ({"herd"} if selection == "herding" else set())
+                if way == "pooled":
+                    assert restored(), name  # the parent's BLAS thread count is restored
+                    # each worker reads and selects with one BLAS thread, beside k - 1
+                    # others, and herds with its share of the cache
+                    assert not any(in_parent for _, in_parent in where), (selection, name)
+                    assert {(threads, flight) for _, _, threads, flight, _ in calls} == \
+                        {("1", k)}, (selection, name)
+                    assert {c[4] for c in calls if c[0] == "herd"} <= \
+                        {str(DEFAULT_CACHE_BYTES // int(k))}
+                else:
+                    assert all(in_parent for _, in_parent in where), (selection, name)
+                    assert {c[4] for c in calls if c[0] == "herd"} <= {str(DEFAULT_CACHE_BYTES)}
+            written[way] = outputs(root / way)
+        assert written["pooled"] == written["in_process"], selection
+        assert len(written["pooled"]) >= 6 + 2 * 6  # every command's files, meta.txt included
+        for name in commands:
+            assert printed["pooled", name] == printed["in_process", name], (selection, name)
+
+
+def train_model(tmp_path, capsys):
+    """A herding model trained on a clean cohort of its own; returns its path."""
+    clean = tmp_path / "clean"
+    clean.mkdir()
+    model = str(tmp_path / "model.txt")
+    assert main(["train", "--manifest", write_cohort(clean), "--model", model,
+                 "--out", str(tmp_path / "fixture")] + HERDING) == EXIT_OK
+    capsys.readouterr()
+    return model
 
 
 def run_both(tmp_path, monkeypatch, capsys, argv):
@@ -158,7 +218,7 @@ def run_both(tmp_path, monkeypatch, capsys, argv):
         if way == "in_process":
             in_process(monkeypatch)
         code = main(argv + ["--out", str(tmp_path / way)])
-        assert multiprocessing.active_children() == []
+        assert_no_child()
         results.append((code, capsys.readouterr().err))
     assert results[0] == results[1]
     return results[0]
@@ -174,12 +234,7 @@ BIG[5] = 1e308  # X @ W overflows float64
 ])
 def test_first_failing_sample_in_manifest_order_decides_predict(
         tmp_path, monkeypatch, pooled, capsys, first, second, code, message):
-    clean = tmp_path / "clean"
-    clean.mkdir()
-    model = str(tmp_path / "model.txt")
-    assert main(["train", "--manifest", write_cohort(clean), "--model", model,
-                 "--out", str(tmp_path / "fixture")] + HERDING) == EXIT_OK
-    capsys.readouterr()
+    model = train_model(tmp_path, capsys)
     manifest = write_cohort(tmp_path, {1: first, 3: second})
     got_code, err = run_both(tmp_path, monkeypatch, capsys,
                              ["predict", "--manifest", manifest, "--model", model])
@@ -203,12 +258,7 @@ def test_first_failing_sample_in_manifest_order_decides_herd(
 def test_interpret_pools_kept_cells_in_manifest_order(tmp_path, monkeypatch, pooled, capsys):
     # s1 keeps all its 5 cells (n <= m) and they are too large for k-means, which the
     # parent finds as s1's cells join the pool, before it takes s3's error
-    clean = tmp_path / "clean"
-    clean.mkdir()
-    model = str(tmp_path / "model.txt")
-    assert main(["train", "--manifest", write_cohort(clean), "--model", model,
-                 "--out", str(tmp_path / "fixture")] + HERDING) == EXIT_OK
-    capsys.readouterr()
+    model = train_model(tmp_path, capsys)
     manifest = write_cohort(tmp_path, {1: np.full((5, 3), 1e154), 3: BIG})
     code, err = run_both(tmp_path, monkeypatch, capsys,
                          ["interpret", "--manifest", manifest, "--model", model])
@@ -246,6 +296,46 @@ def test_predict_aligns_columns_to_the_first_sample_without_model_markers(
     assert (tmp_path / "named" / "predictions.csv").read_bytes() == written[0]
 
 
+def test_a_killed_worker_fails_the_command_naming_its_sample(
+        tmp_path, monkeypatch, pooled, capsys):
+    model = train_model(tmp_path, capsys)
+    manifest = write_cohort(tmp_path)
+    parent, load = os.getpid(), data.load_sample_set
+
+    def killed_at_s3(path, expected_markers=None, sample_id=None):
+        if sample_id == "s3" and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return load(path, expected_markers, sample_id)
+
+    monkeypatch.setattr(data, "load_sample_set", killed_at_s3)
+    with deadline(60):
+        code = main(["predict", "--manifest", manifest, "--model", model,
+                     "--out", str(tmp_path / "out")])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == (f"error: sample 's3': its worker process ended "
+                                       f"(signal {signal.SIGKILL}) without a result\n")
+    assert_no_child()
+    assert pooled()
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "train"])
+def test_a_data_error_in_a_worker_prints_one_line_from_the_parent(
+        tmp_path, monkeypatch, pooled, capfd, command):
+    # capfd, not capsys: a worker writes to the inherited descriptors, not to
+    # this process's sys.stdout and sys.stderr
+    model = train_model(tmp_path, capfd)
+    manifest = write_cohort(tmp_path)
+    (tmp_path / "s3.csv").write_text("a,b,c\n1,2,3\n1,2,x\n")
+    argv = {"predict": ["predict", "--manifest", manifest, "--model", model],
+            "train": ["train", "--manifest", manifest, "--model", str(tmp_path / "m.txt")]
+            + HERDING}[command]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_DATA
+    assert capfd.readouterr() == ("", f"error: {tmp_path / 's3.csv'}: non-numeric value "
+                                      "at row 2, column 3\n")
+    assert_no_child()
+
+
 class TestMapItems:
 
     def test_results_and_each_follow_input_order(self, pooled):
@@ -258,15 +348,15 @@ class TestMapItems:
     def test_first_item_in_order_that_raises_decides(self, pooled):
         def fn(x):
             if x == 1:
-                time.sleep(0.3)  # item 3 fails first in time
+                time.sleep(0.3)  # item 2, in another worker, fails first in time
                 raise ValueError("item 1")
-            if x == 3:
-                raise KeyError("item 3")
+            if x == 2:
+                raise KeyError("item 2")
             return x
 
         with pytest.raises(ValueError, match="item 1"):
             workers.map_items(fn, range(6))
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
     def test_an_error_in_each_stops_the_map(self, pooled):
         seen = []
@@ -279,7 +369,7 @@ class TestMapItems:
         with pytest.raises(RuntimeError, match="stop"):
             workers.map_items(lambda x: x, range(8), each=each)
         assert seen == [0, 1, 2]
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
     def test_a_map_inside_a_worker_runs_in_that_worker(self, pooled):
         k = min(4, workers._usable_cpus())
@@ -297,10 +387,35 @@ class TestMapItems:
             workers.map_items(lambda x: 1 / x, range(3))
         assert pooled()
 
-    @pytest.mark.parametrize("pooled_flag, items", [(False, range(4)), (True, range(1))])
-    def test_unpooled_or_single_item_maps_run_here(self, pooled, pooled_flag, items):
-        assert set(workers.map_items(lambda x: os.getpid(), items, pooled_flag)) == \
-            {os.getpid()}
+    @pytest.mark.parametrize("several_cpus, items", [(False, range(4)), (True, range(1))])
+    def test_unpooled_or_single_item_maps_run_here(self, monkeypatch, pooled, several_cpus,
+                                                   items):
+        if not several_cpus:
+            monkeypatch.setattr(workers, "_usable_cpus", lambda: 1)
+        assert set(workers.map_items(lambda x: os.getpid(), items)) == {os.getpid()}
+
+    def test_a_killed_worker_raises_naming_its_item_and_leaves_no_child(self, pooled):
+        def fn(x):
+            if x == 3:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return x
+
+        with deadline(60), pytest.raises(ChildProcessError) as raised:
+            workers.map_items(fn, range(8))
+        assert str(raised.value) == \
+            f"item 3: its worker process ended (signal {signal.SIGKILL}) without a result"
+        assert_no_child()
+        assert pooled()
+
+    def test_an_exception_that_cannot_travel_arrives_as_its_text(self, pooled):
+        def fn(x):
+            if x == 1:
+                raise ValueError("local", lambda: x)  # a lambda does not pickle
+            return x
+
+        with pytest.raises(RuntimeError, match=r"^ValueError: \('local', <function"):
+            workers.map_items(fn, range(4))
+        assert_no_child()
 
     def test_without_the_setter_every_map_runs_here(self, monkeypatch):
         in_process(monkeypatch)

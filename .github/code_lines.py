@@ -5,7 +5,9 @@ Usage: python3 .github/code_lines.py DIR REV
 Code lines are the lines of the directory's *.py files that hold a token
 other than a comment, leaving out blank lines and docstrings (the string
 that opens a module, class or function body). The count at REV reads the
-same files from git, so the checkout needs that commit.
+same files from git, so the checkout needs that commit. A wrong argument
+count, or a REV at which git cannot read DIR, prints one line to stderr and
+exits 2.
 """
 
 from __future__ import annotations
@@ -41,12 +43,20 @@ def _git(*args: str) -> str:
 
 
 def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
     directory, rev = argv
     now = sum(code_lines(p.read_text(encoding="utf-8"))
               for p in sorted(Path(directory).glob("*.py")))
-    names = _git("ls-tree", "--name-only", f"{rev}:{directory}").split()
-    before = sum(code_lines(_git("show", f"{rev}:{directory}/{name}"))
-                 for name in names if name.endswith(".py"))
+    try:
+        names = _git("ls-tree", "--name-only", f"{rev}:{directory}").split()
+        before = sum(code_lines(_git("show", f"{rev}:{directory}/{name}"))
+                     for name in names if name.endswith(".py"))
+    except subprocess.CalledProcessError as e:
+        why = (e.stderr.strip().splitlines() or [str(e)])[-1]  # git's last line says why
+        print(f"cannot read {directory} at {rev}: {why}", file=sys.stderr)
+        return 2
     print(f"{directory}: {now} code lines (no docstrings, comments or blank lines); "
           f"against {rev}: {before}, net {now - before:+d}")
     return 0

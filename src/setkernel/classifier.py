@@ -25,9 +25,9 @@ from .data import LabeledDataset, SampleSet, Standardizer, fmt_float
 from .embedding import embed_matrix, naive_mean
 from .errors import (ConfigError, DataError, ModelFormatError, NumericalError,
                      raise_on_overflow)
-from .herding import DEFAULT_CACHE_BYTES, herd, uniform_subsample
+from .herding import herd, uniform_subsample
 from .rff import GENERATOR_NAME, RffMap, philox_rng, sample_frequencies
-from .workers import in_flight, map_items
+from .workers import map_items
 
 MODEL_MAGIC = "setkernel-model"
 MODEL_VERSION = 2  # version 1 also stored W; it is still read
@@ -77,13 +77,12 @@ class LinearModel:
 
 @dataclass(frozen=True)
 class CvReport:
-    """Per-run, per-fold held-out accuracies plus run-level summary."""
+    """Per-run, per-fold held-out accuracies, and the mean and std of the runs'
+    mean accuracies."""
 
     accuracies: tuple[tuple[float, ...], ...]  # [run][fold]
-    run_means: tuple[float, ...]
     mean: float
     std: float  # sample std over run-level means (ddof=1; 0 for a single run)
-    config: dict
 
 
 @dataclass(frozen=True)
@@ -317,7 +316,7 @@ class Pipeline:
     def select(self, sample: SampleSet) -> np.ndarray:
         """Row indices of the kept cells of a prepared sample, in selection order.
 
-        A herd takes its share of the cache budget (workers.in_flight).
+        A herd sizes its own share of the cache budget (herding.herd).
         """
         m = self.cfg.m
         if m is None or m >= sample.n:
@@ -327,7 +326,7 @@ class Pipeline:
                                     derive_seed(self.cfg.seed, f"uniform:{sample.sample_id}"))
         else:
             with _naming(sample):
-                res = herd(self.rff, sample, m, DEFAULT_CACHE_BYTES // in_flight())
+                res = herd(self.rff, sample, m)
         return np.asarray(res.selected_indices)
 
     def keep(self, sample: SampleSet) -> tuple[SampleSet, np.ndarray]:
@@ -392,14 +391,18 @@ def cross_validate(dataset: LabeledDataset, cfg: PipelineConfig) -> CvReport:
     run_means = tuple(float(np.mean(a)) for a in all_acc)
     mean = float(np.mean(run_means))
     std = float(np.std(run_means, ddof=1)) if len(run_means) > 1 else 0.0
-    return CvReport(accuracies=tuple(all_acc), run_means=run_means, mean=mean,
-                    std=std, config=cfg.as_dict())
+    return CvReport(accuracies=tuple(all_acc), mean=mean, std=std)
+
+
+def check_trainable(cfg: PipelineConfig) -> None:
+    """Refuse settings whose model fit_pipeline could not train and save_model save."""
+    if cfg.features != "rff":
+        raise ConfigError("only features=rff models can be trained and saved")
 
 
 def fit_pipeline(dataset: LabeledDataset, cfg: PipelineConfig) -> LinearModel:
     """Train one model on every sample of the dataset (no held-out split)."""
-    if cfg.features != "rff":
-        raise ConfigError("only features=rff models can be trained and saved")
+    check_trainable(cfg)
     pipe = Pipeline.fit(cfg, dataset.samples)
     meta = {
         "label_neg": dataset.label_names[-1],

@@ -23,11 +23,13 @@ from . import __version__
 from . import interpret as itp
 from .classifier import (
     Pipeline,
+    check_trainable,
     cross_validate,
     decision,
     fit_pipeline,
     load_model,
     save_model,
+    stratified_folds,
 )
 from .config import (
     PipelineConfig,
@@ -192,6 +194,7 @@ def cmd_herd_bench(args, cfg: PipelineConfig) -> PipelineConfig:
 
 
 def cmd_train(args, cfg: PipelineConfig) -> PipelineConfig:
+    check_trainable(cfg)  # before the manifest or any sample is read
     dataset = load_manifest(args.manifest)
     model = fit_pipeline(dataset, cfg)
     save_model(model, args.model)
@@ -200,12 +203,12 @@ def cmd_train(args, cfg: PipelineConfig) -> PipelineConfig:
 
 
 def cmd_predict(args, _flags: PipelineConfig) -> PipelineConfig:
+    if not args.manifest and not args.samples:  # before the model is read
+        raise ConfigError("predict needs --manifest or at least one sample CSV")
     # main() checked the flags, but the model's settings apply
     model = load_model(args.model)
     pipe = Pipeline.from_model(model)
     manifest = read_manifest(args.manifest) if args.manifest else None
-    if manifest is None and not args.samples:
-        raise ConfigError("predict needs --manifest or at least one sample CSV")
     # manifest rows, then positional files, whose sample_id is their stem
     samples = [*(zip(manifest.sample_ids, manifest.paths) if manifest else ()),
                *((Path(p).stem, p) for p in args.samples)]
@@ -275,6 +278,9 @@ def _sweep_points(args, cfg: PipelineConfig) -> list[tuple[float, float, str]]:
 def cmd_crossval(args, cfg: PipelineConfig) -> PipelineConfig:
     points = _sweep_points(args, cfg)
     perm_seed = None if args.permute_labels is None else _int_flag(args, "permute-labels")
+    # the fold split's refusals (too many folds, a class too small) come before any
+    # sample is read; permuting the labels changes no class count
+    stratified_folds(read_manifest(args.manifest).labels, cfg.folds, cfg.seed)
     dataset = load_manifest(args.manifest)
     if perm_seed is not None:
         perm = philox_rng(perm_seed).permutation(dataset.N)
@@ -341,7 +347,7 @@ def cmd_interpret(args, flags: PipelineConfig) -> PipelineConfig:
     freq_header = ["sample_id", "label"] + [f"freq_{c}" for c in range(clusters.C)]
     freq_rows = [
         [sid, manifest.label_names[lab]] + [fmt_float(v) for v in freqs]
-        for sid, lab, freqs in zip(region.sample_ids, manifest.labels, region.frequencies)
+        for sid, lab, freqs in zip(manifest.sample_ids, manifest.labels, region.frequencies)
     ]
     _write_csv(out_dir / "frequencies.csv", freq_header, freq_rows, cfg)
 

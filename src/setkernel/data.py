@@ -364,16 +364,15 @@ def map_samples(samples: Iterable[tuple[str, Path]], fn: Callable[[SampleSet], o
     return map_items(one, samples, each, name=lambda pair: f"sample {pair[0]!r}")
 
 
-def load_manifest(path, expected_markers: Sequence[str] | None = None) -> LabeledDataset:
+def load_manifest(path) -> LabeledDataset:
     """Load a manifest CSV (see read_manifest) and all sample files it references.
 
-    Every sample's columns are permuted to expected_markers, or to the first
-    sample's marker order when None.
+    Every sample's columns are permuted to the first sample's marker order
+    (map_samples takes another order).
     """
     manifest = read_manifest(path)
     return LabeledDataset(
-        samples=tuple(map_samples(zip(manifest.sample_ids, manifest.paths), lambda s: s,
-                                  expected_markers)),
+        samples=tuple(map_samples(zip(manifest.sample_ids, manifest.paths), lambda s: s)),
         labels=manifest.labels,
         label_names=manifest.label_names,
     )

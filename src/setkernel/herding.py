@@ -15,6 +15,7 @@ import numpy as np
 from .data import SampleSet
 # featurize_batch stays bound here because perfbench/trace_cli.py wraps this name.
 from .rff import RffMap, featurize_batch, featurize_f32trig, philox_rng  # noqa: F401
+from .workers import in_flight
 
 # t32, or as many of its rows as fit, and K32 when it is used, are held in up to
 # 2 GiB; trig rows past that are recomputed at each pick
@@ -33,20 +34,14 @@ RESCORE_ROWS = 16  # float64 phi rows rebuilt at a time to rescore screened pick
 
 @dataclass(frozen=True)
 class HerdingResult:
-    """m distinct row indices into the parent sample, in selection order."""
+    """Distinct row indices into the parent sample, in selection order."""
 
     selected_indices: tuple[int, ...]
-    method: str
-    m: int
 
     def __post_init__(self):
         idx = tuple(int(i) for i in self.selected_indices)
-        if len(idx) != self.m:
-            raise ValueError(f"{len(idx)} indices for m={self.m}")
         if len(set(idx)) != len(idx):
             raise ValueError("selected indices must be distinct")
-        if self.method not in ("herding", "uniform"):
-            raise ValueError(f"unknown method {self.method!r}")
         object.__setattr__(self, "selected_indices", idx)
 
 
@@ -58,7 +53,7 @@ def _check_m(m: int, n: int) -> None:
 
 
 def herd(rmap: RffMap, sample: SampleSet, m: int,
-         max_cache_bytes: int = DEFAULT_CACHE_BYTES) -> HerdingResult:
+         max_cache_bytes: int | None = None) -> HerdingResult:
     """Greedily select m cells whose mean feature vector tracks the full set.
 
     Deterministic, ties to the smallest index. Pick t takes the best untaken
@@ -71,15 +66,19 @@ def herd(rmap: RffMap, sample: SampleSet, m: int,
     max_cache_bytes and recomputes the rest at each pick. Copies of a cell
     have equal t32 rows and score bit-identically, so they go in storage
     order; each copy near the top is rescored on its own (README "Herding"
-    has memory and timings).
+    has memory and timings). max_cache_bytes defaults to this process's share
+    of DEFAULT_CACHE_BYTES, DEFAULT_CACHE_BYTES // workers.in_flight(), so the
+    herds of a pooled map stay within it together.
     """
     X = sample.cells
     n = X.shape[0]
     _check_m(m, n)
+    if max_cache_bytes is None:
+        max_cache_bytes = DEFAULT_CACHE_BYTES // in_flight()
     t32, trig, products = _trig_source(rmap, X, max_cache_bytes)
     gram = n <= GRAM_MAX_N_PER_M * m and n <= rmap.D and n * (n + rmap.D) * 4 <= max_cache_bytes
     selected = _scan_source(rmap, n, trig, products, m, t32 if gram else None)
-    return HerdingResult(selected_indices=tuple(selected), method="herding", m=m)
+    return HerdingResult(selected_indices=tuple(selected))
 
 
 def _gram32(t32):
@@ -211,8 +210,7 @@ def uniform_subsample(sample: SampleSet, m: int, seed: int) -> HerdingResult:
     for i in range(m):
         j = i + int(rng.integers(0, n - i))
         idx[i], idx[j] = idx[j], idx[i]
-    return HerdingResult(selected_indices=tuple(int(i) for i in idx[:m]),
-                         method="uniform", m=m)
+    return HerdingResult(selected_indices=tuple(int(i) for i in idx[:m]))
 
 
 def subset(sample: SampleSet, result: HerdingResult) -> SampleSet:

@@ -26,19 +26,19 @@ KMEANS_MAX_ITER = 300  # Lloyd iterations before kmeans stops unconverged
 
 @dataclass(frozen=True)
 class ClusterModel:
-    """k-means centroids with assignments for the cells they were fit on."""
+    """k-means centroids (C x d, C >= 2) with assignments for the cells they were
+    fit on. C is the centroid count."""
 
     centroids: np.ndarray
     assignments: np.ndarray
-    C: int
     inertia: float
-    seed: int
     inertia_history: tuple[float, ...] = ()
 
     def __post_init__(self):
         centroids = np.asarray(self.centroids, dtype=np.float64)
-        if centroids.shape[0] != self.C or self.C < 2:
-            raise ValueError(f"expected {self.C} centroids (C >= 2), got {centroids.shape}")
+        if centroids.ndim != 2 or len(centroids) < 2:
+            raise ValueError("expected a C x d centroid matrix with C >= 2, "
+                             f"got shape {centroids.shape}")
         assignments = np.asarray(self.assignments, dtype=int)
         centroids = centroids.copy()
         centroids.setflags(write=False)
@@ -48,18 +48,22 @@ class ClusterModel:
         object.__setattr__(self, "assignments", assignments)
 
     @property
+    def C(self) -> int:
+        return len(self.centroids)
+
+    @property
     def d(self) -> int:
         return self.centroids.shape[1]
 
 
 @dataclass(frozen=True)
 class RegionScores:
-    """Region-level outputs: both score variants plus per-sample frequencies."""
+    """Region-level outputs: both score variants plus per-sample frequencies, one
+    row per sample in the order region_scores was given them."""
 
     centroid_scores: np.ndarray  # (C,)
     average_scores: np.ndarray   # (C,)
     frequencies: np.ndarray      # (N, C), rows on the simplex
-    sample_ids: tuple[str, ...]
     cell_scores: np.ndarray      # (n_pooled,), one per clustered cell
 
 
@@ -149,8 +153,7 @@ def kmeans(X: np.ndarray, C: int, seed: int, init: np.ndarray | None = None) -> 
     assignments = np.argmin(d2, axis=1)
     _repair_empty(X, centroids, assignments, d2)  # a cluster the last reassignment emptied
     inertia = float(d2[np.arange(n), assignments].sum())
-    return ClusterModel(centroids=centroids, assignments=assignments, C=C,
-                        inertia=inertia, seed=int(seed),
+    return ClusterModel(centroids=centroids, assignments=assignments, inertia=inertia,
                         inertia_history=tuple(history))
 
 
@@ -318,7 +321,6 @@ def region_scores(model: LinearModel, clusters: ClusterModel, pooled: np.ndarray
         average_scores=_cluster_means(clusters, scores),
         frequencies=np.stack([np.bincount(ids, minlength=clusters.C) / len(ids) for ids in
                               np.split(clusters.assignments, ends[:-1])]),
-        sample_ids=tuple(s.sample_id for s in samples),
         cell_scores=scores,
     )
 

@@ -23,22 +23,19 @@ TRIG_CHUNK = 1 << 15  # elements of X @ W per _phase_blocks block (256 KB in flo
 
 @dataclass(frozen=True)
 class RffMap:
-    """Frozen random-feature map: frequencies W (d x D/2), bandwidth gamma."""
+    """Frozen random-feature map: frequencies W (d x D/2), bandwidth gamma, and
+    the seed W was drawn from. d, D and scale = sqrt(2/D) follow from W."""
 
     W: np.ndarray
     gamma: float
-    D: int
     seed: int
-    scale: float
 
     def __post_init__(self):
         W = np.asarray(self.W, dtype=np.float64)
-        if self.D < 2 or self.D % 2 != 0:
-            raise ValueError(f"D must be even and >= 2, got {self.D}")
         if not 0 < self.gamma < np.inf:
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
-        if W.ndim != 2 or W.shape[1] != self.D // 2:
-            raise ValueError(f"W must be d x D/2, got shape {W.shape} for D={self.D}")
+        if W.ndim != 2 or W.size == 0:
+            raise ValueError(f"W must be a non-empty d x D/2 matrix, got shape {W.shape}")
         if not np.all(np.isfinite(W)):
             raise ValueError("W contains non-finite entries")
         W = W.copy()
@@ -48,6 +45,14 @@ class RffMap:
     @property
     def d(self) -> int:
         return self.W.shape[0]
+
+    @property
+    def D(self) -> int:
+        return 2 * self.W.shape[1]
+
+    @property
+    def scale(self) -> float:
+        return float(np.sqrt(2.0 / self.D))
 
 
 def philox_rng(seed: int) -> np.random.Generator:
@@ -77,8 +82,7 @@ def sample_frequencies(d: int, D: int, gamma: float, seed: int) -> RffMap:
     if not 0 < gamma < np.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     W = gaussian_draws(d * (D // 2), seed).reshape(d, D // 2) / np.sqrt(gamma)
-    return RffMap(W=W, gamma=float(gamma), D=int(D), seed=int(seed) & MASK64,
-                  scale=float(np.sqrt(2.0 / D)))
+    return RffMap(W=W, gamma=float(gamma), seed=int(seed) & MASK64)
 
 
 def _as_cells(rmap: RffMap, X: np.ndarray) -> np.ndarray:

@@ -72,8 +72,8 @@ def blas_threads():
 
 
 def in_flight() -> int:
-    """The workers of the running pooled map, or 1: each herds with 1/in_flight() of
-    the cache budget, so k herds together stay within it."""
+    """The workers of the running pooled map, or 1. herding.herd takes
+    1/in_flight() of its cache budget by default, so k herds together stay within it."""
     return _workers
 
 

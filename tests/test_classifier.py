@@ -566,8 +566,7 @@ class TestModelV1:
     def test_save_refuses_w_not_drawn_from_seed(self, small_map, tmp_path):
         from setkernel import RffMap
 
-        rmap = RffMap(W=small_map.W * 2.0, gamma=small_map.gamma, D=small_map.D,
-                      seed=small_map.seed, scale=small_map.scale)
+        rmap = RffMap(W=small_map.W * 2.0, gamma=small_map.gamma, seed=small_map.seed)
         model = LinearModel(beta=np.ones(rmap.D), bias=0.0, rff=rmap, reg_c=1.0)
         with pytest.raises(ValueError, match="not the draw of its seed"):
             save_model(model, tmp_path / "m.txt")

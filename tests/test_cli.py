@@ -822,6 +822,57 @@ def test_every_output_csv_begins_with_the_config_line(separable_dir, tmp_path):
         assert path.read_text(encoding="utf-8").startswith("# config: "), path
 
 
+class TestRefusalsBeforeReading:
+    """A refusal that the flags or the manifest decide exits 2 with one error line
+    before any sample file, or predict's model file, is read."""
+
+    @pytest.fixture(autouse=True)
+    def no_sample_read(self, monkeypatch):
+        # raised in whichever process reads, and not an error main() maps to an exit code
+        def refuse(path, *args, **kwargs):
+            raise AssertionError(f"sample file {path} was read")
+
+        monkeypatch.setattr("setkernel.data.load_sample_set", refuse)
+
+    def refused(self, argv, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not out.exists()
+        return err
+
+    def test_predict_without_samples_reads_no_model(self, tmp_path, capsys):
+        err = self.refused(["predict", "--model", str(tmp_path / "missing" / "m.txt")],
+                           tmp_path, capsys)
+        assert err == "error: predict needs --manifest or at least one sample CSV\n"
+
+    @pytest.mark.parametrize("manifest", ["separable", "missing"])
+    def test_untrainable_features(self, separable_dir, tmp_path, capsys, manifest):
+        path = (manifest_of(separable_dir) if manifest == "separable"
+                else str(tmp_path / "missing.csv"))
+        err = self.refused(["train", "--manifest", path, "--model", str(tmp_path / "m.txt"),
+                            "--features", "naive"] + FAST, tmp_path, capsys)
+        assert err == "error: only features=rff models can be trained and saved\n"
+        assert not (tmp_path / "m.txt").exists()
+
+    def test_more_folds_than_samples(self, separable_dir, tmp_path, capsys):
+        err = self.refused(["crossval", "--manifest", manifest_of(separable_dir),
+                            "--folds", "30"] + FAST, tmp_path, capsys)
+        assert err == "error: folds exceeds sample count (30 > 8)\n"
+
+    @pytest.mark.parametrize("permute", [[], ["--permute-labels", "3"]])
+    def test_class_of_one_sample(self, separable_dir, tmp_path, capsys, permute):
+        cells = separable_dir / "data" / "cells"
+        manifest = tmp_path / "m.csv"
+        write_manifest([("n0", str(cells / "neg_000.csv"), "neg")]
+                       + [(f"p{i}", str(cells / f"pos_00{i}.csv"), "pos") for i in range(3)],
+                       manifest)
+        err = self.refused(["crossval", "--manifest", str(manifest), "--folds", "2"]
+                           + permute + FAST, tmp_path, capsys)
+        assert err.startswith("error: class -1 has 1 sample(s)")
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("command", ["predict", "interpret"])
     def test_invalid_flag_exits_2_before_the_model_is_read(self, tmp_path, capsys, command):

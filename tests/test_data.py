@@ -18,6 +18,7 @@ from setkernel import (
     fit_standardizer,
     load_manifest,
     load_sample_set,
+    map_samples,
     save_sample_set,
 )
 from setkernel.cli import EXIT_DATA, EXIT_OK, main
@@ -29,6 +30,13 @@ from conftest import MODEL_V1, make_sample
 def write(path, text):
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def read_aligned(manifest_path, markers):
+    """The manifest's samples, read as predict reads them: each one's columns in
+    markers' order."""
+    manifest = read_manifest(manifest_path)
+    return map_samples(zip(manifest.sample_ids, manifest.paths), lambda s: s, markers)
 
 
 class TestLoadSampleSet:
@@ -244,11 +252,11 @@ class TestManifest:
 
     def test_expected_markers_align_every_sample(self, tmp_path):
         manifest = self._write_dataset(tmp_path)
-        ds = load_manifest(manifest, expected_markers=("CD4", "CD3"))
-        assert ds.marker_names == ("CD4", "CD3")
-        np.testing.assert_array_equal(ds.samples[1].cells, [[1.0, 1.0], [1.5, 2.0]])
+        samples = read_aligned(manifest, ("CD4", "CD3"))
+        assert {s.marker_names for s in samples} == {("CD4", "CD3")}
+        np.testing.assert_array_equal(samples[1].cells, [[1.0, 1.0], [1.5, 2.0]])
         with pytest.raises(DataError, match="marker mismatch"):
-            load_manifest(manifest, expected_markers=("CD4", "CD8"))
+            read_aligned(manifest, ("CD4", "CD8"))
 
 
 class TestStandardizer:
@@ -464,7 +472,7 @@ class TestParserFuzz:
         path.write_bytes(raw)
         named = [str(path)] + [str(work / name) for name in _SAMPLE_NAMES]
         try:
-            load_manifest(path, expected_markers=_MODEL_MARKERS)
+            read_aligned(path, _MODEL_MARKERS)
         except DataError as e:
             assert any(p in str(e) for p in named) and "\n" not in str(e)
             expected = EXIT_DATA

@@ -12,7 +12,7 @@ from setkernel import (
     subset,
     uniform_subsample,
 )
-from setkernel import herding
+from setkernel import herding, workers
 from setkernel.config import derive_seed
 from setkernel.embedding import embed_matrix
 from setkernel.herding import HerdingResult
@@ -31,6 +31,18 @@ class TestHerd:
     def test_single_cell(self, small_map):
         res = herd(small_map, make_sample([[1.0, 2.0]]), 1)
         assert res.selected_indices == (0,)
+
+    @pytest.mark.parametrize("in_flight", [1, 2, 3])
+    def test_default_budget_is_this_process_share(self, small_map, rng, monkeypatch,
+                                                  in_flight):
+        # without max_cache_bytes, a herd beside k - 1 others takes 1/k of the default
+        budgets, source = [], herding._trig_source
+        monkeypatch.setattr(herding, "_trig_source", lambda rmap, X, cache:
+                            budgets.append(cache) or source(rmap, X, cache))
+        monkeypatch.setattr(workers, "_workers", in_flight)
+        herd(small_map, make_sample(rng.normal(size=(30, 2))), 5)
+        herd(small_map, make_sample(rng.normal(size=(30, 2))), 5, max_cache_bytes=4096)
+        assert budgets == [herding.DEFAULT_CACHE_BYTES // in_flight, 4096]
 
     def test_first_pick_matches_brute_force(self, small_map, rng):
         # oracle: evaluate theta0 . phi(x_i) over every cell directly
@@ -339,12 +351,12 @@ class TestUniformSubsample:
 class TestSubset:
     def test_identity(self, small_map, rng):
         s = make_sample(rng.normal(size=(6, 2)))
-        res = HerdingResult(selected_indices=tuple(range(6)), method="uniform", m=6)
+        res = HerdingResult(selected_indices=tuple(range(6)))
         np.testing.assert_array_equal(subset(s, res).cells, s.cells)
 
     def test_selection_order_preserved(self):
         s = make_sample([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], sample_id="abc")
-        res = HerdingResult(selected_indices=(2, 0), method="herding", m=2)
+        res = HerdingResult(selected_indices=(2, 0))
         out = subset(s, res)
         np.testing.assert_array_equal(out.cells, [[2.0, 2.0], [0.0, 0.0]])
         assert out.sample_id == "abc"
@@ -352,7 +364,7 @@ class TestSubset:
 
     def test_out_of_range(self):
         s = make_sample([[0.0, 0.0]])
-        res = HerdingResult(selected_indices=(1,), method="uniform", m=1)
+        res = HerdingResult(selected_indices=(1,))
         with pytest.raises(ValueError, match="out of range"):
             subset(s, res)
 
@@ -370,11 +382,7 @@ class TestSubset:
 class TestHerdingResultInvariants:
     def test_duplicate_indices_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
-            HerdingResult(selected_indices=(0, 0), method="uniform", m=2)
-
-    def test_length_must_match_m(self):
-        with pytest.raises(ValueError):
-            HerdingResult(selected_indices=(0,), method="uniform", m=2)
+            HerdingResult(selected_indices=(0, 0))
 
 
 class TestFloat32Trig:

@@ -99,6 +99,7 @@ class TestKmeans:
         b = rng.normal(loc=(6.0, 6.0), scale=0.3, size=(40, 2))
         X = np.vstack([a, b])
         cm = kmeans(X, 2, seed=1)
+        assert cm.C == len(cm.centroids) == 2
         ids = cm.assignments
         # one cluster must be exactly rows 0..59, the other 60..99
         first = ids[0]
@@ -183,14 +184,18 @@ class TestRegionScores:
         b = make_sample(rng.normal(size=(7, 2)), "b")
         pooled = np.vstack([a.cells, b.cells])
         cm = ClusterModel(centroids=[[0.0, 0.0], [50.0, 50.0], [-50.0, 50.0]],
-                          assignments=[0, 1, 2, 1, 1, 2, 2, 0, 1, 2, 2, 2], C=3,
-                          inertia=0.0, seed=0)
+                          assignments=[0, 1, 2, 1, 1, 2, 2, 0, 1, 2, 2, 2], inertia=0.0)
+        assert cm.C == 3
         assert not np.array_equal(assign_clusters(cm, pooled), cm.assignments)
         region = region_scores(random_model(small_map, rng), cm, pooled, [a, b])
         expected = [np.bincount(cm.assignments[:5], minlength=3) / 5,
                     np.bincount(cm.assignments[5:], minlength=3) / 7]
-        np.testing.assert_array_equal(region.frequencies, expected)
-        assert region.sample_ids == ("a", "b")
+        np.testing.assert_array_equal(region.frequencies, expected)  # rows in sample order
+
+    @pytest.mark.parametrize("centroids", [[[0.0, 0.0]], [0.0, 1.0], np.empty((0, 2))])
+    def test_fewer_than_two_centroids_are_refused(self, centroids):
+        with pytest.raises(ValueError, match="C >= 2"):
+            ClusterModel(centroids=centroids, assignments=[0], inertia=0.0)
 
 
 class TestPearson:

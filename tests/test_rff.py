@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setkernel import (
+    RffMap,
     featurize,
     featurize_batch,
     featurize_jacobian,
@@ -42,6 +43,26 @@ class TestSampleFrequencies:
     def test_scale_field(self):
         m = sample_frequencies(2, 50, 1.0, 0)
         assert m.scale == pytest.approx(math.sqrt(2.0 / 50))
+
+    @pytest.mark.parametrize("d,D,gamma,seed", [(1, 2, 1.0, 0), (2, 50, 0.5, 7),
+                                                (30, 2000, 3.0, 2 ** 64 - 1),
+                                                (5, 4096, 1e-3, 123)])
+    def test_D_and_scale_follow_from_W(self, d, D, gamma, seed):
+        m = sample_frequencies(d, D, gamma, seed)
+        assert m.W.shape == (d, D // 2) and m.d == d and m.D == D
+        assert isinstance(m.D, int) and isinstance(m.scale, float)
+        assert m.scale.hex() == float(np.sqrt(2.0 / D)).hex()
+        # W, gamma and seed are the whole map: D and scale cannot be set apart from W
+        with pytest.raises(TypeError):
+            RffMap(W=m.W, gamma=gamma, seed=seed, scale=5.0)
+        with pytest.raises(TypeError):
+            RffMap(W=m.W, gamma=gamma, seed=seed, D=D)
+
+    @pytest.mark.parametrize("W", [np.empty((0, 4)), np.empty((3, 0)), np.empty(0),
+                                   np.ones(4)])
+    def test_empty_or_flat_W_is_refused(self, W):
+        with pytest.raises(ValueError, match="W must be a non-empty d x D/2 matrix"):
+            RffMap(W=W, gamma=1.0, seed=0)
 
     @pytest.mark.parametrize("d,D,gamma", [(2, 9, 1.0), (2, 0, 1.0), (2, 10, 0.0),
                                            (2, 10, -1.0), (0, 10, 1.0), (2, 10, math.inf),

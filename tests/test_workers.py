@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from setkernel import classifier, data, workers
+from setkernel import classifier, data, herding, workers
 from setkernel.cli import EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, main
 from setkernel.herding import DEFAULT_CACHE_BYTES
 
@@ -87,7 +87,8 @@ def deadline(seconds):
 def log_calls(monkeypatch, log):
     """Each sample read, selection and herd appends a line to the file log: what
     ran, in which process, with how many BLAS threads, beside how many workers,
-    and, for a herd, with what cache budget. Returns a reader that empties it."""
+    and, for a herd, with the cache budget it applies (the budget herding hands
+    _trig_source). Returns a reader that empties it."""
 
     def logged(what, fn, cache=lambda *args: "-"):
         def call(*args, **kwargs):
@@ -101,8 +102,8 @@ def log_calls(monkeypatch, log):
     monkeypatch.setattr(data, "load_sample_set", logged("read", data.load_sample_set))
     monkeypatch.setattr(classifier.Pipeline, "select",
                         logged("select", classifier.Pipeline.select))
-    monkeypatch.setattr(classifier, "herd",
-                        logged("herd", classifier.herd, lambda *args: args[3]))
+    monkeypatch.setattr(herding, "_trig_source",
+                        logged("herd", herding._trig_source, lambda *args: args[2]))
 
     def read():
         lines = log.read_text().split("\n")[:-1] if log.exists() else []

@@ -21,7 +21,7 @@ from .data import (
     read_manifest,
     save_sample_set,
 )
-from .embedding import mean_embedding, mmd, naive_mean
+from .embedding import mean_embedding, naive_mean
 from .errors import ConfigError, DataError, ModelFormatError, NumericalError
 from .herding import HerdingResult, herd, subset, uniform_subsample
 from .classifier import (
@@ -39,11 +39,7 @@ from .classifier import (
 from .interpret import (
     ClusterModel,
     RegionScores,
-    average_score,
-    cell_score,
     cell_scores,
-    centroid_score,
-    cluster_frequencies,
     frequency_score_predict,
     kmeans,
     pearson,
@@ -54,7 +50,6 @@ from .interpret import (
 )
 from .rff import (
     RffMap,
-    featurize,
     featurize_batch,
     featurize_jacobian,
     kernel_exact,

@@ -416,11 +416,6 @@ def fit_pipeline(dataset: LabeledDataset, cfg: PipelineConfig) -> LinearModel:
                  train_meta=meta)
 
 
-def apply_model(model: LinearModel, sample: SampleSet) -> float:
-    """Decision value for one raw sample via the model's stored pipeline."""
-    return decision(model, Pipeline.from_model(model).embed([sample])[0])
-
-
 def _within_ulps(a: np.ndarray, b: np.ndarray, ulps: int) -> bool:
     """Whether every entry of float64 a is within ulps units in the last place of b's.
 

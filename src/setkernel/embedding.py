@@ -1,4 +1,4 @@
-"""Mean embeddings of sample-sets in random-feature space, and the MMD.
+"""Mean embeddings of sample-sets in random-feature space.
 
 The embedding of a sample is the average feature vector of its cells.
 Because each phi(x) has unit norm, the embedding norm never exceeds 1.
@@ -47,7 +47,3 @@ def naive_mean(sample: SampleSet) -> np.ndarray:
         raise ValueError("cannot average an empty set")
     return sample.cells.mean(axis=0)
 
-
-def mmd(rmap: RffMap, a: SampleSet, b: SampleSet) -> float:
-    """Primal-space MMD estimate: the distance between the two embeddings."""
-    return float(np.linalg.norm(mean_embedding(rmap, a) - mean_embedding(rmap, b)))

@@ -27,7 +27,7 @@ KMEANS_MAX_ITER = 300  # Lloyd iterations before kmeans stops unconverged
 @dataclass(frozen=True)
 class ClusterModel:
     """k-means centroids (C x d, C >= 2) with assignments for the cells they were
-    fit on. C is the centroid count."""
+    fit on, each a centroid id in [0, C). C is the centroid count."""
 
     centroids: np.ndarray
     assignments: np.ndarray
@@ -39,10 +39,14 @@ class ClusterModel:
         if centroids.ndim != 2 or len(centroids) < 2:
             raise ValueError("expected a C x d centroid matrix with C >= 2, "
                              f"got shape {centroids.shape}")
-        assignments = np.asarray(self.assignments, dtype=int)
+        assignments = np.asarray(self.assignments)
+        if (assignments.ndim != 1 or not np.issubdtype(assignments.dtype, np.integer)
+                or not np.all((assignments >= 0) & (assignments < len(centroids)))):
+            raise ValueError(f"expected a 1-D array of centroid ids in [0, {len(centroids)}), "
+                             f"got {assignments.dtype} shape {assignments.shape}")
         centroids = centroids.copy()
         centroids.setflags(write=False)
-        assignments = assignments.copy()
+        assignments = assignments.astype(int)
         assignments.setflags(write=False)
         object.__setattr__(self, "centroids", centroids)
         object.__setattr__(self, "assignments", assignments)
@@ -90,12 +94,6 @@ def cell_scores(model: LinearModel, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def cell_score(model: LinearModel, x: np.ndarray) -> float:
-    """Score of a single cell."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    return float(cell_scores(model, x[None, :])[0])
-
-
 def _sq_dists(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     d2 = (
         np.sum(X * X, axis=1)[:, None]
@@ -104,14 +102,6 @@ def _sq_dists(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     )
     np.maximum(d2, 0.0, out=d2)
     return d2
-
-
-def assign_clusters(clusters: ClusterModel, X: np.ndarray) -> np.ndarray:
-    """Nearest-centroid id per row (ties go to the smallest cluster id)."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != clusters.d:
-        raise ValueError(f"cells have d={X.shape[1]}, clusters expect d={clusters.d}")
-    return np.argmin(_sq_dists(X, clusters.centroids), axis=1)
 
 
 def kmeans(X: np.ndarray, C: int, seed: int, init: np.ndarray | None = None) -> ClusterModel:
@@ -224,24 +214,9 @@ def _kmeanspp_init(X: np.ndarray, C: int, seed: int) -> np.ndarray:
     return centroids
 
 
-def centroid_score(model: LinearModel, clusters: ClusterModel) -> np.ndarray:
-    """Score each cluster by featurizing its centroid directly."""
-    return cell_scores(model, clusters.centroids)
-
-
-def average_score(model: LinearModel, clusters: ClusterModel,
-                  X: np.ndarray) -> np.ndarray:
-    """Score each cluster as the mean score of its member cells.
-
-    X must be the cell matrix the cluster assignments refer to. Generally
-    differs from centroid_score because the feature map is nonlinear.
-    """
-    return _cluster_means(clusters, cell_scores(model, X))
-
-
 def _cluster_means(clusters: ClusterModel, scores: np.ndarray) -> np.ndarray:
     if scores.shape[0] != clusters.assignments.shape[0]:
-        raise ValueError("X rows must match the cells the clustering was fit on")
+        raise ValueError("pooled rows must match the cells the clustering was fit on")
     out = np.empty(clusters.C)
     for c in range(clusters.C):
         mask = clusters.assignments == c
@@ -267,13 +242,6 @@ def pearson(a: Sequence[float], b: Sequence[float]) -> float:
         raise ValueError("zero variance")
     r = float(da @ db) / sqrt(va * vb)
     return float(min(1.0, max(-1.0, r)))
-
-
-def cluster_frequencies(sample: SampleSet, clusters: ClusterModel) -> np.ndarray:
-    """Fraction of the sample's cells nearest to each centroid; sums to 1."""
-    ids = assign_clusters(clusters, sample.cells)
-    counts = np.bincount(ids, minlength=clusters.C).astype(np.float64)
-    return counts / sample.n
 
 
 def train_frequency_model(freqs: Sequence[np.ndarray], labels: Sequence[int],
@@ -317,7 +285,7 @@ def region_scores(model: LinearModel, clusters: ClusterModel, pooled: np.ndarray
         raise ValueError("pooled must hold the samples' cells, in order")
     scores = cell_scores(model, pooled)
     return RegionScores(
-        centroid_scores=centroid_score(model, clusters),
+        centroid_scores=cell_scores(model, clusters.centroids),
         average_scores=_cluster_means(clusters, scores),
         frequencies=np.stack([np.bincount(ids, minlength=clusters.C) / len(ids) for ids in
                               np.split(clusters.assignments, ends[:-1])]),

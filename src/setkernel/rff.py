@@ -163,12 +163,6 @@ def featurize_f32trig(rmap: RffMap, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def featurize(rmap: RffMap, x: np.ndarray) -> np.ndarray:
-    """Feature map for a single cell; first D/2 sines, then D/2 cosines."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    return featurize_batch(rmap, x[None, :])[0]
-
-
 def featurize_jacobian(rmap: RffMap, x: np.ndarray) -> np.ndarray:
     """d(phi)/dx at x, shape (D, d).
 

@@ -18,7 +18,7 @@ from setkernel import (
     cell_scores,
     cross_validate,
     decision,
-    featurize,
+    featurize_batch,
     kernel_exact,
     kmeans,
     mean_embedding,
@@ -34,19 +34,14 @@ from setkernel.cli import main
 from setkernel.classifier import stratified_folds
 from setkernel.config import derive_seed
 from setkernel.embedding import embed_matrix
-from setkernel.interpret import (
-    assign_clusters,
-    average_score,
-    centroid_score,
-    pearson,
-    use_exact_rank_sum,
-)
+from setkernel.interpret import pearson, region_scores, use_exact_rank_sum
 from setkernel.synth import (
     _draw_sample,
     benchmark_spec,
     generate_dataset,
     variance_contrast_spec,
 )
+from setkernel.workers import map_items
 
 from conftest import brute_force_rank_sum_p, make_sample
 
@@ -73,7 +68,7 @@ class PipelineArtifacts:
 
 def build_artifacts(dataset, seed):
     rmap = sample_frequencies(dataset.d, 2000, 1.0, derive_seed(seed, "rff"))
-    subs = [subset(s, herd(rmap, s, 200)) for s in dataset.samples]
+    subs = map_items(lambda s: subset(s, herd(rmap, s, 200)), dataset.samples)
     feats = np.stack([embed_matrix(rmap, s.cells) for s in subs])
     labels = np.asarray(dataset.labels, dtype=float)
     res = solve_hinge(feats, labels, reg_c=1.0)
@@ -99,7 +94,7 @@ def test_criterion_1_kernel_approximation():
         direction = gen.normal(size=10)
         direction /= max(np.linalg.norm(direction), 1e-12)
         x2 = x + gen.uniform(0, 3) * direction
-        errs[i] = abs(featurize(rmap, x) @ featurize(rmap, x2)
+        errs[i] = abs(featurize_batch(rmap, x)[0] @ featurize_batch(rmap, x2)[0]
                       - kernel_exact(x, x2, 1.0))
     elapsed = time.perf_counter() - t0
     ok = errs.max() <= 0.1 and errs.mean() <= 0.02 and elapsed < 5.0
@@ -296,9 +291,8 @@ def test_criterion_7_permutation_invariance(bench_dataset, fixture_pipelines):
 def test_criterion_8_semantic_retention(fixture_pipelines):
     rs = []
     for seed, art in fixture_pipelines.items():
-        cs = centroid_score(art.model, art.clusters)
-        avg = average_score(art.model, art.clusters, art.pooled)
-        rs.append(pearson(cs, avg))
+        region = region_scores(art.model, art.clusters, art.pooled, art.subs)
+        rs.append(pearson(region.centroid_scores, region.average_scores))
     ok = all(r >= 0.5 for r in rs)
     report(8, ok, "pearson(centroid, average) per seed = "
                   + ", ".join(f"{r:.3f}" for r in rs) + " (all >=0.5)")
@@ -310,19 +304,15 @@ def test_criterion_9_frequency_predictors(bench_dataset, fixture_pipelines):
 
     art = fixture_pipelines[0]
     y = art.labels
-    freqs = np.stack([
-        np.bincount(assign_clusters(art.clusters, s.cells),
-                    minlength=art.clusters.C) / s.n
-        for s in art.subs
-    ])
+    freqs = region_scores(art.model, art.clusters, art.pooled, art.subs).frequencies
     folds = stratified_folds(bench_dataset.labels, 5, derive_seed(31, "folds"))
     pooled_scores_correct = {"linear": [], "centroid": [], "average": []}
     for test_idx in folds:
         train_idx = np.setdiff1d(np.arange(bench_dataset.N), test_idx)
         res = solve_hinge(art.feats[train_idx], y[train_idx], reg_c=1.0)
         fold_model = LinearModel(beta=res.w, bias=res.bias, rff=art.rmap, reg_c=1.0)
-        cs = centroid_score(fold_model, art.clusters)
-        avg = average_score(fold_model, art.clusters, art.pooled)
+        region = region_scores(fold_model, art.clusters, art.pooled, art.subs)
+        cs, avg = region.centroid_scores, region.average_scores
         alpha, a = train_frequency_model(list(freqs[train_idx]), y[train_idx],
                                          reg_c=1.0)
         for i in test_idx:

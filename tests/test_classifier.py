@@ -53,6 +53,12 @@ def predict_probe(tmp_path, model_text):
                  "--out", str(tmp_path / "p")])
 
 
+def apply(model, sample):
+    """Decision value for one raw sample through the model's stored pipeline, as predict
+    computes it."""
+    return decision(model, Pipeline.from_model(model).embed([sample])[0])
+
+
 def embeddings_from(X):
     return list(np.atleast_2d(np.asarray(X, dtype=np.float64)))
 
@@ -438,33 +444,28 @@ class TestModelIO:
             load_model(tmp_path / "junk.txt")
 
     def test_dimension_mismatch_on_apply(self, tmp_path, rng):
-        from setkernel.classifier import apply_model
-
         model = self._trained_model(rng)
         bad = make_sample(rng.normal(size=(4, 3)))
         with pytest.raises(DataError, match="model expects"):
-            apply_model(model, bad)
+            Pipeline.from_model(model).embed([bad])
 
     @pytest.mark.parametrize("preprocessing", ["none", "standardize", "arcsinh:3"])
     def test_apply_model_survives_roundtrip(self, tmp_path, rng, preprocessing):
-        from setkernel.classifier import apply_model
-
         model = self._trained_model(rng, preprocessing=preprocessing)
         save_model(model, tmp_path / "m.txt")
         back = load_model(tmp_path / "m.txt")
         sample = make_sample(rng.normal(size=(60, 2)), "probe")
-        assert apply_model(back, sample) == apply_model(model, sample)
+        assert apply(back, sample) == apply(model, sample)
 
     def test_apply_model_standardize_matches_manual(self, rng):
-        from setkernel import apply_standardizer, herd, mean_embedding, subset
-        from setkernel.classifier import apply_model
+        from setkernel import apply_standardizer, herd, subset
 
         model = self._trained_model(rng, preprocessing="standardize")
         sample = make_sample(rng.normal(size=(60, 2)), "probe")
         prepped = apply_standardizer(model.train_meta["standardizer"], sample)
         sub = subset(prepped, herd(model.rff, prepped, 20))
         manual = decision(model, mean_embedding(model.rff, sub))
-        assert apply_model(model, sample) == pytest.approx(manual, abs=1e-12)
+        assert apply(model, sample) == pytest.approx(manual, abs=1e-12)
 
 
 class TestModelV1:

@@ -7,11 +7,7 @@ from hypothesis import strategies as st
 
 from setkernel import (
     LinearModel,
-    cell_score,
     cell_scores,
-    cluster_frequencies,
-    centroid_score,
-    average_score,
     decision,
     featurize_jacobian,
     frequency_score_predict,
@@ -27,7 +23,6 @@ from setkernel.interpret import (
     SCORE_ROWS,
     ClusterModel,
     _midranks,
-    assign_clusters,
     region_scores,
     use_exact_rank_sum,
 )
@@ -38,6 +33,11 @@ from conftest import brute_force_rank_sum_p, loop_midranks, make_sample
 
 def random_model(rmap, rng, bias=0.3):
     return LinearModel(beta=rng.normal(size=rmap.D), bias=bias, rff=rmap, reg_c=1.0)
+
+
+def nearest(centroids, X):
+    """Nearest-centroid id of each row of X, by brute force."""
+    return np.argmin(((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2), axis=1)
 
 
 class TestCellScore:
@@ -57,7 +57,7 @@ class TestCellScore:
         model = random_model(small_map, rng, bias=0.1)
         half = small_map.D // 2
         expected = 0.1 + small_map.scale * model.beta[half:].sum()
-        assert cell_score(model, np.zeros(2)) == pytest.approx(expected, abs=1e-12)
+        assert cell_scores(model, np.zeros(2))[0] == pytest.approx(expected, abs=1e-12)
 
 
 class TestBlockedCellScores:
@@ -136,7 +136,7 @@ class TestKmeans:
     def test_assignments_are_nearest(self, rng):
         X = rng.normal(size=(120, 2))
         cm = kmeans(X, 5, seed=4)
-        np.testing.assert_array_equal(cm.assignments, assign_clusters(cm, X))
+        np.testing.assert_array_equal(cm.assignments, nearest(cm.centroids, X))
 
     def test_empty_cluster_repair(self):
         # an init centroid far from every point empties after one update
@@ -154,10 +154,10 @@ class TestRegionScores:
         X = np.tile(x, (20, 1)) + 0.0
         X[10:] += 5.0  # second cluster, also constant
         cm = kmeans(X, 2, seed=0)
-        cs = centroid_score(model, cm)
-        avg = average_score(model, cm, X)
-        np.testing.assert_allclose(cs, avg, atol=1e-12)
-        ref = cell_score(model, X[0])
+        region = region_scores(model, cm, X, [make_sample(X)])
+        cs = region.centroid_scores
+        np.testing.assert_allclose(cs, region.average_scores, atol=1e-12)
+        ref = cell_scores(model, X[0])[0]
         c0 = cm.assignments[0]
         assert cs[c0] == pytest.approx(ref, abs=1e-12)
 
@@ -166,16 +166,17 @@ class TestRegionScores:
                             reg_c=1.0)
         X = rng.normal(size=(50, 2))
         cm = kmeans(X, 3, seed=1)
-        np.testing.assert_allclose(centroid_score(model, cm), -1.2, atol=1e-15)
-        np.testing.assert_allclose(average_score(model, cm, X), -1.2, atol=1e-15)
+        region = region_scores(model, cm, X, [make_sample(X)])
+        np.testing.assert_allclose(region.centroid_scores, -1.2, atol=1e-15)
+        np.testing.assert_allclose(region.average_scores, -1.2, atol=1e-15)
 
     def test_general_case_scores_differ_but_finite(self, small_map, rng):
         model = random_model(small_map, rng)
         X = rng.normal(size=(200, 2)) * 2
         cm = kmeans(X, 4, seed=7)
-        cs = centroid_score(model, cm)
-        avg = average_score(model, cm, X)
-        assert np.all(np.isfinite(cs)) and np.all(np.isfinite(avg))
+        region = region_scores(model, cm, X, [make_sample(X)])
+        assert np.all(np.isfinite(region.centroid_scores))
+        assert np.all(np.isfinite(region.average_scores))
 
     def test_frequencies_count_each_samples_assignments(self, small_map, rng):
         # assignments that are not the nearest-centroid ids, as k-means's last
@@ -186,7 +187,7 @@ class TestRegionScores:
         cm = ClusterModel(centroids=[[0.0, 0.0], [50.0, 50.0], [-50.0, 50.0]],
                           assignments=[0, 1, 2, 1, 1, 2, 2, 0, 1, 2, 2, 2], inertia=0.0)
         assert cm.C == 3
-        assert not np.array_equal(assign_clusters(cm, pooled), cm.assignments)
+        assert not np.array_equal(nearest(cm.centroids, pooled), cm.assignments)
         region = region_scores(random_model(small_map, rng), cm, pooled, [a, b])
         expected = [np.bincount(cm.assignments[:5], minlength=3) / 5,
                     np.bincount(cm.assignments[5:], minlength=3) / 7]
@@ -196,6 +197,12 @@ class TestRegionScores:
     def test_fewer_than_two_centroids_are_refused(self, centroids):
         with pytest.raises(ValueError, match="C >= 2"):
             ClusterModel(centroids=centroids, assignments=[0], inertia=0.0)
+
+    @pytest.mark.parametrize("assignments", [[0, 5, 1], [-1, 0], [[0, 1], [1, 0]]])
+    def test_assignments_naming_no_centroid_are_refused(self, assignments):
+        with pytest.raises(ValueError, match="centroid ids"):
+            ClusterModel(centroids=[[0.0, 0.0], [1.0, 1.0]], assignments=assignments,
+                         inertia=0.0)
 
 
 class TestPearson:
@@ -217,37 +224,29 @@ class TestPearson:
 
 
 class TestClusterFrequencies:
-    def _clusters(self):
-        centroids = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
-        return kmeans(np.vstack([centroids, centroids + 0.01]), 3, seed=0,
-                      init=centroids)
+    """region_scores' frequencies: each sample's share of the pooled cells per cluster."""
 
-    def test_one_hot_when_all_near_one_centroid(self):
-        cm = self._clusters()
-        s = make_sample(np.random.default_rng(0).normal(scale=0.1, size=(30, 2)))
-        np.testing.assert_allclose(cluster_frequencies(s, cm), [1.0, 0.0, 0.0])
+    def _regions(self, small_map, rng, samples):
+        pooled = np.vstack([s.cells for s in samples])
+        cm = kmeans(pooled, 3, seed=0)
+        return cm, pooled, region_scores(random_model(small_map, rng), cm, pooled, samples)
 
-    def test_uniform_assignment(self):
-        cm = self._clusters()
-        cells = np.vstack([cm.centroids for _ in range(4)])
-        s = make_sample(cells)
-        np.testing.assert_allclose(cluster_frequencies(s, cm), [1 / 3] * 3)
-
-    def test_union_is_weighted_average(self, rng):
-        cm = self._clusters()
+    def test_union_is_weighted_average(self, small_map, rng):
         a = make_sample(rng.normal(scale=4, size=(30, 2)), "a")
         b = make_sample(rng.normal(scale=4, size=(50, 2)), "b")
-        ab = make_sample(np.vstack([a.cells, b.cells]), "ab")
-        fa, fb = cluster_frequencies(a, cm), cluster_frequencies(b, cm)
+        cm, pooled, region = self._regions(small_map, rng, [a, b])
+        ab = make_sample(pooled, "ab")
+        union = region_scores(random_model(small_map, rng), cm, pooled, [ab])
+        fa, fb = region.frequencies
         combined = (30 * fa + 50 * fb) / 80
-        np.testing.assert_allclose(cluster_frequencies(ab, cm), combined, atol=1e-12)
+        np.testing.assert_allclose(union.frequencies[0], combined, atol=1e-12)
 
-    def test_simplex(self, rng):
-        cm = self._clusters()
-        s = make_sample(rng.normal(scale=6, size=(70, 2)))
-        f = cluster_frequencies(s, cm)
-        assert np.all(f >= 0)
-        assert abs(f.sum() - 1.0) <= 1e-9
+    def test_simplex(self, small_map, rng):
+        samples = [make_sample(rng.normal(scale=6, size=(n, 2)), f"s{n}") for n in (70, 9)]
+        _, _, region = self._regions(small_map, rng, samples)
+        assert region.frequencies.shape == (2, 3)
+        assert np.all(region.frequencies >= 0)
+        np.testing.assert_allclose(region.frequencies.sum(axis=1), 1.0, atol=1e-9)
 
 
 class TestFrequencyPredictors:
@@ -286,10 +285,11 @@ class TestFrequencyPredictors:
         centroids = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]])
         counts = [5, 3, 2]
         cells = np.vstack([np.tile(c, (k, 1)) for c, k in zip(centroids, counts)])
-        cm = kmeans(np.vstack([centroids, centroids]), 3, seed=0, init=centroids)
+        cm = kmeans(cells, 3, seed=0, init=centroids)
         s = make_sample(cells)
-        freqs = cluster_frequencies(s, cm)
-        pred = frequency_score_predict(freqs, centroid_score(model, cm))
+        region = region_scores(model, cm, cells, [s])
+        np.testing.assert_array_equal(region.frequencies[0], [0.5, 0.3, 0.2])
+        pred = frequency_score_predict(region.frequencies[0], region.centroid_scores)
         dec = decision(model, mean_embedding(small_map, s))
         assert pred == pytest.approx(dec, abs=1e-12)
 
@@ -322,7 +322,7 @@ class TestScoreGradient:
             for j in range(2):
                 e = np.zeros(2)
                 e[j] = h
-                fd[j] = (cell_score(model, x + e) - cell_score(model, x - e)) / (2 * h)
+                fd[j] = (cell_scores(model, x + e)[0] - cell_scores(model, x - e)[0]) / (2 * h)
             assert np.abs(g - fd).max() / max(np.abs(g).max(), 1e-12) <= 1e-5
 
     def test_linear_in_beta(self, small_map, rng):

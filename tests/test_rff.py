@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from setkernel import (
     RffMap,
-    featurize,
     featurize_batch,
     featurize_jacobian,
     kernel_exact,
@@ -85,7 +84,7 @@ class TestFeaturize:
             featurizer(small_map, X[:37])  # the cells before it are fine
 
     def test_zero_input_structure(self, small_map):
-        phi = featurize(small_map, np.zeros(2))
+        phi = featurize_batch(small_map, np.zeros(2))[0]
         half = small_map.D // 2
         np.testing.assert_array_equal(phi[:half], 0.0)
         np.testing.assert_allclose(phi[half:], small_map.scale, rtol=0, atol=0)
@@ -93,7 +92,7 @@ class TestFeaturize:
     def test_unit_norm(self, small_map, rng):
         for _ in range(20):
             x = rng.normal(scale=3, size=2)
-            phi = featurize(small_map, x)
+            phi = featurize_batch(small_map, x)[0]
             assert abs(phi @ phi - 1.0) <= 1e-12
 
     def test_batch_matches_single(self, small_map, rng):
@@ -101,11 +100,11 @@ class TestFeaturize:
         X = rng.normal(size=(7, 2))
         batch = featurize_batch(small_map, X)
         for i in range(7):
-            np.testing.assert_array_equal(batch[i], featurize(small_map, X[i]))
+            np.testing.assert_array_equal(batch[i], featurize_batch(small_map, X[i])[0])
 
     def test_dimension_mismatch(self, small_map):
         with pytest.raises(ValueError, match="map expects"):
-            featurize(small_map, np.zeros(3))
+            featurize_batch(small_map, np.zeros(3))
 
     def test_batch_peak_is_its_output(self):
         # X @ W goes through one reused block, so no n x D/2 phase matrix
@@ -129,7 +128,7 @@ class TestFeaturize:
             delta = rng.normal(size=2)
             delta *= rng.uniform(0, 3) / max(np.linalg.norm(delta), 1e-12)
             x2 = x + delta
-            approx = featurize(m, x) @ featurize(m, x2)
+            approx = featurize_batch(m, x)[0] @ featurize_batch(m, x2)[0]
             errs.append(abs(approx - kernel_exact(x, x2, 1.0)))
         assert max(errs) <= 0.05
 
@@ -139,7 +138,7 @@ class TestFeaturize:
         x = np.array([0.3, -1.2])
         x2 = np.array([-0.5, 0.4])
         estimates = [
-            float(featurize(m, x) @ featurize(m, x2))
+            float(featurize_batch(m, x)[0] @ featurize_batch(m, x2)[0])
             for m in (sample_frequencies(2, 2000, 1.0, seed) for seed in range(50))
         ]
         assert abs(np.mean(estimates) - kernel_exact(x, x2, 1.0)) <= 0.02
@@ -150,8 +149,8 @@ class TestFeaturize:
             x = rng.normal(size=3)
             x2 = rng.normal(size=3)
             t = rng.normal(size=3)
-            a = featurize(m, x) @ featurize(m, x2)
-            b = featurize(m, x + t) @ featurize(m, x2 + t)
+            a = featurize_batch(m, x)[0] @ featurize_batch(m, x2)[0]
+            b = featurize_batch(m, x + t)[0] @ featurize_batch(m, x2 + t)[0]
             assert abs(a - b) <= 1e-12
 
 
@@ -215,7 +214,8 @@ class TestJacobian:
             for j in range(3):
                 e = np.zeros(3)
                 e[j] = h
-                fd[:, j] = (featurize(m, x + e) - featurize(m, x - e)) / (2 * h)
+                fd[:, j] = (featurize_batch(m, x + e)[0]
+                            - featurize_batch(m, x - e)[0]) / (2 * h)
             rel = np.abs(J - fd).max() / max(np.abs(J).max(), 1e-12)
             assert rel <= 1e-5
 

@@ -6,6 +6,7 @@ representative cells by kernel herding, train a linear max-margin model on
 the embeddings, and decompose every prediction into exact per-cell scores.
 """
 
+from . import workers  # noqa: F401  first: it loads numpy, with OpenBLAS on one thread
 from .config import PipelineConfig, derive_seed
 from .data import (
     LabeledDataset,

@@ -313,19 +313,26 @@ def cmd_interpret(args, flags: PipelineConfig) -> PipelineConfig:
     cfg = replace(pipe.cfg, clusters_C=flags.clusters_C, seed=flags.seed)
     manifest = read_manifest(args.manifest)
     pool_range = itp.ClusterRange()
-    # each raw sample is read and dropped in a worker: only its kept cells and
-    # their row indices in it outlive it, and join the pool here
-    subs, index_map = zip(*map_samples(zip(manifest.sample_ids, manifest.paths), pipe.keep,
-                                       model.train_meta["marker_names"] or None,
-                                       lambda result: pool_range.add(result[0])))
+
+    def keep_and_score(sample):
+        kept, idx = pipe.keep(sample)
+        return kept, idx, itp.cell_scores(model, kept.cells)
+
+    # each raw sample is read, selected, scored and dropped in a worker: only its
+    # kept cells, their row indices in it and their scores outlive it, and join
+    # the pool here
+    subs, index_map, scores = zip(*map_samples(
+        zip(manifest.sample_ids, manifest.paths), keep_and_score,
+        model.train_meta["marker_names"] or None, lambda result: pool_range.add(result[0])))
     pooled = np.concatenate([s.cells for s in subs], axis=0)
+    scores = np.concatenate(scores)
     clusters = itp.kmeans(pooled, cfg.clusters_C, derive_seed(cfg.seed, "kmeans"))
-    region = itp.region_scores(model, clusters, pooled, subs)
+    region = itp.region_scores(model, clusters, scores, subs)
     out_dir = Path(args.out)
 
     owners = [s.sample_id for s in subs for _ in range(s.n)]
     score_rows = [[sid, str(i), fmt_float(sc), str(c)] for sid, i, sc, c in zip(
-        owners, np.concatenate(index_map), region.cell_scores, clusters.assignments)]
+        owners, np.concatenate(index_map), scores, clusters.assignments)]
     _write_csv(out_dir / "scores.csv", ["sample_id", "cell_index", "score", "cluster_id"],
                score_rows, cfg)
 

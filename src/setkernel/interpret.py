@@ -68,29 +68,30 @@ class RegionScores:
     centroid_scores: np.ndarray  # (C,)
     average_scores: np.ndarray   # (C,)
     frequencies: np.ndarray      # (N, C), rows on the simplex
-    cell_scores: np.ndarray      # (n_pooled,), one per clustered cell
 
 
 def cell_scores(model: LinearModel, X: np.ndarray) -> np.ndarray:
     """Scores phi(x).beta + bias for each row of X.
 
-    Rows are featurized and scored SCORE_ROWS at a time, so no n x D phi is
-    held; the last block also takes the leftover rows. A row's features are
-    the same in any block, but a lone row's phi @ beta is a dot product,
-    which rounds differently from a block's matrix-vector product (931 of
-    1000 lone-row scores differ from their block's at D=2000). The scores equal featurize_batch(X) @ beta + bias bit for bit when
-    n < 2 * SCORE_ROWS, or when a threaded BLAS splits that one-shot product
-    at multiples of four rows (n a multiple of 8 on two threads); elsewhere
-    a few can differ in the last bit.
+    Rows are featurized SCORE_ROWS at a time into one SCORE_ROWS x D buffer,
+    so no n x D phi is held, and each block is scored by the same
+    fixed-shape product phi @ beta. BLAS rounds a row of a product by the
+    product's shape (a lone row's dot product rounds differently from a
+    block's matrix-vector product, and a threaded BLAS splits a block at
+    multiples of four rows), so a cell's score has the same bits alone, in
+    any subset, order or block of cells, and at any BLAS thread count. They
+    equal the one-shot featurize_batch(X) @ beta + bias bit for bit where
+    that product also takes every row four at a time (n a multiple of four,
+    on one or two threads), and within a few ulps elsewhere.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     n = X.shape[0]
     out = np.empty(n)
-    start = 0
-    while start < n:
-        stop = n if n - start < 2 * SCORE_ROWS else start + SCORE_ROWS
-        out[start:stop] = featurize_batch(model.rff, X[start:stop]) @ model.beta + model.bias
-        start = stop
+    phi = np.zeros((SCORE_ROWS, model.rff.D))  # past a short last block, rows go unused
+    for start in range(0, n, SCORE_ROWS):
+        rows = min(SCORE_ROWS, n - start)
+        phi[:rows] = featurize_batch(model.rff, X[start:start + rows])
+        out[start:start + rows] = (phi @ model.beta)[:rows] + model.bias
     return out
 
 
@@ -272,24 +273,22 @@ def frequency_score_predict(freqs: np.ndarray, cluster_scores: np.ndarray) -> fl
     return float(freqs @ cluster_scores)
 
 
-def region_scores(model: LinearModel, clusters: ClusterModel, pooled: np.ndarray,
+def region_scores(model: LinearModel, clusters: ClusterModel, scores: np.ndarray,
                   samples: Sequence[SampleSet]) -> RegionScores:
     """Bundle centroid/average scores with per-sample cluster frequencies.
 
-    pooled holds the samples' cells in order, which the clustering was fit
-    on; each is scored once, and those scores are returned as cell_scores.
-    A sample's frequencies count its slice of clusters.assignments.
+    scores holds the cell_scores of the samples' cells in order, the cells
+    the clustering was fit on. A sample's frequencies count its slice of
+    clusters.assignments.
     """
     ends = np.cumsum([s.n for s in samples])
-    if ends[-1] != len(pooled):
-        raise ValueError("pooled must hold the samples' cells, in order")
-    scores = cell_scores(model, pooled)
+    if ends[-1] != len(scores):
+        raise ValueError("scores must hold one per cell of the samples, in order")
     return RegionScores(
         centroid_scores=cell_scores(model, clusters.centroids),
         average_scores=_cluster_means(clusters, scores),
         frequencies=np.stack([np.bincount(ids, minlength=clusters.C) / len(ids) for ids in
                               np.split(clusters.assignments, ends[:-1])]),
-        cell_scores=scores,
     )
 
 

@@ -12,14 +12,21 @@ that item. A worker leaves only through os._exit, so it never unwinds into
 its caller's frames, finally blocks or atexit handlers. When the map ends,
 by success or error, the parent kills and reaps every worker.
 
-Before forking, the parent sets the OpenBLAS that numpy loaded to one
-thread (OpenBLAS's own fork handler stops its threads) and restores the
-count afterwards; left at its default, each worker's BLAS threads contend
-for the same cores and the pool runs slower than the serial map. A map of
-one item, on one usable CPU, inside a worker, or without that setter (MKL,
-Accelerate, a platform without /proc/self/maps) runs in this process. The
-pool is plain os.fork and pipes: concurrent.futures' executor cost more to
-import and start than the two forks it makes.
+This module owns the thread count of the OpenBLAS that numpy loads.
+Imported before numpy, with OPENBLAS_NUM_THREADS unset, it loads numpy
+with OpenBLAS on one thread, so no idle helper thread spins after each
+threaded call. The variable is set only around that import, so child
+processes do not inherit it. Before forking, the parent sets OpenBLAS to one thread
+(OpenBLAS's own fork handler stops its threads) and restores the count
+afterwards; left at more, each worker's BLAS threads contend for the same
+cores and the pool runs slower than the serial map. A map of one item, or
+on one usable CPU, runs in this process with one BLAS thread per usable
+CPU, the one place a second thread pays (a herd's products over a large
+sample), and restores the count afterwards. A map inside a worker, or
+without that setter (MKL, Accelerate, a platform without /proc/self/maps),
+runs in this process and changes nothing. The pool is plain os.fork and
+pipes: concurrent.futures' executor cost more to import and start than the
+two forks it makes.
 """
 
 from __future__ import annotations
@@ -31,6 +38,13 @@ import pickle
 import signal
 import sys
 from typing import Callable, Iterable
+
+if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read once, when numpy loads OpenBLAS
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 # (setter, getter) of the thread count: numpy's wheels bundle scipy-openblas
 # with an ILP64 suffix, a system OpenBLAS has the plain names
@@ -90,23 +104,28 @@ def map_items(fn: Callable, items: Iterable, each: Callable | None = None,
     process on every result in order, before the next result is taken.
 
     With two or more items and usable CPUs and numpy's BLAS setter found, fn
-    runs in a fork pool of min(items, usable CPUs) workers (see the module
-    docstring). An error, fn's or each's, stops the map at the first item in
-    order that raises: no later result is taken, and every worker is gone
-    before it propagates. name(item) names an item whose worker died.
+    runs in a fork pool of min(items, usable CPUs) workers, at one BLAS
+    thread each; with fewer, in this process at one BLAS thread per usable
+    CPU (see the module docstring). An error, fn's or each's, stops the map
+    at the first item in order that raises: no later result is taken, and
+    every worker is gone before it propagates. name(item) names an item
+    whose worker died.
     """
     global _workers
     items = list(items)
-    k = min(len(items), _usable_cpus()) if _workers == 1 else 1
-    threads = blas_threads() if k > 1 else None
+    threads = blas_threads() if _workers == 1 else None
     if threads is None:
         return _collect((fn(x) for x in items), each)
     set_threads, get_threads = threads
     before = get_threads()
-    sys.stdout.flush()  # a worker that prints would write its copy of the buffer too
-    sys.stderr.flush()
+    k = min(len(items), _usable_cpus())
     pids, pipes = [], []
     try:
+        if k < 2:
+            set_threads(_usable_cpus())
+            return _collect((fn(x) for x in items), each)
+        sys.stdout.flush()  # a worker that prints would write its copy of the buffer too
+        sys.stderr.flush()
         _workers = k
         set_threads(1)
         for w in range(k):

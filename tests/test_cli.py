@@ -699,17 +699,21 @@ class TestInterpretCommand:
                                           monkeypatch):
         import setkernel.interpret
 
-        rows = []
+        # kept cells are scored in the worker processes, centroids in this one:
+        # every process appends its row counts to one file
+        log = tmp_path / "rows.log"
         featurize = setkernel.interpret.featurize_batch
 
         def counting(rmap, X):
-            rows.append(np.atleast_2d(X).shape[0])
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{np.atleast_2d(X).shape[0]}\n")
             return featurize(rmap, X)
 
         monkeypatch.setattr(setkernel.interpret, "featurize_batch", counting)
         assert main(["interpret", "--manifest", manifest_of(separable_dir),
                      "--model", str(interpreted.parent / "model.txt"),
                      "--out", str(tmp_path / "i"), "--clusters-C", "4", "--seed", "1"]) == 0
+        rows = [int(line) for line in log.read_text().split()]
         assert sum(rows) == 8 * 20 + 4  # N samples x m kept cells, plus C centroids
 
     def test_zero_beta_model_reports_na(self, separable_dir, tmp_path, capsys):

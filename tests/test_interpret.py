@@ -26,6 +26,7 @@ from setkernel.interpret import (
     region_scores,
     use_exact_rank_sum,
 )
+from setkernel import workers
 from setkernel.rff import featurize_batch
 
 from conftest import brute_force_rank_sum_p, loop_midranks, make_sample
@@ -68,18 +69,49 @@ class TestBlockedCellScores:
         rng = np.random.default_rng(5)
         return random_model(sample_frequencies(30, 2000, 30.0, 11), rng)
 
-    @pytest.mark.parametrize("n", [1, SCORE_ROWS - 1, SCORE_ROWS, SCORE_ROWS + 1, 4000])
+    @pytest.mark.parametrize("n", [SCORE_ROWS, 4000])
     def test_equal_to_one_shot_bit_for_bit(self, model, rng, n):
         X = rng.normal(scale=3.0, size=(n, 30))
         one_shot = featurize_batch(model.rff, X) @ model.beta + model.bias
         assert cell_scores(model, X).tobytes() == one_shot.tobytes()
 
-    @pytest.mark.parametrize("n", [2 * SCORE_ROWS + 1, 1001, 3999])
+    @pytest.mark.parametrize("n", [1, SCORE_ROWS - 1, SCORE_ROWS + 1, 2 * SCORE_ROWS + 1,
+                                   1001, 3999])
     def test_close_to_one_shot_at_any_n(self, model, rng, n):
-        # a threaded GEMV may split the one-shot product off a multiple of four rows
+        # the one-shot product rounds its last n % 4 rows apart, and a threaded
+        # GEMV may split it off a multiple of four rows
         X = rng.normal(scale=3.0, size=(n, 30))
         one_shot = featurize_batch(model.rff, X) @ model.beta + model.bias
         np.testing.assert_allclose(cell_scores(model, X), one_shot, rtol=1e-13, atol=1e-13)
+
+    def test_a_cells_score_has_the_same_bits_in_any_block(self, model, rng):
+        X = rng.normal(scale=3.0, size=(1000, 30))
+        whole = cell_scores(model, X)
+        for cuts in ([1, 2, 129, 130, 997], sorted(rng.choice(999, 5, replace=False) + 1)):
+            parts = [cell_scores(model, part) for part in np.split(X, cuts)]
+            assert np.concatenate(parts).tobytes() == whole.tobytes(), cuts
+        lone = [cell_scores(model, x)[0] for x in X[:40]]
+        assert np.array(lone).tobytes() == whole[:40].tobytes()
+        order = rng.permutation(1000)
+        assert cell_scores(model, X[order]).tobytes() == whole[order].tobytes()
+
+    @pytest.mark.parametrize("n", [250, 254])
+    def test_same_bits_at_one_and_two_blas_threads(self, model, rng, n):
+        # the one-shot product's last rows differ between 1 and 2 threads at these n
+        threads = workers.blas_threads()
+        if threads is None:
+            pytest.skip("numpy's BLAS has no thread-count setter here")
+        set_threads, get_threads = threads
+        X = rng.normal(scale=3.0, size=(n, 30))
+        before = get_threads()
+        try:
+            scores = []
+            for count in (1, 2):
+                set_threads(count)
+                scores.append(cell_scores(model, X).tobytes())
+        finally:
+            set_threads(before)
+        assert scores[0] == scores[1]
 
     def test_peak_memory_does_not_grow_with_n(self, model, rng):
         X = rng.normal(size=(8000, 30))
@@ -154,7 +186,7 @@ class TestRegionScores:
         X = np.tile(x, (20, 1)) + 0.0
         X[10:] += 5.0  # second cluster, also constant
         cm = kmeans(X, 2, seed=0)
-        region = region_scores(model, cm, X, [make_sample(X)])
+        region = region_scores(model, cm, cell_scores(model, X), [make_sample(X)])
         cs = region.centroid_scores
         np.testing.assert_allclose(cs, region.average_scores, atol=1e-12)
         ref = cell_scores(model, X[0])[0]
@@ -166,7 +198,7 @@ class TestRegionScores:
                             reg_c=1.0)
         X = rng.normal(size=(50, 2))
         cm = kmeans(X, 3, seed=1)
-        region = region_scores(model, cm, X, [make_sample(X)])
+        region = region_scores(model, cm, cell_scores(model, X), [make_sample(X)])
         np.testing.assert_allclose(region.centroid_scores, -1.2, atol=1e-15)
         np.testing.assert_allclose(region.average_scores, -1.2, atol=1e-15)
 
@@ -174,7 +206,7 @@ class TestRegionScores:
         model = random_model(small_map, rng)
         X = rng.normal(size=(200, 2)) * 2
         cm = kmeans(X, 4, seed=7)
-        region = region_scores(model, cm, X, [make_sample(X)])
+        region = region_scores(model, cm, cell_scores(model, X), [make_sample(X)])
         assert np.all(np.isfinite(region.centroid_scores))
         assert np.all(np.isfinite(region.average_scores))
 
@@ -188,7 +220,8 @@ class TestRegionScores:
                           assignments=[0, 1, 2, 1, 1, 2, 2, 0, 1, 2, 2, 2], inertia=0.0)
         assert cm.C == 3
         assert not np.array_equal(nearest(cm.centroids, pooled), cm.assignments)
-        region = region_scores(random_model(small_map, rng), cm, pooled, [a, b])
+        model = random_model(small_map, rng)
+        region = region_scores(model, cm, cell_scores(model, pooled), [a, b])
         expected = [np.bincount(cm.assignments[:5], minlength=3) / 5,
                     np.bincount(cm.assignments[5:], minlength=3) / 7]
         np.testing.assert_array_equal(region.frequencies, expected)  # rows in sample order
@@ -229,14 +262,16 @@ class TestClusterFrequencies:
     def _regions(self, small_map, rng, samples):
         pooled = np.vstack([s.cells for s in samples])
         cm = kmeans(pooled, 3, seed=0)
-        return cm, pooled, region_scores(random_model(small_map, rng), cm, pooled, samples)
+        model = random_model(small_map, rng)
+        return cm, pooled, region_scores(model, cm, cell_scores(model, pooled), samples)
 
     def test_union_is_weighted_average(self, small_map, rng):
         a = make_sample(rng.normal(scale=4, size=(30, 2)), "a")
         b = make_sample(rng.normal(scale=4, size=(50, 2)), "b")
         cm, pooled, region = self._regions(small_map, rng, [a, b])
         ab = make_sample(pooled, "ab")
-        union = region_scores(random_model(small_map, rng), cm, pooled, [ab])
+        model = random_model(small_map, rng)
+        union = region_scores(model, cm, cell_scores(model, pooled), [ab])
         fa, fb = region.frequencies
         combined = (30 * fa + 50 * fb) / 80
         np.testing.assert_allclose(union.frequencies[0], combined, atol=1e-12)
@@ -287,7 +322,7 @@ class TestFrequencyPredictors:
         cells = np.vstack([np.tile(c, (k, 1)) for c, k in zip(centroids, counts)])
         cm = kmeans(cells, 3, seed=0, init=centroids)
         s = make_sample(cells)
-        region = region_scores(model, cm, cells, [s])
+        region = region_scores(model, cm, cell_scores(model, cells), [s])
         np.testing.assert_array_equal(region.frequencies[0], [0.5, 0.3, 0.2])
         pred = frequency_score_predict(region.frequencies[0], region.centroid_scores)
         dec = decision(model, mean_embedding(small_map, s))

@@ -6,10 +6,14 @@ in manifest order decides the error; and no worker process or changed BLAS
 thread count outlives a command, not even when a worker is killed.
 """
 
+import functools
 import os
 import signal
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,8 +35,8 @@ START_THREADS = NUMPY_BLAS and NUMPY_BLAS[1]()
 class Threads:
     """A BLAS thread-count setter and getter, for a host whose numpy has no OpenBLAS."""
 
-    def __init__(self):
-        self.count = 2
+    def __init__(self, count=2):
+        self.count = count
 
     def set(self, n):
         self.count = n
@@ -427,3 +431,89 @@ class TestMapItems:
         blas = np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
         found = workers.blas_threads() is not None
         assert found == ("openblas" in blas and os.path.exists("/proc/self/maps"))
+
+
+@pytest.fixture(params=["numpy", "fake"])
+def one_thread(request, monkeypatch):
+    """numpy's BLAS, or a fake setter in its place, at one thread; returns its
+    getter. numpy's count is restored afterwards."""
+    if request.param == "fake":
+        fake = Threads(1)
+        monkeypatch.setattr(workers, "blas_threads", lambda: (fake.set, fake.get))
+        return fake.get
+    if NUMPY_BLAS is None:
+        pytest.skip("numpy's BLAS has no thread-count setter here")
+    set_threads, get_threads = NUMPY_BLAS
+    request.addfinalizer(functools.partial(set_threads, get_threads()))
+    set_threads(1)
+    return get_threads
+
+
+def fresh_interpreter(code, **env):
+    """The words a new Python process prints when it runs code after `import
+    setkernel`, with OPENBLAS_NUM_THREADS unset unless env sets it."""
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = str(Path(workers.__file__).resolve().parents[1])
+    environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, environ.get("PYTHONPATH")]))
+    environ.update(env)
+    return subprocess.run([sys.executable, "-c", "import os, setkernel\n" + code],
+                          env=environ, capture_output=True, text=True,
+                          check=True).stdout.split()
+
+
+class TestBlasThreads:
+    """workers sets the BLAS thread count: one at load, one in each pooled
+    worker, one per usable CPU in a map that runs in this process."""
+
+    SHOW = ("print(setkernel.workers.blas_threads()[1](), len(os.listdir('/proc/self/task')),"
+            " 'OPENBLAS_NUM_THREADS' in os.environ)")
+
+    @pytest.fixture(autouse=True)
+    def openblas(self):
+        if NUMPY_BLAS is None:
+            pytest.skip("numpy's BLAS has no thread-count setter here")
+
+    def test_importing_setkernel_first_loads_numpy_on_one_thread(self):
+        # and the variable that did it is gone, so child processes do not inherit it
+        assert fresh_interpreter(self.SHOW) == ["1", "1", "False"]
+
+    def test_a_preset_thread_count_is_kept(self):
+        if workers._usable_cpus() < 2:
+            pytest.skip("OpenBLAS runs at most one thread per usable CPU")
+        assert fresh_interpreter(self.SHOW, OPENBLAS_NUM_THREADS="2") == ["2", "2", "True"]
+
+    def test_a_command_runs_on_one_thread_outside_its_maps(self):
+        code = ("from setkernel import workers\n"
+                "get = workers.blas_threads()[1]\n"
+                "print(workers.map_items(lambda x: get(), [0])[0], get())")
+        assert fresh_interpreter(code) == [str(workers._usable_cpus()), "1"]
+
+
+class TestMapThreads:
+
+    def test_a_one_item_map_runs_here_on_every_usable_cpu(self, one_thread):
+        assert workers.map_items(lambda x: (os.getpid(), one_thread()), [0]) == \
+            [(os.getpid(), workers._usable_cpus())]
+        assert one_thread() == 1
+        with pytest.raises(ZeroDivisionError):
+            workers.map_items(lambda x: 1 / x, [0])
+        assert one_thread() == 1
+
+    def test_a_map_on_one_usable_cpu_keeps_one_thread(self, monkeypatch, one_thread):
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: 1)
+        assert workers.map_items(lambda x: one_thread(), range(3)) == [1] * 3
+        assert one_thread() == 1
+
+    def test_pooled_workers_and_their_maps_run_on_one_thread(self, monkeypatch, one_thread):
+        cpus = workers._usable_cpus()
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: max(2, cpus))
+        inner = workers.map_items(
+            lambda x: (os.getpid(), one_thread(),
+                       workers.map_items(lambda y: one_thread(), [0])), range(4))
+        assert all(pid != os.getpid() and threads == 1 and nested == [1]
+                   for pid, threads, nested in inner)
+        assert one_thread() == 1
+
+    def test_without_the_setter_a_map_here_changes_nothing(self, monkeypatch, one_thread):
+        in_process(monkeypatch)  # the map finds no setter, though one_thread has one
+        assert workers.map_items(lambda x: one_thread(), [0]) == [1]

@@ -324,15 +324,19 @@ def cmd_interpret(args, flags: PipelineConfig) -> PipelineConfig:
     subs, index_map, scores = zip(*map_samples(
         zip(manifest.sample_ids, manifest.paths), keep_and_score,
         model.train_meta["marker_names"] or None, lambda result: pool_range.add(result[0])))
+    ids = [s.sample_id for s in subs]
+    counts = [s.n for s in subs]
     pooled = np.concatenate([s.cells for s in subs], axis=0)
+    del subs  # the pooled copy is the only one of the kept cells
     scores = np.concatenate(scores)
     clusters = itp.kmeans(pooled, cfg.clusters_C, derive_seed(cfg.seed, "kmeans"))
-    region = itp.region_scores(model, clusters, scores, subs)
+    del pooled  # k-means was its last reader
+    region = itp.region_scores(model, clusters, scores, counts)
     out_dir = Path(args.out)
 
-    owners = [s.sample_id for s in subs for _ in range(s.n)]
-    score_rows = [[sid, str(i), fmt_float(sc), str(c)] for sid, i, sc, c in zip(
-        owners, np.concatenate(index_map), scores, clusters.assignments)]
+    owners = (sid for sid, n in zip(ids, counts) for _ in range(n))
+    score_rows = ([sid, str(i), fmt_float(sc), str(c)] for sid, i, sc, c in zip(
+        owners, np.concatenate(index_map), scores, clusters.assignments))
     _write_csv(out_dir / "scores.csv", ["sample_id", "cell_index", "score", "cluster_id"],
                score_rows, cfg)
 

@@ -95,9 +95,11 @@ def cell_scores(model: LinearModel, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sq_dists(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+def _sq_dists(X: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Squared distances (n x C) from the rows of X, of squared norms sq_norms,
+    to the centroids."""
     d2 = (
-        np.sum(X * X, axis=1)[:, None]
+        sq_norms[:, None]
         - 2.0 * (X @ centroids.T)
         + np.sum(centroids * centroids, axis=1)[None, :]
     )
@@ -112,12 +114,19 @@ def kmeans(X: np.ndarray, C: int, seed: int, init: np.ndarray | None = None) -> 
     the assignments have not settled. Empty clusters are repaired by
     reseeding with the point farthest from its assigned centroid. An
     explicit init matrix (C x d) overrides the k-means++ start.
+
+    Non-finite cells are refused. The rows are then scanned, without a sorted
+    copy, until C distinct cells are found (-0.0 and 0.0 count as one value);
+    with fewer, the ValueError names how many there are. Beyond X, k-means
+    needs one n x d scratch buffer, the row norms and the n x C distances.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     n, d = X.shape
     if C < 2:
         raise ValueError(f"C must be >= 2, got {C}")
-    n_distinct = np.unique(X, axis=0).shape[0]
+    if not np.isfinite(X).all():
+        raise ValueError("cells must be finite for k-means")
+    n_distinct = _count_distinct(X, C)
     if n_distinct < C:
         raise ValueError(f"only {n_distinct} distinct cells for C={C} clusters")
     if init is not None:
@@ -126,11 +135,12 @@ def kmeans(X: np.ndarray, C: int, seed: int, init: np.ndarray | None = None) -> 
             raise ValueError(f"init must be ({C}, {d}), got {centroids.shape}")
     else:
         centroids = _kmeanspp_init(X, C, seed)
-    assignments = np.argmin(_sq_dists(X, centroids), axis=1)
+    sq_norms = np.sum(X * X, axis=1)
+    assignments = np.argmin(_sq_dists(X, sq_norms, centroids), axis=1)
     history = []
     for _ in range(KMEANS_MAX_ITER):
         _recenter(X, centroids, assignments)
-        d2 = _sq_dists(X, centroids)
+        d2 = _sq_dists(X, sq_norms, centroids)
         _repair_empty(X, centroids, assignments, d2)
         new_assignments = np.argmin(d2, axis=1)
         history.append(float(d2[np.arange(n), new_assignments].sum()))
@@ -140,12 +150,25 @@ def kmeans(X: np.ndarray, C: int, seed: int, init: np.ndarray | None = None) -> 
         assignments = new_assignments
     # final pass: centroids consistent with final assignments, and vice versa
     _recenter(X, centroids, assignments)
-    d2 = _sq_dists(X, centroids)
+    d2 = _sq_dists(X, sq_norms, centroids)
     assignments = np.argmin(d2, axis=1)
     _repair_empty(X, centroids, assignments, d2)  # a cluster the last reassignment emptied
     inertia = float(d2[np.arange(n), assignments].sum())
     return ClusterModel(centroids=centroids, assignments=assignments, inertia=inertia,
                         inertia_history=tuple(history))
+
+
+def _count_distinct(X: np.ndarray, C: int) -> int:
+    """The number of distinct rows of the finite X, counted up to C.
+
+    Adding 0.0 turns -0.0 into 0.0, so equal rows have equal bytes.
+    """
+    seen = set()
+    for row in X:
+        seen.add((row + 0.0).tobytes())
+        if len(seen) == C:
+            break
+    return len(seen)
 
 
 def _recenter(X: np.ndarray, centroids: np.ndarray, assignments: np.ndarray) -> None:
@@ -169,7 +192,7 @@ def _repair_empty(X: np.ndarray, centroids: np.ndarray, assignments: np.ndarray,
             far = int(np.argmax(point_cost))
             centroids[c] = X[far]
             assignments[far] = c
-            d2[:, c] = np.sum((X - centroids[c]) ** 2, axis=1)
+            d2[:, c] = _sq_dists_to(X, centroids[c], np.empty_like(X))
             point_cost = d2[rows, assignments]
 
 
@@ -202,17 +225,25 @@ def _kmeanspp_init(X: np.ndarray, C: int, seed: int) -> np.ndarray:
     rng = philox_rng(seed)
     n = X.shape[0]
     centroids = np.empty((C, X.shape[1]))
+    diff = np.empty_like(X)  # the one n x d scratch buffer of every step
     first = int(rng.integers(0, n))
     centroids[0] = X[first]
-    closest = np.sum((X - centroids[0]) ** 2, axis=1)
+    closest = _sq_dists_to(X, centroids[0], diff)
     for c in range(1, C):
         total = closest.sum()
         cum = np.cumsum(closest / total)
         idx = int(np.searchsorted(cum, rng.random(), side="right"))
         idx = min(idx, n - 1)
         centroids[c] = X[idx]
-        closest = np.minimum(closest, np.sum((X - centroids[c]) ** 2, axis=1))
+        closest = np.minimum(closest, _sq_dists_to(X, centroids[c], diff))
     return centroids
+
+
+def _sq_dists_to(X: np.ndarray, c: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """np.sum((X - c) ** 2, axis=1), its n x d difference formed in diff."""
+    np.subtract(X, c, out=diff)
+    np.square(diff, out=diff)
+    return np.sum(diff, axis=1)
 
 
 def _cluster_means(clusters: ClusterModel, scores: np.ndarray) -> np.ndarray:
@@ -274,14 +305,18 @@ def frequency_score_predict(freqs: np.ndarray, cluster_scores: np.ndarray) -> fl
 
 
 def region_scores(model: LinearModel, clusters: ClusterModel, scores: np.ndarray,
-                  samples: Sequence[SampleSet]) -> RegionScores:
+                  counts: Sequence[int]) -> RegionScores:
     """Bundle centroid/average scores with per-sample cluster frequencies.
 
-    scores holds the cell_scores of the samples' cells in order, the cells
-    the clustering was fit on. A sample's frequencies count its slice of
-    clusters.assignments.
+    scores holds the cell_scores of the cells the clustering was fit on,
+    which are the samples' cells in order, counts[i] of them from sample i. A
+    sample's frequencies count its slice of clusters.assignments.
     """
-    ends = np.cumsum([s.n for s in samples])
+    counts = np.asarray(counts)
+    if (counts.ndim != 1 or not len(counts) or not np.issubdtype(counts.dtype, np.integer)
+            or counts.min() < 1):
+        raise ValueError("counts must be one positive cell count per sample")
+    ends = np.cumsum(counts)
     if ends[-1] != len(scores):
         raise ValueError("scores must hold one per cell of the samples, in order")
     return RegionScores(

@@ -292,7 +292,7 @@ def test_criterion_8_semantic_retention(fixture_pipelines):
     rs = []
     for seed, art in fixture_pipelines.items():
         region = region_scores(art.model, art.clusters,
-                               cell_scores(art.model, art.pooled), art.subs)
+                               cell_scores(art.model, art.pooled), [s.n for s in art.subs])
         rs.append(pearson(region.centroid_scores, region.average_scores))
     ok = all(r >= 0.5 for r in rs)
     report(8, ok, "pearson(centroid, average) per seed = "
@@ -306,7 +306,7 @@ def test_criterion_9_frequency_predictors(bench_dataset, fixture_pipelines):
     art = fixture_pipelines[0]
     y = art.labels
     freqs = region_scores(art.model, art.clusters, cell_scores(art.model, art.pooled),
-                          art.subs).frequencies
+                          [s.n for s in art.subs]).frequencies
     folds = stratified_folds(bench_dataset.labels, 5, derive_seed(31, "folds"))
     pooled_scores_correct = {"linear": [], "centroid": [], "average": []}
     for test_idx in folds:
@@ -314,7 +314,7 @@ def test_criterion_9_frequency_predictors(bench_dataset, fixture_pipelines):
         res = solve_hinge(art.feats[train_idx], y[train_idx], reg_c=1.0)
         fold_model = LinearModel(beta=res.w, bias=res.bias, rff=art.rmap, reg_c=1.0)
         region = region_scores(fold_model, art.clusters,
-                               cell_scores(fold_model, art.pooled), art.subs)
+                               cell_scores(fold_model, art.pooled), [s.n for s in art.subs])
         cs, avg = region.centroid_scores, region.average_scores
         alpha, a = train_frequency_model(list(freqs[train_idx]), y[train_idx],
                                          reg_c=1.0)

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from setkernel import (
@@ -124,6 +124,15 @@ class TestBlockedCellScores:
         assert peak < 16e6  # one-shot: 8000 x 2000 phi plus 8000 x 1000 X @ W, ~190 MB
 
 
+@st.composite
+def duplicate_heavy_cells(draw):
+    """Small integer-valued cells with signed zeros, a run of one cell first."""
+    d = draw(st.integers(1, 3))
+    cell = st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]), min_size=d, max_size=d)
+    prefix = [draw(cell)] * draw(st.integers(0, 30))
+    return np.array(prefix + draw(st.lists(cell, min_size=1, max_size=30)))
+
+
 class TestKmeans:
     def test_two_blobs_recovered(self, rng):
         # blob-generator oracle: ground-truth partition is known
@@ -159,6 +168,38 @@ class TestKmeans:
         with pytest.raises(ValueError, match="distinct"):
             kmeans(X, 3, seed=0)
 
+    @settings(max_examples=150, deadline=None)
+    @example(X=np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, -0.0], [1.0, 0.0]]), C=3, seed=0)
+    @given(X=duplicate_heavy_cells(), C=st.integers(2, 12), seed=st.integers(0, 1000))
+    def test_refused_exactly_below_c_distinct_cells(self, X, C, seed):
+        k = np.unique(X, axis=0).shape[0]
+        if k < C:
+            with pytest.raises(ValueError, match=rf"^only {k} distinct cells for C={C} clusters$"):
+                kmeans(X, C, seed)
+        else:
+            assert kmeans(X, C, seed).C == C
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cells_are_refused(self, bad):
+        X = np.array([[0.0, 1.0], [bad, 1.0], [2.0, 3.0], [4.0, 4.0]])
+        with pytest.raises(ValueError, match="finite"):
+            kmeans(X, 2, seed=0)
+
+    def test_working_memory_stays_near_the_input(self):
+        # one n x d scratch buffer, the row norms and the n x C distances;
+        # a sorted copy for the distinct count, or n x d temporaries per
+        # k-means++ step, would pass 1.5 x X
+        rng = np.random.default_rng(35)
+        blobs = 2.0 * rng.normal(size=(10, 35))
+        X = rng.normal(size=(20_000, 35)) + blobs[rng.integers(0, 10, 20_000)]
+        tracemalloc.start()
+        try:
+            kmeans(X, 10, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * X.nbytes
+
     def test_inertia_history_non_increasing(self, rng):
         X = rng.normal(size=(300, 2))
         cm = kmeans(X, 6, seed=2)
@@ -186,7 +227,7 @@ class TestRegionScores:
         X = np.tile(x, (20, 1)) + 0.0
         X[10:] += 5.0  # second cluster, also constant
         cm = kmeans(X, 2, seed=0)
-        region = region_scores(model, cm, cell_scores(model, X), [make_sample(X)])
+        region = region_scores(model, cm, cell_scores(model, X), [len(X)])
         cs = region.centroid_scores
         np.testing.assert_allclose(cs, region.average_scores, atol=1e-12)
         ref = cell_scores(model, X[0])[0]
@@ -198,7 +239,7 @@ class TestRegionScores:
                             reg_c=1.0)
         X = rng.normal(size=(50, 2))
         cm = kmeans(X, 3, seed=1)
-        region = region_scores(model, cm, cell_scores(model, X), [make_sample(X)])
+        region = region_scores(model, cm, cell_scores(model, X), [len(X)])
         np.testing.assert_allclose(region.centroid_scores, -1.2, atol=1e-15)
         np.testing.assert_allclose(region.average_scores, -1.2, atol=1e-15)
 
@@ -206,7 +247,7 @@ class TestRegionScores:
         model = random_model(small_map, rng)
         X = rng.normal(size=(200, 2)) * 2
         cm = kmeans(X, 4, seed=7)
-        region = region_scores(model, cm, cell_scores(model, X), [make_sample(X)])
+        region = region_scores(model, cm, cell_scores(model, X), [len(X)])
         assert np.all(np.isfinite(region.centroid_scores))
         assert np.all(np.isfinite(region.average_scores))
 
@@ -221,10 +262,19 @@ class TestRegionScores:
         assert cm.C == 3
         assert not np.array_equal(nearest(cm.centroids, pooled), cm.assignments)
         model = random_model(small_map, rng)
-        region = region_scores(model, cm, cell_scores(model, pooled), [a, b])
+        region = region_scores(model, cm, cell_scores(model, pooled), [a.n, b.n])
         expected = [np.bincount(cm.assignments[:5], minlength=3) / 5,
                     np.bincount(cm.assignments[5:], minlength=3) / 7]
         np.testing.assert_array_equal(region.frequencies, expected)  # rows in sample order
+
+    @pytest.mark.parametrize("counts", [[], [3, 0], [1.5, 1.5], [[3]]])
+    def test_counts_that_are_not_cell_counts_are_refused(self, small_map, rng, counts):
+        X = rng.normal(size=(3, 2))
+        cm = ClusterModel(centroids=[[0.0, 0.0], [1.0, 1.0]], assignments=[0, 1, 1],
+                          inertia=0.0)
+        model = random_model(small_map, rng)
+        with pytest.raises(ValueError, match="positive cell count"):
+            region_scores(model, cm, cell_scores(model, X), counts)
 
     @pytest.mark.parametrize("centroids", [[[0.0, 0.0]], [0.0, 1.0], np.empty((0, 2))])
     def test_fewer_than_two_centroids_are_refused(self, centroids):
@@ -263,7 +313,8 @@ class TestClusterFrequencies:
         pooled = np.vstack([s.cells for s in samples])
         cm = kmeans(pooled, 3, seed=0)
         model = random_model(small_map, rng)
-        return cm, pooled, region_scores(model, cm, cell_scores(model, pooled), samples)
+        return cm, pooled, region_scores(model, cm, cell_scores(model, pooled),
+                                         [s.n for s in samples])
 
     def test_union_is_weighted_average(self, small_map, rng):
         a = make_sample(rng.normal(scale=4, size=(30, 2)), "a")
@@ -271,7 +322,7 @@ class TestClusterFrequencies:
         cm, pooled, region = self._regions(small_map, rng, [a, b])
         ab = make_sample(pooled, "ab")
         model = random_model(small_map, rng)
-        union = region_scores(model, cm, cell_scores(model, pooled), [ab])
+        union = region_scores(model, cm, cell_scores(model, pooled), [ab.n])
         fa, fb = region.frequencies
         combined = (30 * fa + 50 * fb) / 80
         np.testing.assert_allclose(union.frequencies[0], combined, atol=1e-12)
@@ -322,7 +373,7 @@ class TestFrequencyPredictors:
         cells = np.vstack([np.tile(c, (k, 1)) for c, k in zip(centroids, counts)])
         cm = kmeans(cells, 3, seed=0, init=centroids)
         s = make_sample(cells)
-        region = region_scores(model, cm, cell_scores(model, cells), [s])
+        region = region_scores(model, cm, cell_scores(model, cells), [s.n])
         np.testing.assert_array_equal(region.frequencies[0], [0.5, 0.3, 0.2])
         pred = frequency_score_predict(region.frequencies[0], region.centroid_scores)
         dec = decision(model, mean_embedding(small_map, s))

@@ -22,7 +22,7 @@ from .data import (
     read_manifest,
     save_sample_set,
 )
-from .embedding import mean_embedding, naive_mean
+from .embedding import mean_embedding
 from .errors import ConfigError, DataError, ModelFormatError, NumericalError
 from .herding import HerdingResult, herd, subset, uniform_subsample
 from .classifier import (

@@ -22,7 +22,7 @@ import numpy as np
 from . import data as dat
 from .config import PipelineConfig, coerce_setting, derive_seed
 from .data import LabeledDataset, SampleSet, Standardizer, fmt_float
-from .embedding import embed_matrix, naive_mean
+from .embedding import embed_matrix
 from .errors import (ConfigError, DataError, ModelFormatError, NumericalError,
                      raise_on_overflow)
 from .herding import herd, uniform_subsample
@@ -265,11 +265,11 @@ class Pipeline:
     fitted under it. prepare applies cfg.preprocessing (arcsinh with a
     cofactor, or the standardizer); select keeps cfg.m cells per sample by
     herding or by uniform draws, sample s seeded by
-    derive_seed(cfg.seed, "uniform:s"); embed turns raw samples into feature
-    rows: the mean random-feature vector (cfg.features "rff") or the
-    per-marker mean ("naive") of the selected cells. A sample with no more
-    than m cells, or any sample when m is None, keeps all its cells in
-    storage order.
+    derive_seed(cfg.seed, "uniform:s"); row turns one raw sample into its
+    feature row: the mean random-feature vector (cfg.features "rff") or the
+    per-marker mean ("naive") of the selected cells, and embed maps row over
+    samples. A sample with no more than m cells, or any sample when m is
+    None, keeps all its cells in storage order.
     """
 
     cfg: PipelineConfig
@@ -335,21 +335,21 @@ class Pipeline:
         idx = self.select(prepared)
         return replace(prepared, cells=prepared.cells[idx]), idx
 
+    def row(self, sample: SampleSet) -> np.ndarray:
+        """The feature row of one raw sample, computed in this process."""
+        kept, _ = self.keep(sample)
+        if self.cfg.features == "naive":
+            return kept.cells.mean(axis=0)
+        with _naming(sample):
+            return embed_matrix(self.rff, kept.cells)
+
     def embed(self, samples: Sequence[SampleSet]) -> np.ndarray:
         """One feature row per raw sample, in order.
 
-        The samples run in workers.map_items's pool; the rows are the same
-        in-process.
+        The samples run through row in workers.map_items's pool; the rows
+        are the same in-process.
         """
-
-        def one(sample: SampleSet) -> np.ndarray:
-            kept, _ = self.keep(sample)
-            if self.cfg.features == "naive":
-                return naive_mean(kept)
-            with _naming(sample):
-                return embed_matrix(self.rff, kept.cells)
-
-        return np.stack(map_items(one, samples, name=dat.sample_name))
+        return np.stack(map_items(self.row, samples, name=dat.sample_name))
 
 
 @contextmanager

@@ -140,7 +140,7 @@ def cmd_herd(args, cfg: PipelineConfig) -> PipelineConfig:
     names = [_cell_file_name(s.sample_id) for s in dataset.samples]
     pipe = Pipeline.fit(cfg, dataset.samples)
     # every sample is herded before any file is written
-    picks = map_items(lambda s: pipe.keep(s)[1], dataset.samples, name=sample_name)
+    picks = map_items(lambda s: pipe.select(pipe.prepare(s)), dataset.samples, name=sample_name)
     out_dir = Path(args.out)
     index_rows = []
     for s, name, idx in zip(dataset.samples, names, picks):
@@ -221,7 +221,7 @@ def cmd_predict(args, _flags: PipelineConfig) -> PipelineConfig:
     label_names = {-1: model.train_meta["label_neg"], +1: model.train_meta["label_pos"]}
 
     def row(s) -> list[str]:
-        dec = decision(model, pipe.embed([s])[0])
+        dec = decision(model, pipe.row(s))
         return [s.sample_id, fmt_float(dec), label_names[-1 if dec < 0 else +1]]
 
     # each raw sample is read, decided and dropped in a worker
@@ -378,9 +378,10 @@ def cmd_interpret(args, flags: PipelineConfig) -> PipelineConfig:
         pearson_line = "pearson_centroid_vs_average=n/a: zero variance"
     space_line = ("clustering_space=model feature space (preprocessing="
                   f"{model.train_meta['preprocessing']})")
-    (out_dir / "summary.txt").write_text(
-        _config_comment(cfg) + "\n" + pearson_line + "\n" + space_line + "\n", encoding="utf-8"
-    )
+    summary = [_config_comment(cfg), pearson_line, space_line,
+               f"kmeans_iterations={len(clusters.inertia_history)}",
+               f"kmeans_converged={str(clusters.converged).lower()}"]
+    (out_dir / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
     print(pearson_line)
     return cfg
 

@@ -247,16 +247,25 @@ def _scan_rows(fh, path: Path, d: int) -> np.ndarray:
     return np.array(rows, dtype=np.float64).reshape(len(rows), d)
 
 
-def save_sample_set(sample: SampleSet, path) -> None:
-    """Write a sample CSV with full-precision decimals (round-trips exactly)."""
+def _write_table(path, header: Sequence[str], rows: Iterable[Iterable[str]]) -> None:
+    """Write a header and rows to path in csv.writer's default dialect: comma
+    separated, a field quoted only where it holds a comma, quote or line end,
+    and every row ending in CRLF."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    row = ",".join(["%" + FLOAT_FMT] * sample.d) + "\r\n"  # csv.writer's line end
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(sample.marker_names)
-        cells = sample.cells
-        for start in range(0, cells.shape[0], 4096):  # bounds the Python floats held at once
-            fh.writelines(row % tuple(r) for r in cells[start:start + 4096].tolist())
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def save_sample_set(sample: SampleSet, path) -> None:
+    """Write a sample CSV with full-precision decimals (round-trips exactly)."""
+    cells = sample.cells
+    _write_table(path, sample.marker_names, (
+        map(fmt_float, r)
+        for start in range(0, cells.shape[0], 4096)  # bounds the Python floats held at once
+        for r in cells[start:start + 4096].tolist()))
 
 
 def csv_line(fields: Sequence[str]) -> str:
@@ -380,12 +389,7 @@ def load_manifest(path) -> LabeledDataset:
 
 def write_manifest(entries: Sequence[tuple[str, str, str]], path) -> None:
     """Write manifest rows of (sample_id, relative path, label string)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MANIFEST_HEADER)
-        writer.writerows(entries)
+    _write_table(path, MANIFEST_HEADER, entries)
 
 
 def fit_standardizer(train: Sequence[SampleSet]) -> Standardizer:

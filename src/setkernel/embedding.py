@@ -40,10 +40,3 @@ def mean_embedding(rmap: RffMap, sample: SampleSet) -> np.ndarray:
     """Embed one sample-set as the average phi over its cells: a length-D row."""
     return embed_matrix(rmap, sample.cells)
 
-
-def naive_mean(sample: SampleSet) -> np.ndarray:
-    """Per-feature arithmetic mean of the cells (the no-kernel baseline)."""
-    if sample.n < 1:
-        raise ValueError("cannot average an empty set")
-    return sample.cells.mean(axis=0)
-

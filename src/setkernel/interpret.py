@@ -27,12 +27,17 @@ KMEANS_MAX_ITER = 300  # Lloyd iterations before kmeans stops unconverged
 @dataclass(frozen=True)
 class ClusterModel:
     """k-means centroids (C x d, C >= 2) with assignments for the cells they were
-    fit on, each a centroid id in [0, C). C is the centroid count."""
+    fit on, each a centroid id in [0, C). C is the centroid count.
+
+    inertia_history holds one inertia per Lloyd step run, and converged says
+    whether the assignments settled before KMEANS_MAX_ITER steps.
+    """
 
     centroids: np.ndarray
     assignments: np.ndarray
     inertia: float
     inertia_history: tuple[float, ...] = ()
+    converged: bool = False
 
     def __post_init__(self):
         centroids = np.asarray(self.centroids, dtype=np.float64)
@@ -111,9 +116,10 @@ def kmeans(X: np.ndarray, C: int, seed: int, init: np.ndarray | None = None) -> 
     """Lloyd's algorithm with seeded k-means++ initialization.
 
     Deterministic for a fixed seed; stops after KMEANS_MAX_ITER iterations if
-    the assignments have not settled. Empty clusters are repaired by
-    reseeding with the point farthest from its assigned centroid. An
-    explicit init matrix (C x d) overrides the k-means++ start.
+    the assignments have not settled, and the model's converged says which.
+    Empty clusters are repaired by reseeding with the point farthest from
+    its assigned centroid. An explicit init matrix (C x d) overrides the
+    k-means++ start.
 
     Non-finite cells are refused. The rows are then scanned, without a sorted
     copy, until C distinct cells are found (-0.0 and 0.0 count as one value);
@@ -138,16 +144,17 @@ def kmeans(X: np.ndarray, C: int, seed: int, init: np.ndarray | None = None) -> 
     sq_norms = np.sum(X * X, axis=1)
     assignments = np.argmin(_sq_dists(X, sq_norms, centroids), axis=1)
     history = []
+    converged = False
     for _ in range(KMEANS_MAX_ITER):
         _recenter(X, centroids, assignments)
         d2 = _sq_dists(X, sq_norms, centroids)
         _repair_empty(X, centroids, assignments, d2)
         new_assignments = np.argmin(d2, axis=1)
         history.append(float(d2[np.arange(n), new_assignments].sum()))
-        if np.array_equal(new_assignments, assignments):
-            assignments = new_assignments
-            break
+        converged = np.array_equal(new_assignments, assignments)
         assignments = new_assignments
+        if converged:
+            break
     # final pass: centroids consistent with final assignments, and vice versa
     _recenter(X, centroids, assignments)
     d2 = _sq_dists(X, sq_norms, centroids)
@@ -155,7 +162,7 @@ def kmeans(X: np.ndarray, C: int, seed: int, init: np.ndarray | None = None) -> 
     _repair_empty(X, centroids, assignments, d2)  # a cluster the last reassignment emptied
     inertia = float(d2[np.arange(n), assignments].sum())
     return ClusterModel(centroids=centroids, assignments=assignments, inertia=inertia,
-                        inertia_history=tuple(history))
+                        inertia_history=tuple(history), converged=converged)
 
 
 def _count_distinct(X: np.ndarray, C: int) -> int:

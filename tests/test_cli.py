@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setkernel import LinearModel, save_model, sample_frequencies
+from setkernel import interpret as itp
 from setkernel.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, main
 from setkernel.config import build_config, parse_config_file
 from setkernel.data import load_sample_set, write_manifest
@@ -169,6 +170,28 @@ class TestTrainPredict:
                      "--out", str(tmp_path / "p")]) == 0
         text = (tmp_path / "p" / "predictions.csv").read_text()
         assert "pos" in text.splitlines()[-1]
+
+    def test_predict_maps_one_sample_once(self, separable_dir, tmp_path, monkeypatch):
+        # the sample's row is computed where map_samples runs it, in no nested map
+        import setkernel.classifier
+        import setkernel.data
+        from setkernel.workers import map_items
+
+        model_path = tmp_path / "model.txt"
+        main(["train", "--manifest", manifest_of(separable_dir),
+              "--model", str(model_path), "--out", str(tmp_path / "t")] + FAST)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return map_items(*args, **kwargs)
+
+        for module in (setkernel.data, setkernel.classifier):
+            monkeypatch.setattr(module, "map_items", counted)
+        sample = next((separable_dir / "data" / "cells").glob("pos_*.csv"))
+        assert main(["predict", str(sample), "--model", str(model_path),
+                     "--out", str(tmp_path / "p")]) == 0
+        assert len(calls) == 1
 
     def test_predict_realigns_marker_order(self, separable_dir, tmp_path):
         model_path = tmp_path / "model.txt"
@@ -631,6 +654,24 @@ class TestInterpretCommand:
     def test_summary_has_pearson(self, interpreted):
         text = (interpreted / "summary.txt").read_text()
         assert "pearson_centroid_vs_average=" in text
+
+    def test_summary_records_kmeans_convergence(self, interpreted):
+        lines = (interpreted / "summary.txt").read_text().splitlines()
+        assert lines[-1] == "kmeans_converged=true"
+        assert lines[-2].startswith("kmeans_iterations=")
+        assert 1 <= int(lines[-2].split("=")[1]) < itp.KMEANS_MAX_ITER
+
+    def test_summary_records_an_unconverged_kmeans(self, separable_dir, interpreted,
+                                                   tmp_path, monkeypatch):
+        # the fixture's k-means takes more than one step, so one step leaves it unsettled
+        steps = int((interpreted / "summary.txt").read_text().splitlines()[-2].split("=")[1])
+        assert steps > 1
+        monkeypatch.setattr(itp, "KMEANS_MAX_ITER", 1)
+        assert main(["interpret", "--manifest", manifest_of(separable_dir),
+                     "--model", str(interpreted.parent / "model.txt"), "--out", str(tmp_path),
+                     "--clusters-C", "4", "--seed", "1"]) == 0
+        lines = (tmp_path / "summary.txt").read_text().splitlines()
+        assert lines[-2:] == ["kmeans_iterations=1", "kmeans_converged=false"]
 
     def test_stats_command_matches_module(self, separable_dir, interpreted, tmp_path,
                                           capsys):

@@ -88,6 +88,12 @@ class TestLoadSampleSet:
         with pytest.raises(DataError, match="non-finite"):
             load_sample_set(p)
 
+    def test_sample_csv_golden_bytes(self, tmp_path):
+        s = make_sample([[-0.0, 1e-300], [-2.5e200, 3.0]], markers=("CD3", "a,b"))
+        save_sample_set(s, tmp_path / "g.csv")
+        assert (tmp_path / "g.csv").read_bytes() == (
+            b'CD3,"a,b"\r\n-0,1e-300\r\n-2.5000000000000001e+200,3\r\n')
+
     def test_roundtrip_identical(self, tmp_path, rng):
         cells = rng.normal(scale=1e3, size=(40, 3)) * 10.0 ** rng.integers(-8, 8, (40, 3))
         s = make_sample(cells, sample_id="rt")
@@ -206,6 +212,12 @@ class TestManifest:
         write_manifest([("s0", "s0.csv", "a"), ("s1", "gone.csv", "b")], tmp_path / "m.csv")
         with pytest.raises(DataError, match="cannot read"):
             load_manifest(tmp_path / "m.csv")
+
+    def test_manifest_golden_bytes(self, tmp_path):
+        write_manifest([("s,0", "cells/s0.csv", "case"), ('s"1', "s1.csv", "ctrl")],
+                       tmp_path / "m.csv")
+        assert (tmp_path / "m.csv").read_bytes() == (
+            b'sample_id,path,label\r\n"s,0",cells/s0.csv,case\r\n"s""1",s1.csv,ctrl\r\n')
 
     def test_bad_header(self, tmp_path):
         write(tmp_path / "m.csv", "id,file,y\nx,y,z\n")

@@ -4,7 +4,6 @@ from setkernel import (
     PipelineConfig,
     featurize_batch,
     mean_embedding,
-    naive_mean,
     sample_frequencies,
 )
 from setkernel.classifier import Pipeline
@@ -67,14 +66,21 @@ class TestMeanEmbedding:
             assert np.linalg.norm(e) <= 1 + 1e-9
 
 
+def naive_row(rmap, sample):
+    """The row a features=naive Pipeline computes for sample, all cells kept."""
+    cfg = PipelineConfig(gamma=rmap.gamma, D=rmap.D, m=None, features="naive")
+    return Pipeline(cfg, rmap).row(sample)
+
+
 class TestNaiveMean:
-    def test_hand_case(self):
+    def test_hand_case(self, small_map):
         np.testing.assert_array_equal(
-            naive_mean(make_sample([[0.0, 0.0], [2.0, 4.0]])), [1.0, 2.0]
+            naive_row(small_map, make_sample([[0.0, 0.0], [2.0, 4.0]])), [1.0, 2.0]
         )
 
-    def test_singleton(self):
-        np.testing.assert_array_equal(naive_mean(make_sample([[3.0, -1.0]])), [3.0, -1.0])
+    def test_singleton(self, small_map):
+        np.testing.assert_array_equal(naive_row(small_map, make_sample([[3.0, -1.0]])),
+                                      [3.0, -1.0])
 
     def test_standardized_pool_has_zero_mean(self, rng):
         from setkernel import apply_standardizer, fit_standardizer

@@ -20,6 +20,7 @@ from setkernel import (
     train_frequency_model,
 )
 from setkernel.interpret import (
+    KMEANS_MAX_ITER,
     SCORE_ROWS,
     ClusterModel,
     _midranks,
@@ -205,6 +206,19 @@ class TestKmeans:
         cm = kmeans(X, 6, seed=2)
         hist = np.asarray(cm.inertia_history)
         assert np.all(np.diff(hist) <= 1e-9)
+
+    def test_converged_when_the_assignments_settle(self, rng):
+        cm = kmeans(rng.normal(size=(300, 2)), 6, seed=2)
+        assert cm.converged is True
+        assert 1 <= len(cm.inertia_history) < KMEANS_MAX_ITER
+
+    def test_unconverged_when_the_steps_run_out(self, rng, monkeypatch):
+        X = rng.normal(size=(300, 2))
+        assert len(kmeans(X, 6, seed=2).inertia_history) > 1  # needs more than one step
+        monkeypatch.setattr("setkernel.interpret.KMEANS_MAX_ITER", 1)
+        cm = kmeans(X, 6, seed=2)
+        assert cm.converged is False
+        assert len(cm.inertia_history) == 1
 
     def test_assignments_are_nearest(self, rng):
         X = rng.normal(size=(120, 2))

@@ -44,6 +44,8 @@ MODEL_SETTINGS = ("preprocessing", "m", "subsample_method", "seed")
 # META's fields, as a model whose train_meta leaves them out holds them.
 META_DEFAULTS = {"label_neg": "-1", "label_pos": "+1", "preprocessing": "none", "m": None,
                  "subsample_method": "herding", "seed": 0, "marker_names": ()}
+SOLVER_TOL = 1e-6  # solve_hinge stops once the duality gap is below SOLVER_TOL * (1 + |primal|)
+SOLVER_MAX_ITER = 100_000  # pair updates before solve_hinge stops unconverged
 
 
 @dataclass(frozen=True)
@@ -111,13 +113,12 @@ def _optimal_bias(f: np.ndarray, y: np.ndarray) -> float:
     return float(0.5 * (events[n_pos - 1] + events[n_pos]))
 
 
-def solve_hinge(X: np.ndarray, y: np.ndarray, reg_c: float = 1.0,
-                tol: float = 1e-6, max_iter: int = 100_000) -> SolveResult:
+def solve_hinge(X: np.ndarray, y: np.ndarray, reg_c: float = 1.0) -> SolveResult:
     """Minimize 0.5*||w||^2 + (reg_c/N) * sum_i hinge(y_i*(w.x_i + b)).
 
     Deterministic dual ascent on pairs selected by maximal KKT violation.
-    Stops when the duality gap drops below tol*(1+|primal|); hitting max_iter
-    first returns the best iterate with a warning.
+    Stops when the duality gap drops below SOLVER_TOL*(1+|primal|); hitting
+    SOLVER_MAX_ITER updates first returns the best iterate with a warning.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -151,7 +152,7 @@ def solve_hinge(X: np.ndarray, y: np.ndarray, reg_c: float = 1.0,
 
     while True:
         for _ in range(check_every):
-            if updates >= max_iter:
+            if updates >= SOLVER_MAX_ITER:
                 break
             neg_yg = -y * g
             up = ((y > 0) & (alpha < C - bound_eps)) | ((y < 0) & (alpha > bound_eps))
@@ -186,8 +187,8 @@ def solve_hinge(X: np.ndarray, y: np.ndarray, reg_c: float = 1.0,
             updates += 1
         w, b, primal, gap = state()
         history.append(0.5 * float(alpha @ (g - 1.0)))
-        converged = gap <= tol * (1.0 + abs(primal))
-        if converged or kkt_done or updates >= max_iter:
+        converged = gap <= SOLVER_TOL * (1.0 + abs(primal))
+        if converged or kkt_done or updates >= SOLVER_MAX_ITER:
             break
     if not converged:
         warnings.warn(
@@ -202,7 +203,7 @@ def solve_hinge(X: np.ndarray, y: np.ndarray, reg_c: float = 1.0,
 
 def train(rmap: RffMap, embeddings: Sequence[np.ndarray], labels: Sequence[int],
           reg_c: float = 1.0, train_meta: dict | None = None) -> LinearModel:
-    """Fit on one feature row per sample with solve_hinge's default tol and max_iter.
+    """Fit on one feature row per sample; solve_hinge stops on SOLVER_TOL and SOLVER_MAX_ITER.
 
     train_meta gains the solver's gap and convergence.
     """

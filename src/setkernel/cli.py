@@ -44,6 +44,7 @@ from .data import (
     load_sample_set,  # noqa: F401  unused, but perfbench/trace_cli.py wraps this name
     map_samples,
     read_manifest,
+    sample_file_name,
     sample_name,
     save_sample_set,
 )
@@ -98,13 +99,6 @@ def _write_csv(path: Path, header: list[str], rows, cfg: PipelineConfig) -> None
         writer.writerows(rows)
 
 
-def _cell_file_name(sample_id: str) -> str:
-    """`<sample_id>.csv`, refusing an id that would name a path outside `cells/`."""
-    if sample_id in ("", ".", "..") or "/" in sample_id or "\\" in sample_id:
-        raise DataError(f"sample_id {sample_id!r} cannot name a file in cells/")
-    return f"{sample_id}.csv"
-
-
 def _int_flag(args, name: str) -> int:
     """The integer value of --<name>, or a ConfigError naming the flag."""
     raw = getattr(args, name.replace("-", "_"))
@@ -137,7 +131,7 @@ def cmd_featurize(args, cfg: PipelineConfig) -> PipelineConfig:
 
 def cmd_herd(args, cfg: PipelineConfig) -> PipelineConfig:
     dataset = load_manifest(args.manifest)
-    names = [_cell_file_name(s.sample_id) for s in dataset.samples]
+    names = [sample_file_name(s.sample_id) for s in dataset.samples]
     pipe = Pipeline.fit(cfg, dataset.samples)
     # every sample is herded before any file is written
     picks = map_items(lambda s: pipe.select(pipe.prepare(s)), dataset.samples, name=sample_name)

@@ -52,8 +52,7 @@ def _check_m(m: int, n: int) -> None:
         raise ValueError(f"m={m} exceeds set size n={n}")
 
 
-def herd(rmap: RffMap, sample: SampleSet, m: int,
-         max_cache_bytes: int | None = None) -> HerdingResult:
+def herd(rmap: RffMap, sample: SampleSet, m: int) -> HerdingResult:
     """Greedily select m cells whose mean feature vector tracks the full set.
 
     Deterministic, ties to the smallest index. Pick t takes the best untaken
@@ -61,22 +60,21 @@ def herd(rmap: RffMap, sample: SampleSet, m: int,
     phi = scale * t32 (t32: featurize_f32trig's float32 sin/cos). Every pick
     is certified by _scan_source. Its float32 scores come from a screen
     product per pick or, when n <= GRAM_MAX_N_PER_M * m, n <= D and t32 and
-    K32 = t32 t32^T fit in max_cache_bytes as n (n + D) * 4 bytes, from rows
+    K32 = t32 t32^T fit in the cache budget as n (n + D) * 4 bytes, from rows
     of K32 between screens. _trig_source caches the rows of t32 that fit in
-    max_cache_bytes and recomputes the rest at each pick. Copies of a cell
-    have equal t32 rows and score bit-identically, so they go in storage
-    order; each copy near the top is rescored on its own (README "Herding"
-    has memory and timings). max_cache_bytes defaults to this process's share
-    of DEFAULT_CACHE_BYTES, DEFAULT_CACHE_BYTES // workers.in_flight(), so the
+    the budget and recomputes the rest at each pick. Copies of a cell have
+    equal t32 rows and score bit-identically, so they go in storage order;
+    each copy near the top is rescored on its own (README "Herding" has
+    memory and timings). The budget is this process's share of
+    DEFAULT_CACHE_BYTES, DEFAULT_CACHE_BYTES // workers.in_flight(), so the
     herds of a pooled map stay within it together.
     """
     X = sample.cells
     n = X.shape[0]
     _check_m(m, n)
-    if max_cache_bytes is None:
-        max_cache_bytes = DEFAULT_CACHE_BYTES // in_flight()
-    t32, trig, products = _trig_source(rmap, X, max_cache_bytes)
-    gram = n <= GRAM_MAX_N_PER_M * m and n <= rmap.D and n * (n + rmap.D) * 4 <= max_cache_bytes
+    cache_bytes = DEFAULT_CACHE_BYTES // in_flight()
+    t32, trig, products = _trig_source(rmap, X, cache_bytes)
+    gram = n <= GRAM_MAX_N_PER_M * m and n <= rmap.D and n * (n + rmap.D) * 4 <= cache_bytes
     selected = _scan_source(rmap, n, trig, products, m, t32 if gram else None)
     return HerdingResult(selected_indices=tuple(selected))
 
@@ -97,15 +95,15 @@ def _gram32(t32):
     return K32
 
 
-def _trig_source(rmap, X, max_cache_bytes):
+def _trig_source(rmap, X, cache_bytes):
     """_scan_source's trig rows and products, and t32 of the rows that fit.
 
-    The first max_cache_bytes // (4 D) rows of t32 are held; each product
+    The first cache_bytes // (4 D) rows of t32 are held; each product
     recomputes the rows after them CHUNK_ROWS at a time, and trig(rows)
     featurizes just the uncached rows asked for. featurize_f32trig gives a
     row the same bits in any block, so a recomputed row is the one screened.
     """
-    k = min(len(X), max_cache_bytes // (4 * rmap.D))
+    k = min(len(X), cache_bytes // (4 * rmap.D))
     t32 = featurize_f32trig(rmap, X[:k])
     if k == len(X):
         return t32, t32.__getitem__, t32.__matmul__

@@ -112,14 +112,13 @@ def _sq_dists(X: np.ndarray, sq_norms: np.ndarray, centroids: np.ndarray) -> np.
     return d2
 
 
-def kmeans(X: np.ndarray, C: int, seed: int, init: np.ndarray | None = None) -> ClusterModel:
-    """Lloyd's algorithm with seeded k-means++ initialization.
+def kmeans(X: np.ndarray, C: int, seed: int) -> ClusterModel:
+    """Lloyd's algorithm from a seeded k-means++ start.
 
     Deterministic for a fixed seed; stops after KMEANS_MAX_ITER iterations if
     the assignments have not settled, and the model's converged says which.
     Empty clusters are repaired by reseeding with the point farthest from
-    its assigned centroid. An explicit init matrix (C x d) overrides the
-    k-means++ start.
+    its assigned centroid.
 
     Non-finite cells are refused. The rows are then scanned, without a sorted
     copy, until C distinct cells are found (-0.0 and 0.0 count as one value);
@@ -127,7 +126,7 @@ def kmeans(X: np.ndarray, C: int, seed: int, init: np.ndarray | None = None) -> 
     needs one n x d scratch buffer, the row norms and the n x C distances.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    n, d = X.shape
+    n = X.shape[0]
     if C < 2:
         raise ValueError(f"C must be >= 2, got {C}")
     if not np.isfinite(X).all():
@@ -135,12 +134,7 @@ def kmeans(X: np.ndarray, C: int, seed: int, init: np.ndarray | None = None) -> 
     n_distinct = _count_distinct(X, C)
     if n_distinct < C:
         raise ValueError(f"only {n_distinct} distinct cells for C={C} clusters")
-    if init is not None:
-        centroids = np.array(init, dtype=np.float64)
-        if centroids.shape != (C, d):
-            raise ValueError(f"init must be ({C}, {d}), got {centroids.shape}")
-    else:
-        centroids = _kmeanspp_init(X, C, seed)
+    centroids = _kmeanspp_init(X, C, seed)
     sq_norms = np.sum(X * X, axis=1)
     assignments = np.argmin(_sq_dists(X, sq_norms, centroids), axis=1)
     history = []
@@ -287,7 +281,7 @@ def train_frequency_model(freqs: Sequence[np.ndarray], labels: Sequence[int],
                           reg_c: float = 1.0) -> tuple[np.ndarray, float]:
     """Fit the hinge-loss linear model on cluster-frequency features.
 
-    solve_hinge runs with its default tol and max_iter.
+    solve_hinge stops on classifier.SOLVER_TOL and SOLVER_MAX_ITER.
     """
     X = np.stack([np.asarray(f, dtype=np.float64).ravel() for f in freqs])
     res = solve_hinge(X, np.asarray(labels, dtype=np.float64), reg_c=reg_c)

@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import derive_seed
-from .data import LabeledDataset, SampleSet, save_sample_set, write_manifest
-from .errors import ConfigError
+from .data import LabeledDataset, SampleSet, sample_file_name, save_sample_set, write_manifest
+from .errors import ConfigError, DataError
 from .rff import philox_rng
 
 
@@ -132,14 +132,19 @@ def _draw_sample(spec: SyntheticSpec, weights, seed: int, sample_id: str) -> Sam
     return SampleSet(cells=cells, sample_id=sample_id, marker_names=markers)
 
 
-def _iter_samples(spec: SyntheticSpec):
+def _sample_keys(spec: SyntheticSpec):
+    """(label string, its class's weights, set index, sample id) of every sample, in order."""
     for label_str, weights in ((spec.labels[0], spec.weights_neg),
                                (spec.labels[1], spec.weights_pos)):
         for i in range(spec.sets_per_class):
-            sid = f"{label_str}_{i:03d}"
-            yield _draw_sample(spec, weights,
-                               derive_seed(spec.seed, f"synth:{label_str}:{i}"),
-                               sid), label_str
+            yield label_str, weights, i, f"{label_str}_{i:03d}"
+
+
+def _iter_samples(spec: SyntheticSpec):
+    for label_str, weights, i, sid in _sample_keys(spec):
+        yield _draw_sample(spec, weights,
+                           derive_seed(spec.seed, f"synth:{label_str}:{i}"),
+                           sid), label_str
 
 
 def generate_dataset(spec: SyntheticSpec) -> LabeledDataset:
@@ -154,12 +159,22 @@ def generate_dataset(spec: SyntheticSpec) -> LabeledDataset:
 
 
 def generate_files(spec: SyntheticSpec, out_dir) -> Path:
-    """Write sample CSVs and a manifest under out_dir; returns manifest path."""
+    """Write sample CSVs and a manifest under out_dir; returns manifest path.
+
+    A label that makes a sample id data.sample_file_name refuses is a
+    ConfigError, raised before anything is written.
+    """
+    names = []
+    for label_str, _, _, sid in _sample_keys(spec):
+        try:
+            names.append(sample_file_name(sid))
+        except DataError as e:
+            raise ConfigError(f"spec label {label_str!r}: {e}") from None
     out_dir = Path(out_dir)
     (out_dir / "cells").mkdir(parents=True, exist_ok=True)
     entries = []
-    for s, label_str in _iter_samples(spec):
-        rel = f"cells/{s.sample_id}.csv"
+    for (s, label_str), name in zip(_iter_samples(spec), names):
+        rel = f"cells/{name}"
         save_sample_set(s, out_dir / rel)
         entries.append((s.sample_id, rel, label_str))
     manifest = out_dir / "manifest.csv"

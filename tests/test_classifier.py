@@ -27,6 +27,7 @@ from setkernel import (
     solve_hinge,
     train,
 )
+from setkernel import classifier
 from setkernel.classifier import (
     MODEL_VERSION,
     W_ULPS,
@@ -64,20 +65,22 @@ def embeddings_from(X):
 
 
 class TestSolver:
-    def test_analytic_two_point_margin(self):
+    def test_analytic_two_point_margin(self, monkeypatch):
+        monkeypatch.setattr(classifier, "SOLVER_TOL", 1e-10)
         X = np.zeros((2, 6))
         X[0, 0] = 1.0
         X[1, 0] = -1.0
         y = np.array([1.0, -1.0])
-        res = solve_hinge(X, y, reg_c=1e6, tol=1e-10)
+        res = solve_hinge(X, y, reg_c=1e6)
         np.testing.assert_allclose(res.w, [1.0, 0, 0, 0, 0, 0], atol=1e-8)
         assert abs(res.bias) <= 1e-8
         margins = y * (X @ res.w + res.bias)
         assert margins.min() >= 1.0 - 1e-8
 
-    def test_matches_reference_solver(self, rng):
+    def test_matches_reference_solver(self, rng, monkeypatch):
         # oracle: libsvm with equivalent per-example C = reg_c / N
         sklearn = pytest.importorskip("sklearn.svm")
+        monkeypatch.setattr(classifier, "SOLVER_TOL", 1e-10)
         for trial in range(4):
             n, d = 24, 6
             X = rng.normal(size=(n, d))
@@ -85,35 +88,37 @@ class TestSolver:
             y[:2] = (1.0, -1.0)
             X += 0.4 * y[:, None]
             reg_c = float(10.0 ** rng.uniform(-1, 1.5))
-            res = solve_hinge(X, y, reg_c=reg_c, tol=1e-10)
+            res = solve_hinge(X, y, reg_c=reg_c)
             ref = sklearn.SVC(kernel="linear", C=reg_c / n, tol=1e-12).fit(X, y)
             np.testing.assert_allclose(res.w, ref.coef_.ravel(), atol=1e-5)
             assert abs(res.bias - float(ref.intercept_[0])) <= 1e-5
 
-    def test_duplicated_dataset_same_optimum(self, rng):
+    def test_duplicated_dataset_same_optimum(self, rng, monkeypatch):
+        monkeypatch.setattr(classifier, "SOLVER_TOL", 1e-10)
         X = rng.normal(size=(20, 4))
         y = np.where(rng.random(20) < 0.5, -1.0, 1.0)
         y[:2] = (1.0, -1.0)
-        res1 = solve_hinge(X, y, reg_c=2.0, tol=1e-10)
-        res2 = solve_hinge(np.vstack([X, X]), np.concatenate([y, y]),
-                           reg_c=2.0, tol=1e-10)
+        res1 = solve_hinge(X, y, reg_c=2.0)
+        res2 = solve_hinge(np.vstack([X, X]), np.concatenate([y, y]), reg_c=2.0)
         np.testing.assert_allclose(res1.w, res2.w, atol=1e-6)
         assert abs(res1.bias - res2.bias) <= 1e-6
 
-    def test_separable_data_fits_perfectly(self, rng):
+    def test_separable_data_fits_perfectly(self, rng, monkeypatch):
+        monkeypatch.setattr(classifier, "SOLVER_TOL", 1e-8)
         X = rng.normal(size=(30, 5))
         y = np.where(rng.random(30) < 0.5, -1.0, 1.0)
         y[:2] = (1.0, -1.0)
         X[:, 0] += 3.0 * y  # planted margin
-        res = solve_hinge(X, y, reg_c=10.0, tol=1e-8)
+        res = solve_hinge(X, y, reg_c=10.0)
         pred = np.where(X @ res.w + res.bias < 0, -1.0, 1.0)
         assert np.array_equal(pred, y)
 
-    def test_objective_monotone(self, rng):
+    def test_objective_monotone(self, rng, monkeypatch):
+        monkeypatch.setattr(classifier, "SOLVER_TOL", 1e-10)
         X = rng.normal(size=(40, 6))
         y = np.where(rng.random(40) < 0.5, -1.0, 1.0)
         y[:2] = (1.0, -1.0)
-        res = solve_hinge(X, y, reg_c=5.0, tol=1e-10)
+        res = solve_hinge(X, y, reg_c=5.0)
         hist = np.array(res.objective_history)
         assert np.all(np.diff(hist) <= 1e-10)
 
@@ -121,12 +126,14 @@ class TestSolver:
         with pytest.raises(ValueError, match="both classes"):
             solve_hinge(np.ones((3, 2)), np.ones(3))
 
-    def test_nonconvergence_warns_and_returns(self, rng):
+    def test_nonconvergence_warns_and_returns(self, rng, monkeypatch):
+        monkeypatch.setattr(classifier, "SOLVER_TOL", 1e-14)
+        monkeypatch.setattr(classifier, "SOLVER_MAX_ITER", 5)
         X = rng.normal(size=(50, 4))
         y = np.where(rng.random(50) < 0.5, -1.0, 1.0)
         y[:2] = (1.0, -1.0)
         with pytest.warns(RuntimeWarning, match="duality gap"):
-            res = solve_hinge(X, y, reg_c=100.0, tol=1e-14, max_iter=5)
+            res = solve_hinge(X, y, reg_c=100.0)
         assert res.n_updates == 5
         assert not res.converged
         assert np.all(np.isfinite(res.w))

@@ -13,7 +13,7 @@ from setkernel import LinearModel, save_model, sample_frequencies
 from setkernel import interpret as itp
 from setkernel.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK, main
 from setkernel.config import build_config, parse_config_file
-from setkernel.data import load_sample_set, write_manifest
+from setkernel.data import load_sample_set, read_manifest, write_manifest
 from setkernel.errors import ConfigError
 
 from conftest import MODEL_V1
@@ -61,6 +61,30 @@ class TestSynthCommand:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"sets_per_class": 2}))
         assert main(["synth", "--spec", str(bad), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("label", ["../x", "a/b", "a\\b", "a\rb"])
+    def test_label_that_cannot_name_a_file_exits_2(self, separable_dir, tmp_path, capsys,
+                                                    label):
+        # before, "../x" wrote x_000.csv beside --out and "a/b" made cells/a/
+        spec = {**json.loads((separable_dir / "spec.json").read_text()), "labels": [label, "pos"]}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        out = tmp_path / "run" / "o"
+        assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(out)]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert repr(label) in err and len(err.strip().splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["spec.json"]
+
+    def test_label_with_a_comma_round_trips(self, separable_dir, tmp_path):
+        spec = {**json.loads((separable_dir / "spec.json").read_text()), "labels": ["a,b", "pos"]}
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        out = tmp_path / "o"
+        assert main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(out)]) == EXIT_OK
+        manifest = read_manifest(out / "manifest.csv")
+        assert manifest.sample_ids[:2] == ("a,b_000", "a,b_001")
+        assert manifest.label_names == {-1: "a,b", +1: "pos"}
+        assert manifest.paths[0] == out / "cells" / "a,b_000.csv"
+        assert load_sample_set(manifest.paths[0], sample_id="a,b_000").n == 50
 
 
 class TestCrossvalCommand:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from setkernel import (
     DataError,
@@ -22,7 +23,7 @@ from setkernel import (
     save_sample_set,
 )
 from setkernel.cli import EXIT_DATA, EXIT_OK, main
-from setkernel.data import read_manifest, write_manifest
+from setkernel.data import fmt_float, read_manifest, write_manifest
 
 from conftest import MODEL_V1, make_sample
 
@@ -93,6 +94,20 @@ class TestLoadSampleSet:
         save_sample_set(s, tmp_path / "g.csv")
         assert (tmp_path / "g.csv").read_bytes() == (
             b'CD3,"a,b"\r\n-0,1e-300\r\n-2.5000000000000001e+200,3\r\n')
+
+    @settings(max_examples=200, deadline=None)
+    @given(cells=arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 4)),
+                        elements=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                           st.sampled_from([-0.0, 5e-324, 1.7e308, -1.7e308]))))
+    def test_sample_csv_bytes_are_csv_writer_rows(self, tmp_path_factory, cells):
+        # the body's one %-format per row writes the bytes csv.writer rows of
+        # fmt_float strings would, for any finite float64 value
+        path = tmp_path_factory.mktemp("csv") / "s.csv"
+        markers = tuple(f"m{j}" for j in range(cells.shape[1]))
+        save_sample_set(make_sample(cells, markers=markers), path)
+        expected = io.StringIO(newline="")
+        csv.writer(expected).writerows([markers] + [[fmt_float(v) for v in r] for r in cells])
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
     def test_roundtrip_identical(self, tmp_path, rng):
         cells = rng.normal(scale=1e3, size=(40, 3)) * 10.0 ** rng.integers(-8, 8, (40, 3))

@@ -35,14 +35,16 @@ class TestHerd:
     @pytest.mark.parametrize("in_flight", [1, 2, 3])
     def test_default_budget_is_this_process_share(self, small_map, rng, monkeypatch,
                                                   in_flight):
-        # without max_cache_bytes, a herd beside k - 1 others takes 1/k of the default
+        # a herd beside k - 1 others takes 1/k of DEFAULT_CACHE_BYTES
         budgets, source = [], herding._trig_source
         monkeypatch.setattr(herding, "_trig_source", lambda rmap, X, cache:
                             budgets.append(cache) or source(rmap, X, cache))
         monkeypatch.setattr(workers, "_workers", in_flight)
+        default = herding.DEFAULT_CACHE_BYTES
         herd(small_map, make_sample(rng.normal(size=(30, 2))), 5)
-        herd(small_map, make_sample(rng.normal(size=(30, 2))), 5, max_cache_bytes=4096)
-        assert budgets == [herding.DEFAULT_CACHE_BYTES // in_flight, 4096]
+        monkeypatch.setattr(herding, "DEFAULT_CACHE_BYTES", 4096 * in_flight)
+        herd(small_map, make_sample(rng.normal(size=(30, 2))), 5)
+        assert budgets == [default // in_flight, 4096]
 
     def test_first_pick_matches_brute_force(self, small_map, rng):
         # oracle: evaluate theta0 . phi(x_i) over every cell directly
@@ -63,12 +65,14 @@ class TestHerd:
         s = make_sample(rng.normal(size=(50, 2)))
         assert herd(small_map, s, 20) == herd(small_map, s, 20)
 
-    def test_chunked_path_matches_cached(self, small_map, rng, used_sources, featurized):
+    def test_chunked_path_matches_cached(self, small_map, rng, used_sources, featurized,
+                                         monkeypatch):
         s = make_sample(rng.normal(size=(100, 2)))
         cached = herd(small_map, s, 30)
         assert_cached_rows(s.cells, featurized, 100, 30)
         featurized.clear()
-        chunked = herd(small_map, s, 30, max_cache_bytes=1024)  # 4 rows at D=64
+        monkeypatch.setattr(herding, "DEFAULT_CACHE_BYTES", 1024)  # 4 rows at D=64
+        chunked = herd(small_map, s, 30)
         assert_cached_rows(s.cells, featurized, 4, 30)
         assert used_sources == ["_scan_source", "_scan_source"]
         assert cached.selected_indices == chunked.selected_indices
@@ -170,7 +174,7 @@ def assert_cached_rows(cells, featurized, k, m):
 
 
 def rows_cached(cells, D, cache):
-    """The rows of t32 that max_cache_bytes=cache holds: floor(cache / (4 D)) at most."""
+    """The rows of t32 that a cache budget of cache bytes holds: floor(cache / (4 D)) at most."""
     return min(len(cells), cache // (4 * D))
 
 
@@ -203,7 +207,7 @@ class TestColumnSources:
     n > 256 spans at least two row blocks of K32's upper triangle. In
     test_sources_match_oracle n = 350 and 400 take K32; n = 450 and 481 are
     above GRAM_MAX_N_PER_M * m but within D, and n = 700 is above D, so they
-    take the per-pick screen. max_cache_bytes=1024 holds no trig row at
+    take the per-pick screen. A 1024-byte budget holds no trig row at
     D >= 300, so the screen's values are recomputed at every pick.
     """
 
@@ -211,7 +215,7 @@ class TestColumnSources:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("n", [350, 400, 450, 481, 700])
-    def test_sources_match_oracle(self, used_sources, featurized, seed, n):
+    def test_sources_match_oracle(self, used_sources, featurized, monkeypatch, seed, n):
         m = 440 // herding.GRAM_MAX_N_PER_M  # GRAM_MAX_N_PER_M * m is in [400, 450)
         rmap = sample_frequencies(2, 600, 1.0, 40 + seed)
         gen = np.random.default_rng(seed)
@@ -225,7 +229,8 @@ class TestColumnSources:
                               (1024, "_scan_source")]:
             used_sources.clear()
             featurized.clear()
-            assert herd(rmap, s, m, max_cache_bytes=cache).selected_indices == expected
+            monkeypatch.setattr(herding, "DEFAULT_CACHE_BYTES", cache)
+            assert herd(rmap, s, m).selected_indices == expected
             assert used_sources == [source]
             assert_cached_rows(cells, featurized, rows_cached(cells, 600, cache), m)
 
@@ -235,8 +240,8 @@ class TestColumnSources:
         (400, 1024, "_scan_source"),  # nothing cached
         (2, herding.DEFAULT_CACHE_BYTES, "_scan_source"),
     ])
-    def test_duplicate_cells_go_to_smallest_index(self, used_sources, featurized, D, cache,
-                                                  source):
+    def test_duplicate_cells_go_to_smallest_index(self, used_sources, featurized, monkeypatch,
+                                                  D, cache, source):
         # exact ties: every copy of a cell scores the same, the first copy wins.
         # At D=2 the rescored 16-byte phi rows alternate 32-byte alignment; there
         # the float32 sin/cos can move picks off the float64 oracle's (they do
@@ -245,7 +250,8 @@ class TestColumnSources:
         cells = np.round(gen.normal(size=(360, 2)), 1)
         cells[::7] = cells[0]
         rmap = sample_frequencies(2, D, 1.0, 9)
-        picks = herd(rmap, make_sample(cells), self.M, max_cache_bytes=cache).selected_indices
+        monkeypatch.setattr(herding, "DEFAULT_CACHE_BYTES", cache)
+        picks = herd(rmap, make_sample(cells), self.M).selected_indices
         assert used_sources == [source]
         assert_cached_rows(cells, featurized, rows_cached(cells, D, cache), self.M)
         assert_copies_in_storage_order(cells, picks)
@@ -266,7 +272,8 @@ class TestColumnSources:
         if copies:
             cells[::7] = cells[100]
         rmap = sample_frequencies(2, 400, 1.0, 9)
-        picks = herd(rmap, make_sample(cells), self.M, max_cache_bytes=1024).selected_indices
+        monkeypatch.setattr(herding, "DEFAULT_CACHE_BYTES", 1024)
+        picks = herd(rmap, make_sample(cells), self.M).selected_indices
         assert used_sources == ["_scan_source"]
         assert_cached_rows(cells, featurized, 0, self.M)
         assert picks == oracle_herd(rmap, cells, self.M)
@@ -276,14 +283,16 @@ class TestColumnSources:
         (600, herding.DEFAULT_CACHE_BYTES, "_scan_source"),
         (300, 1024, "_scan_source"),  # nothing cached
     ])
-    def test_reads_per_source(self, used_sources, reads, featurized, n, cache, source):
+    def test_reads_per_source(self, used_sources, reads, featurized, monkeypatch, n, cache,
+                              source):
         # with K32, picks 0, B, 2B, ... take a screen product and each other pick
         # reads the row of K32 of the pick before it: ceil(m / B) products and
         # m - ceil(m / B) rows. The per-pick screen takes m products. Each
         # product is float32, scaled to float64 scores
         rmap = sample_frequencies(2, 400, 1.0, 3)
         cells = np.random.default_rng(n).normal(size=(n, 2))
-        picks = herd(rmap, make_sample(cells), self.M, max_cache_bytes=cache).selected_indices
+        monkeypatch.setattr(herding, "DEFAULT_CACHE_BYTES", cache)
+        picks = herd(rmap, make_sample(cells), self.M).selected_indices
         assert used_sources == [source]
         assert_cached_rows(cells, featurized, rows_cached(cells, 400, cache), self.M)
         screened = [np.float32, np.float64]
@@ -293,7 +302,7 @@ class TestColumnSources:
         assert reads.count(np.float32) == -(-self.M // refresh)
         assert picks == oracle_herd(rmap, cells, self.M)
         reads.clear()
-        herd(rmap, make_sample(cells), 1, max_cache_bytes=cache)  # n > 12 m: the screen
+        herd(rmap, make_sample(cells), 1)  # n > 12 m: the screen
         assert reads == screened
 
     @pytest.mark.parametrize("fixture", ["d2", "d30", "copies"])
@@ -416,12 +425,14 @@ class TestFloat32Trig:
         (300, herding.DEFAULT_CACHE_BYTES, "_scan_source"),
         (400, 1024, "_scan_source"),  # nothing cached
     ])
-    def test_raw_intensities_match_oracle(self, used_sources, featurized, D, cache, source):
+    def test_raw_intensities_match_oracle(self, used_sources, featurized, monkeypatch, D, cache,
+                                          source):
         # cells ~1e4 with gamma=100: sin/cos arguments reach thousands of radians
         gen = np.random.default_rng(8)
         cells = np.abs(gen.normal(loc=1e4, scale=2e3, size=(360, 3)))
         rmap = sample_frequencies(3, D, 100.0, 17)
-        picks = herd(rmap, make_sample(cells), 60, max_cache_bytes=cache).selected_indices
+        monkeypatch.setattr(herding, "DEFAULT_CACHE_BYTES", cache)
+        picks = herd(rmap, make_sample(cells), 60).selected_indices
         assert used_sources == [source]
         assert_cached_rows(cells, featurized, rows_cached(cells, D, cache), 60)
         assert picks == oracle_herd(rmap, cells, 60)
@@ -578,7 +589,8 @@ class TestPartialCache:
         cached = herd(rmap, sample, self.M).selected_indices
         featurized.clear()
         budget = (k + 1) * 4 * self.D - 1  # one byte short of k + 1 rows
-        picks = herd(rmap, sample, self.M, max_cache_bytes=budget).selected_indices
+        monkeypatch.setattr(herding, "DEFAULT_CACHE_BYTES", budget)
+        picks = herd(rmap, sample, self.M).selected_indices
         assert used_sources == ["_scan_source", "_scan_source"]
         assert_cached_rows(cells, featurized, k, self.M)
         assert picks == cached == oracle_herd(rmap, cells, self.M)
@@ -662,6 +674,7 @@ class TestScreenProperties:
         cached = herd(rmap, sample, m).selected_indices
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(herding, "CHUNK_ROWS", chunk_rows)
-            streamed = herd(rmap, sample, m, max_cache_bytes=cache_rows * 4 * 16).selected_indices
+            patch.setattr(herding, "DEFAULT_CACHE_BYTES", cache_rows * 4 * 16)
+            streamed = herd(rmap, sample, m).selected_indices
         assert cached == streamed
         assert_copies_in_storage_order(cells, cached)

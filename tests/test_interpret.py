@@ -27,7 +27,7 @@ from setkernel.interpret import (
     region_scores,
     use_exact_rank_sum,
 )
-from setkernel import workers
+from setkernel import interpret, workers
 from setkernel.rff import featurize_batch
 
 from conftest import brute_force_rank_sum_p, loop_midranks, make_sample
@@ -225,12 +225,13 @@ class TestKmeans:
         cm = kmeans(X, 5, seed=4)
         np.testing.assert_array_equal(cm.assignments, nearest(cm.centroids, X))
 
-    def test_empty_cluster_repair(self):
+    def test_empty_cluster_repair(self, monkeypatch):
         # an init centroid far from every point empties after one update
         X = np.vstack([np.zeros((10, 2)), np.ones((10, 2)) * 4,
                        np.array([[2.0, 2.0]])])
         init = np.array([[0.0, 0.0], [4.0, 4.0], [100.0, 100.0]])
-        cm = kmeans(X, 3, seed=0, init=init)
+        monkeypatch.setattr(interpret, "_kmeanspp_init", lambda X, C, seed: init.copy())
+        cm = kmeans(X, 3, seed=0)
         assert np.bincount(cm.assignments, minlength=3).min() >= 1
 
 
@@ -378,14 +379,15 @@ class TestFrequencyPredictors:
         f = rng.dirichlet(np.ones(5))
         assert frequency_score_predict(f, np.full(5, 0.77)) == pytest.approx(0.77)
 
-    def test_matches_decision_when_cells_sit_on_centroids(self, small_map, rng):
+    def test_matches_decision_when_cells_sit_on_centroids(self, small_map, rng, monkeypatch):
         # construct a sample whose cells all coincide with centroids; then the
         # frequency-weighted centroid scores equal the mean cell score exactly
         model = random_model(small_map, rng)
         centroids = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]])
         counts = [5, 3, 2]
         cells = np.vstack([np.tile(c, (k, 1)) for c, k in zip(centroids, counts)])
-        cm = kmeans(cells, 3, seed=0, init=centroids)
+        monkeypatch.setattr(interpret, "_kmeanspp_init", lambda X, C, seed: centroids.copy())
+        cm = kmeans(cells, 3, seed=0)
         s = make_sample(cells)
         region = region_scores(model, cm, cell_scores(model, cells), [s.n])
         np.testing.assert_array_equal(region.frequencies[0], [0.5, 0.3, 0.2])
